@@ -12,8 +12,8 @@ Subcommands
 
 Configuration comes from three layers merged in order: built-in defaults,
 an optional ``key = value`` config file (``--config``), then command-line
-flags.  The merged raw key/value map is copied verbatim into every
-``manifest.json`` so an output directory records exactly what produced it.
+flags.  The merged raw key/value map less ``out`` is copied verbatim into
+every ``manifest.json`` so an output directory records what produced it.
 
 Config keys use dotted sections (``grid.n``, ``window.width``,
 ``exponents.r`` ...).  Magnetic potential components are given on their
@@ -25,9 +25,9 @@ own lines, one monomial each::
 monomial, ``coeff`` an exact rational.  The same lines may live in a
 separate file passed with ``--potential``.
 
-Every computing subcommand writes its arrays twice (binary tensor +
-CSV) plus a manifest with versions, seed, and wall-clock timings; reruns
-with the same configuration are byte-identical.
+Every computing subcommand writes its arrays twice (binary tensor + CSV),
+a manifest with versions and seed, byte-identical across reruns, and a
+``run.json`` sidecar with the output directory and wall-clock timings.
 """
 
 import argparse
@@ -343,7 +343,7 @@ def emit_report(reports, out_dir):
 def _write_manifest(cfg, command, out_dir, outputs, timings):
     manifest = {
         "command": command,
-        "config": cfg.raw,
+        "config": {key: value for key, value in cfg.raw.items() if key != "out"},
         "potential": cfg.potential_entries,
         "versions": {
             "magweyl": __version__,
@@ -351,14 +351,16 @@ def _write_manifest(cfg, command, out_dir, outputs, timings):
             "python": platform.python_version(),
         },
         "seed": cfg.seed,
-        "timings": {name: round(value, 6) for name, value in timings.items()},
         "outputs": [os.path.basename(p) for p in outputs],
     }
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
+    run = {
+        "out": cfg.raw["out"],
+        "timings": {name: round(value, 6) for name, value in timings.items()},
+    }
+    for name, record in (("manifest.json", manifest), ("run.json", run)):
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as handle:
+            json.dump(record, handle, indent=2, sort_keys=True)
+            handle.write("\n")
 
 
 def _write_array(out_dir, stem, array):

@@ -37,6 +37,7 @@ give bit-identical outputs.
 """
 
 import math
+import os
 import struct
 from fractions import Fraction
 
@@ -58,10 +59,12 @@ class GridSpec:
                  quad_nodes=12, quad_box=6.0):
         if n_axis % 2 != 0 or n_axis < 8:
             raise ValueError("points per axis must be even and >= 8")
-        if extent <= 0:
-            raise ValueError("box extent must be positive")
-        if epsilon == 0:
-            raise ValueError("representation parameter must be nonzero")
+        if not 0 < extent < math.inf:
+            raise ValueError("box extent must be positive and finite, got %r" % extent)
+        if epsilon == 0 or not math.isfinite(epsilon):
+            raise ValueError("representation parameter epsilon must be finite and nonzero")
+        if not math.isfinite(quad_box):
+            raise ValueError("quad_box must be finite, got %r" % quad_box)
         if backend not in ("grid", "quadrature"):
             raise ValueError("backend must be 'grid' or 'quadrature'")
         if backend == "grid":
@@ -342,21 +345,26 @@ def field_inner(u, v):
     return complex(np.sum(u.values * np.conj(v.values)) * u.point_weight())
 
 
-def _axis_transform(spec, values, kernel, scalars):
-    out = np.asarray(values, dtype=complex)
-    ndim = out.ndim
-    for axis in range(ndim):
-        out = np.moveaxis(np.tensordot(kernel, out, axes=([1], [axis])), 0, axis)
-    return out * np.prod(scalars)
+def axis_transform(values, kernels, scratch=None):
+    """Contract kernels[i][k, p] with the i-th of the trailing len(kernels)
+    axes of values (leading axes are batch axes).  The passes alternate
+    between a fresh buffer and ``scratch`` (values itself when the caller is
+    done with them), so two buffers of the result's size are live at once."""
+    out = np.matmul(values, kernels[-1].T)
+    if len(kernels) > 1 and scratch is None:
+        scratch = np.empty_like(out)
+    for back, kernel in enumerate(kernels[-2::-1], start=2):
+        np.matmul(kernel, np.moveaxis(out, -back, -2), out=np.moveaxis(scratch, -back, -2))
+        out, scratch = scratch, out
+    return out
 
 
 def ft_symbol(spec, u):
     """Unitary transform from side Xi to side XiStar (kernel e^{-i<.,.>})."""
     if u.side != SIDE_XI:
         raise ValueError("ft_symbol expects a field on side %s" % SIDE_XI)
-    d = spec.dim
-    scal = [spec.h / math.sqrt(TWO_PI)] * d + [spec.xi_step / math.sqrt(TWO_PI)] * d
-    out = _axis_transform(spec, u.values, spec.harmonic_matrix(), scal)
+    out = axis_transform(u.values, [spec.harmonic_matrix()] * (2 * spec.dim))
+    out *= spec.xi_weight
     return PhaseSpaceField(spec, out, SIDE_XISTAR)
 
 
@@ -364,9 +372,8 @@ def ift_symbol(spec, u):
     """Inverse of ft_symbol: side XiStar back to side Xi (kernel e^{+i<.,.>})."""
     if u.side != SIDE_XISTAR:
         raise ValueError("ift_symbol expects a field on side %s" % SIDE_XISTAR)
-    d = spec.dim
-    scal = [spec.zeta_step / math.sqrt(TWO_PI)] * d + [spec.z_step / math.sqrt(TWO_PI)] * d
-    out = _axis_transform(spec, u.values, np.conj(spec.harmonic_matrix()), scal)
+    out = axis_transform(u.values, [np.conj(spec.harmonic_matrix())] * (2 * spec.dim))
+    out *= spec.xistar_weight
     return PhaseSpaceField(spec, out, SIDE_XI)
 
 
@@ -594,12 +601,17 @@ def tensor_read(path):
         magic = fh.read(4)
         if magic != TENSOR_MAGIC:
             raise ValueError("not a tensor file (bad magic %r)" % magic)
-        (rank,) = struct.unpack("<I", fh.read(4))
-        dims = struct.unpack("<%dQ" % rank, fh.read(8 * rank))
+        try:
+            (rank,) = struct.unpack("<I", fh.read(4))
+            dims = struct.unpack("<%dQ" % rank, fh.read(8 * rank))
+        except struct.error:
+            raise ValueError("truncated tensor header") from None
+        count = math.prod(dims)
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if size != 16 * count:
+            raise ValueError("tensor dims %r need %d payload bytes, the file holds %d"
+                             % (dims, 16 * count, size))
         payload = fh.read()
-    count = 1
-    for d in dims:
-        count *= d
     flat = np.frombuffer(payload, dtype="<c16", count=count)
     return flat.reshape(dims).astype(complex)
 

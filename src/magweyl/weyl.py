@@ -18,16 +18,29 @@ Conventions (all enforced by tests, none assumed):
   general eps carries a factor |eps|^(-d) in the rank-one/orthogonality
   identities (the quantization pair stays exactly inverse regardless).
 
+Lattice kernel: the grid transforms sum the Weyl system (cyclic shift,
+magnetic phase, axis DFT, half-shift prefactor) over all steps at once, on
+arrays with d step axes (step s_j = j - N/2) then d point or frequency axes.
+Only per-axis N x N tables are cached, broadcast over axes (i, d + i): the
+shift index I[j, p] = (p - s_j) mod N (I[I[q, p], p] = q), the prefactor
+exp(i eps s_j h/2 xi_k) and the symmetric DFT exp(-i eps xi_k x_p).  A state
+moves by the gather ``values[I_0, I_1]``; operator entries move through the
+same index.  The magnetic phase, an exact polynomial per step, is built per
+call step by step (a fresh context gains nothing from a float cache), and
+``ambiguity_formula`` loops over steps: each step's exact average map is
+its cost.
+
 Two independent computational routes exist for the ambiguity transform and
 are kept apart deliberately: the representation route (translation-averaged
 phases out of the semidirect exponential) and the closed-formula route
 (segment phase exponent plus the unipotent average map and its inverse).
 Tests and the verification suite compare them; neither calls the other.
+They share only the shift index and the axis transform.
 """
 
 import math
+from collections import namedtuple
 from fractions import Fraction
-from functools import reduce
 
 import numpy as np
 
@@ -53,6 +66,7 @@ from .repspace import (
     PhaseSpaceField,
     StateVector,
     apply_rep_exp,
+    axis_transform,
     eval_poly_grid,
     ft_symbol,
     gaussian_state,
@@ -133,32 +147,79 @@ def _require_grid(spec, what):
         raise ValueError("%s needs the grid backend" % what)
 
 
-def _sign_kernel(spec):
-    """Per-axis matrix exp(-i eps xi_k x_j); the epsilon scaling of the
-    frequency lattice reduces it to one shared N-point harmonic matrix."""
-    E = spec.harmonic_matrix()
-    return E if spec.epsilon > 0 else np.conj(E)
-
-
-def _tensor_apply(mats, arr):
-    out = arr
-    for axis, m in enumerate(mats):
-        out = np.moveaxis(np.tensordot(m, out, axes=([1], [axis])), 0, axis)
-    return out
-
-
-def _half_shift_prefactor(spec, x_point, sign):
-    """Product over axes of exp(sign * i * eps * X_i/2 * xi), shaped like
-    the frequency block."""
-    axes = [
-        np.exp(sign * 1j * spec.epsilon * (float(x) / 2.0) * spec.xi_axis)
-        for x in x_point
-    ]
-    return reduce(np.multiply.outer, axes)
+# ---------------------------------------------------------------------------
+# lattice kernel: the Weyl system over all translation steps at once
+# ---------------------------------------------------------------------------
 
 
 def _steps_of(spec, jX):
     return tuple(int(j) - spec.n_axis // 2 for j in jX)
+
+
+def _along(table, axes, ndim):
+    """table shaped to broadcast over the given increasing axes of ndim."""
+    shape = [1] * ndim
+    for axis in axes:
+        shape[axis] = table.shape[0]
+    return table.reshape(shape)
+
+
+_Tables = namedtuple("_Tables", "shift prefactor dft moved entries")
+
+
+def _tables(spec):
+    """The per-axis tables, cached on the grid, and the shift index I as
+    gather indices over the (step, point) layout: values[moved][j, p] is the
+    state moved by s_j at p; operator entry (p, I[j, p]) is step j's alone."""
+    if "weyl" not in spec._cache:
+        n, d = spec.n_axis, spec.dim
+        s = np.arange(n) - n // 2
+        shift = (np.arange(n)[None, :] - s[:, None]) % n
+        prefactor = np.exp(1j * spec.epsilon * np.outer(s * (spec.h / 2.0), spec.xi_axis))
+        E = spec.harmonic_matrix()
+        dft = E if spec.epsilon > 0 else np.conj(E)
+        moved = tuple(_along(shift, (i, d + i), 2 * d) for i in range(d))
+        rows = tuple(_along(np.arange(n), (d + i,), 2 * d) for i in range(d))
+        spec._cache["weyl"] = _Tables(shift, prefactor, dft, moved, rows + moved)
+    return spec._cache["weyl"]
+
+
+def _steps_to_operator(spec, D):
+    mat = np.empty(spec.field_shape, dtype=complex)
+    mat[_tables(spec).entries] = D
+    return mat.reshape(2 * (spec.n_axis ** spec.dim,))
+
+
+def _mul_axes(arr, table, first, second):
+    """In place, arr *= table over axes (first + i, second + i) for each i."""
+    for i in range(second - first):
+        arr *= _along(table, (first + i, second + i), arr.ndim)
+
+
+def _apply_magnetic(ctx, arr, sign):
+    """In place, arr[j, p] *= exp(sign i eps phase_j(p)) for every step j."""
+    if ctx.potential.is_zero():
+        return
+    for jX in np.ndindex(ctx.spec.state_shape):
+        arr[jX] *= ctx.magnetic_phase(_steps_of(ctx.spec, jX), sign, route="rep")
+
+
+def _analyze(ctx, B):
+    """(step, point) -> (step, frequency), overwriting B."""
+    d, t = ctx.spec.dim, _tables(ctx.spec)
+    _apply_magnetic(ctx, B, -1)
+    out = axis_transform(B, [t.dft] * d, scratch=B)
+    _mul_axes(out, t.prefactor, 0, d)
+    return out
+
+
+def _synthesize(ctx, A):
+    """(step, frequency) -> (step, point), _analyze's adjoint; overwrites A."""
+    d, t = ctx.spec.dim, _tables(ctx.spec)
+    _mul_axes(A, np.conj(t.prefactor), 0, d)
+    out = axis_transform(A, [np.conj(t.dft)] * d, scratch=A)
+    _apply_magnetic(ctx, out, +1)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -168,26 +229,15 @@ def _steps_of(spec, jX):
 
 def ambiguity(ctx, f, window=None):
     """Matrix coefficient field Z -> (f | Pi(Z) w) over the phase-space
-    lattice (side Xi).  Representation route, vectorized over frequencies;
-    tests pin it pointwise to apply_rep_exp."""
+    lattice (side Xi).  Representation route, batched over the lattice
+    kernel; tests pin it pointwise to apply_rep_exp."""
     spec = ctx.spec
     _require_grid(spec, "ambiguity")
     w = window if window is not None else ctx.window
-    d = spec.dim
-    P = _sign_kernel(spec)
-    out = np.empty(spec.field_shape, dtype=complex)
-    hd = spec.state_weight
-    for jX in np.ndindex(spec.state_shape):
-        steps = _steps_of(spec, jX)
-        shifted = np.roll(w.values, shift=steps, axis=tuple(range(d)))
-        vals = f.values * np.conj(shifted) * hd
-        mag = ctx.magnetic_phase(steps, -1, route="rep")
-        if mag is not None:
-            vals = vals * mag
-        core = _tensor_apply([P] * d, vals)
-        x_point = [s * spec.h for s in steps]
-        out[jX] = _half_shift_prefactor(spec, x_point, +1) * core
-    return PhaseSpaceField(spec, out, SIDE_XI)
+    B = w.values[_tables(spec).moved]
+    np.conj(B, out=B)
+    B *= f.values * spec.state_weight
+    return PhaseSpaceField(spec, _analyze(ctx, B), SIDE_XI)
 
 
 def ambiguity_at(ctx, f, x_point, xi_point, window=None):
@@ -245,32 +295,25 @@ def ambiguity_formula(ctx, f, window=None):
     w = window if window is not None else ctx.window
     d = spec.dim
     N = spec.n_axis
-    mesh = spec.mesh()
-    pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-    out = np.empty(spec.field_shape, dtype=complex)
-    hd = spec.state_weight
+    pts = np.stack([m.reshape(-1) for m in spec.mesh()], axis=-1)
     eps = spec.epsilon
+    B = w.values[_tables(spec).moved]
+    np.conj(B, out=B)
+    B *= f.values * spec.state_weight
     for jX in np.ndindex(spec.state_shape):
         steps = _steps_of(spec, jX)
         Y = _average_map_arrays(ctx, ctx.lattice_point(steps), pts)
         kernels = []
         for i in range(d):
-            Yi = Y[:, i].reshape(spec.state_shape)
-            profile = Yi[(0,) * i + (slice(None),) + (0,) * (d - 1 - i)]
-            shape = [1] * d
-            shape[i] = N
-            if not np.array_equal(Yi, np.broadcast_to(profile.reshape(shape), Yi.shape)):
-                raise NotImplementedError(
-                    "substitution kernel does not factor along axes"
-                )
-            kernels.append(np.exp(1j * eps * np.outer(spec.xi_axis, profile)))
-        shifted = np.roll(w.values, shift=steps, axis=tuple(range(d)))
-        vals = f.values * np.conj(shifted) * hd
+            rows = np.moveaxis(Y[:, i].reshape(spec.state_shape), i, 0).reshape(N, -1)
+            if not (rows == rows[:, :1]).all():
+                raise NotImplementedError("substitution kernel does not factor along axes")
+            kernels.append(np.exp(1j * eps * np.outer(spec.xi_axis, rows[:, 0])))
         mag = ctx.magnetic_phase(steps, -1, route="formula")
         if mag is not None:
-            vals = vals * mag
-        out[jX] = _tensor_apply(kernels, vals)
-    return PhaseSpaceField(spec, out, SIDE_XI)
+            B[jX] *= mag
+        B[jX] = axis_transform(B[jX], kernels)
+    return PhaseSpaceField(spec, B, SIDE_XI)
 
 
 def ambiguity_formula_at(ctx, f, x_point, xi_point, window=None):
@@ -310,23 +353,17 @@ def ambiguity_formula_at(ctx, f, x_point, xi_point, window=None):
 # ---------------------------------------------------------------------------
 
 
-def _shift_columns(spec, steps):
-    idx = np.indices(spec.state_shape)
-    wrapped = tuple((idx[i] - steps[i]) % spec.n_axis for i in range(spec.dim))
-    return np.ravel_multi_index(wrapped, spec.state_shape).reshape(-1)
-
-
 def rep_operator(ctx, m):
     """Dense matrix of the representation of one semidirect group element
     (lattice translation part required)."""
     spec = ctx.spec
     _require_grid(spec, "rep_operator")
     steps = lattice_shift_indices(spec, m.x)
-    n = spec.n_axis ** spec.dim
-    mat = np.zeros((n, n), dtype=complex)
-    phase = np.exp(1j * spec.epsilon * eval_poly_grid(spec, m.phi)).reshape(-1)
-    mat[np.arange(n), _shift_columns(spec, steps)] = phase
-    return HSOperator(spec, mat)
+    D = np.zeros(spec.field_shape, dtype=complex)
+    D[tuple((s + spec.n_axis // 2) % spec.n_axis for s in steps)] = np.exp(
+        1j * spec.epsilon * eval_poly_grid(spec, m.phi)
+    )
+    return HSOperator(spec, _steps_to_operator(spec, D))
 
 
 def weyl_operator(ctx, x_point, xi_point):
@@ -348,22 +385,9 @@ def quantize(ctx, symbol):
     _require_grid(spec, "quantize")
     if symbol.side != SIDE_XISTAR:
         raise ValueError("quantize expects a symbol on side %s" % SIDE_XISTAR)
-    ahat = ift_symbol(spec, symbol)
-    d = spec.dim
-    n = spec.n_axis ** d
-    Pplus = np.conj(_sign_kernel(spec))
-    rows = np.arange(n)
-    mat = np.zeros((n, n), dtype=complex)
-    for jX in np.ndindex(spec.state_shape):
-        steps = _steps_of(spec, jX)
-        x_point = [s * spec.h for s in steps]
-        v = ahat.values[jX] * _half_shift_prefactor(spec, x_point, -1)
-        diag = _tensor_apply([Pplus] * d, v)
-        mag = ctx.magnetic_phase(steps, +1, route="rep")
-        if mag is not None:
-            diag = diag * mag
-        mat[rows, _shift_columns(spec, steps)] += diag.reshape(-1) * spec.xi_weight
-    return HSOperator(spec, mat)
+    D = _synthesize(ctx, ift_symbol(spec, symbol).values)
+    D *= spec.xi_weight
+    return HSOperator(spec, _steps_to_operator(spec, D))
 
 
 def dequantize(ctx, op):
@@ -371,21 +395,8 @@ def dequantize(ctx, op):
     then transform to side XiStar.  Exact inverse of quantize."""
     spec = ctx.spec
     _require_grid(spec, "dequantize")
-    d = spec.dim
-    n = spec.n_axis ** d
-    P = _sign_kernel(spec)
-    rows = np.arange(n)
-    scale = abs(spec.epsilon) ** d
-    vals = np.empty(spec.field_shape, dtype=complex)
-    for jX in np.ndindex(spec.state_shape):
-        steps = _steps_of(spec, jX)
-        band = op.matrix[rows, _shift_columns(spec, steps)].reshape(spec.state_shape)
-        mag = ctx.magnetic_phase(steps, -1, route="rep")
-        if mag is not None:
-            band = band * mag
-        v = _tensor_apply([P] * d, band)
-        x_point = [s * spec.h for s in steps]
-        vals[jX] = v * _half_shift_prefactor(spec, x_point, +1) * scale
+    vals = _analyze(ctx, op.matrix.reshape(spec.field_shape)[_tables(spec).entries])
+    vals *= abs(spec.epsilon) ** spec.dim
     return ft_symbol(spec, PhaseSpaceField(spec, vals, SIDE_XI))
 
 
@@ -401,34 +412,26 @@ def materialize_quantizer(ctx):
     spec = ctx.spec
     _require_grid(spec, "materialize_quantizer")
     d = spec.dim
-    n = spec.n_axis ** d
-    m2 = n * n
-    xi_mesh = np.stack(
-        [g.reshape(-1) for g in np.meshgrid(*([spec.xi_axis] * d), indexing="ij")],
-        axis=-1,
-    )
-    x_mesh = np.stack([g.reshape(-1) for g in spec.mesh()], axis=-1)
-    pi_cols = np.zeros((m2, m2), dtype=complex)
-    col = 0
-    for jX in np.ndindex(spec.state_shape):
-        steps = _steps_of(spec, jX)
-        x_point = np.array([s * spec.h for s in steps])
-        cols = _shift_columns(spec, steps)
-        mag = ctx.magnetic_phase(steps, +1, route="rep")
-        base = np.exp(
-            1j * spec.epsilon * ((x_mesh - x_point / 2.0) @ xi_mesh.T)
-        )
-        if mag is not None:
-            base = base * mag.reshape(-1)[:, None]
-        rows_op = np.arange(n) * n + cols
-        pi_cols[rows_op, col : col + n] = base * spec.xi_weight
-        col += n
+    N = spec.n_axis
+    # Entry ((p, q), (u, v)) quantizes the XiStar delta at (u, v); only step
+    # j = I[q, p] reaches (p, q), so per axis it is E[j, u] times
+    # sum_k conj(P[k, p] a[j, k]) E[k, v], with ift_symbol's kernel E.
     E = np.conj(spec.harmonic_matrix())
-    axes = [spec.zeta_step / math.sqrt(2.0 * math.pi)] * d + [
-        spec.z_step / math.sqrt(2.0 * math.pi)
-    ] * d
-    wmat = reduce(np.kron, [c * E for c in axes])
-    return (pi_cols @ wmat) / math.sqrt(spec.xistar_weight)
+    t = _tables(spec)
+    T = (np.conj(t.dft)[:, None, :] * np.conj(t.prefactor)[None, :, :]) @ E
+    J = t.shift.T
+    axis = E[J][:, :, :, None] * T[np.arange(N)[:, None], J][:, :, None, :]
+    # xi_weight / sqrt(xistar_weight), times the xistar_weight E leaves out.
+    scale = spec.xi_weight * math.sqrt(spec.xistar_weight)
+    out = np.empty((N,) * (4 * d), dtype=complex)
+    out[...] = _along(axis * scale, (0, d, 2 * d, 3 * d), 4 * d)
+    for i in range(1, d):
+        out *= _along(axis, (i, d + i, 2 * d + i, 3 * d + i), 4 * d)
+    if not ctx.potential.is_zero():
+        mag = np.ones(spec.field_shape, dtype=complex)
+        _apply_magnetic(ctx, mag, +1)
+        out *= _steps_to_operator(spec, mag).reshape(spec.field_shape + (1,) * (2 * d))
+    return out.reshape(N ** (2 * d), N ** (2 * d))
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +467,8 @@ def symbol_ambiguity(ctx, a, b):
     eps = spec.epsilon
     T = quantize(ctx, a).matrix
     W = quantize(ctx, b).matrix
-    P = _sign_kernel(spec)
+    P = _tables(spec).dft
     Pplus = np.conj(P)
-    x = spec.x_axis
     xi = spec.xi_axis
     out = np.empty((N, N, N, N), dtype=complex)
     for t1 in range(N):
@@ -508,17 +510,9 @@ def reconstruct(ctx, ambig, window=None, synthesis_window=None):
     w = window if window is not None else ctx.window
     w0 = synthesis_window if synthesis_window is not None else w
     d = spec.dim
-    Pplus = np.conj(_sign_kernel(spec))
-    acc = np.zeros(spec.state_shape, dtype=complex)
-    for jX in np.ndindex(spec.state_shape):
-        steps = _steps_of(spec, jX)
-        x_point = [s * spec.h for s in steps]
-        v = ambig.values[jX] * _half_shift_prefactor(spec, x_point, -1)
-        diag = _tensor_apply([Pplus] * d, v)
-        mag = ctx.magnetic_phase(steps, +1, route="rep")
-        if mag is not None:
-            diag = diag * mag
-        acc += diag * np.roll(w0.values, shift=steps, axis=tuple(range(d)))
+    D = _synthesize(ctx, ambig.values.copy())
+    D *= w0.values[_tables(spec).moved]
+    acc = D.sum(axis=tuple(range(d)))
     acc *= spec.xi_weight * abs(spec.epsilon) ** d
     overlap = inner_product(spec, w0, w)
     return StateVector(spec, acc / overlap)
@@ -533,24 +527,15 @@ def coherent_family(ctx, window=None):
     w = window if window is not None else ctx.window
     d = spec.dim
     n = spec.n_axis ** d
-    xi_mesh = np.stack(
-        [g.reshape(-1) for g in np.meshgrid(*([spec.xi_axis] * d), indexing="ij")],
-        axis=-1,
-    )
-    x_mesh = np.stack([m.reshape(-1) for m in spec.mesh()], axis=-1)
-    V = np.empty((n, n * n), dtype=complex)
-    col = 0
-    for jX in np.ndindex(spec.state_shape):
-        steps = _steps_of(spec, jX)
-        x_point = np.array([s * spec.h for s in steps])
-        rolled = np.roll(w.values, shift=steps, axis=tuple(range(d))).reshape(-1)
-        base = np.exp(1j * spec.epsilon * ((x_mesh - x_point / 2.0) @ xi_mesh.T))
-        mag = ctx.magnetic_phase(steps, +1, route="rep")
-        if mag is not None:
-            base = base * mag.reshape(-1)[:, None]
-        V[:, col : col + n] = rolled[:, None] * base
-        col += n
-    return V
+    G = w.values[_tables(spec).moved]
+    _apply_magnetic(ctx, G, +1)
+    # Axes (step j, frequency k, point p): G[j, p] conj(P[k, p] a[j, k]).
+    V = np.empty((spec.n_axis,) * (3 * d), dtype=complex)
+    V[...] = G.reshape(spec.state_shape + (1,) * d + spec.state_shape)
+    t = _tables(spec)
+    _mul_axes(V, np.conj(t.dft), d, 2 * d)
+    _mul_axes(V, np.conj(t.prefactor), 0, d)
+    return V.reshape(n * n, n).T
 
 
 def reproducing_kernel(ctx, window=None):

@@ -215,8 +215,10 @@ class TestVerifyCommand:
         manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
         assert manifest["command"] == "verify"
         assert manifest["config"]["only"] == "unitarity"
-        assert "unitarity" in manifest["timings"]
         assert sorted(manifest["outputs"]) == ["reports.jsonl", "summary.csv"]
+        run = json.loads((out_dir / "run.json").read_text(encoding="utf-8"))
+        assert "unitarity" in run["timings"]
+        assert run["out"] == str(out_dir)
 
     def test_reruns_are_byte_identical(self, tmp_path):
         dir1 = tmp_path / "a"
@@ -259,6 +261,16 @@ class TestTransformCommands:
         assert manifest["command"] == "wigner"
         assert "wigner.mwt" in manifest["outputs"]
         assert manifest["config"]["grid.n"] == "16"
+
+    def test_manifest_byte_identical_across_output_dirs(self, tmp_path):
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for out_dir in dirs:
+            assert run_cli(["ambiguity", "--n", "8", "--extent", "8", "--out", str(out_dir)]) == 0
+        first, second = [(d / "manifest.json").read_bytes() for d in dirs]
+        assert first == second
+        runs = [json.loads((d / "run.json").read_text(encoding="utf-8")) for d in dirs]
+        assert [run["out"] for run in runs] == [str(d) for d in dirs]
+        assert all("ambiguity" in run["timings"] for run in runs)
 
     def test_quantize_matches_library(self, tmp_path):
         out_dir = tmp_path / "op"

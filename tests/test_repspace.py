@@ -3,6 +3,7 @@ representation action, the symbol transform pair, operators, the
 quadrature backend, and serialization."""
 
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -69,12 +70,21 @@ class TestGridSpec:
             dict(extent=-3.0),
             dict(epsilon=0.0),
             dict(backend="fft"),
+            dict(extent=math.nan),
+            dict(extent=math.inf),
+            dict(epsilon=math.nan),
+            dict(epsilon=math.inf),
+            dict(epsilon=-math.inf),
+            dict(quad_box=math.nan),
         ],
     )
     def test_rejects_bad_parameters(self, kw):
         args = dict(n_axis=16, extent=8.0, backend="grid", epsilon=1.0)
         args.update(kw)
-        with pytest.raises(ValueError):
+        ((key, value),) = kw.items()
+        # A non-finite value is rejected by name.
+        finite = not isinstance(value, float) or math.isfinite(value)
+        with pytest.raises(ValueError, match=None if finite else key):
             rs.GridSpec(ABEL1, **args)
 
     def test_grid_backend_needs_commutative_group(self):
@@ -447,6 +457,28 @@ class TestSerialization:
         path = tmp_path / "junk.mwt"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
+            rs.tensor_read(path)
+
+    def test_tensor_truncated_header(self, tmp_path):
+        path = tmp_path / "short.mwt"
+        path.write_bytes(rs.TENSOR_MAGIC + struct.pack("<I", 2) + struct.pack("<Q", 3))
+        with pytest.raises(ValueError, match="truncated"):
+            rs.tensor_read(path)
+
+    def test_tensor_trailing_bytes(self, tmp_path):
+        path = tmp_path / "long.mwt"
+        rs.tensor_write(path, np.ones((2, 3), dtype=complex))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(ValueError, match="payload bytes"):
+            rs.tensor_read(path)
+
+    def test_tensor_dims_exceed_file(self, tmp_path):
+        # Declares 2^40 entries: rejected from the file size, before any
+        # allocation.
+        path = tmp_path / "huge.mwt"
+        header = rs.TENSOR_MAGIC + struct.pack("<I", 2) + struct.pack("<2Q", 2 ** 20, 2 ** 20)
+        path.write_bytes(header + b"\x00" * 32)
+        with pytest.raises(ValueError, match="payload bytes"):
             rs.tensor_read(path)
 
     def test_csv_round_trip_exact(self, tmp_path):

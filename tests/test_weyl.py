@@ -49,6 +49,13 @@ def grid_ctx(n=16, extent=8.0, epsilon=1.0, potential=None, group=ABEL1):
     return QuantizerContext(spec, potential=potential)
 
 
+def lattice_ctx(group, potential, epsilon):
+    """The line at N=16, the plane at N=8.  Tests that take both keep the
+    ids their line cases had before the plane case was added."""
+    n = 16 if group is ABEL1 else 8
+    return grid_ctx(n=n, potential=potential, epsilon=epsilon, group=group)
+
+
 def quad_ctx(nodes=12, potential=None):
     spec = GridSpec(
         HEIS, 8, 12.0, backend="quadrature", quad_nodes=nodes, quad_box=6.0
@@ -105,17 +112,26 @@ def max_abs(a):
 
 
 class TestAmbiguity:
-    @pytest.mark.parametrize("potential", [None, linear_potential()])
-    def test_matches_representation_pointwise(self, potential):
-        ctx = grid_ctx(potential=potential, epsilon=-0.5)
-        f = random_state(ctx.spec, 11)
+    @pytest.mark.parametrize(
+        "group,potential",
+        [(ABEL1, None), (ABEL1, linear_potential()), (ABEL2, crossed_potential())],
+        ids=["None", "potential1", "plane"],
+    )
+    def test_matches_representation_pointwise(self, group, potential):
+        ctx = lattice_ctx(group, potential, -0.5)
+        spec = ctx.spec
+        f = random_state(spec, 11)
         field = ambiguity(ctx, f)
-        spots = [(0, 0), (3, 7), (8, 8), (15, 1), (5, 12)]
+        spots = {
+            1: [((0,), (0,)), ((3,), (7,)), ((8,), (8,)), ((15,), (1,)), ((5,), (12,))],
+            2: [((0, 0), (0, 0)), ((3, 7), (5, 1)), ((4, 4), (4, 4)), ((7, 2), (1, 6))],
+        }[spec.dim]
+        half = spec.n_axis // 2
         for jx, k in spots:
-            x = [(jx - 8) * ctx.spec.h]
-            xi = [ctx.spec.xi_axis[k]]
+            x = [(j - half) * spec.h for j in jx]
+            xi = [spec.xi_axis[c] for c in k]
             direct = ambiguity_at(ctx, f, x, xi)
-            assert abs(field.values[jx, k] - direct) < 1e-12
+            assert abs(field.values[jx + k] - direct) < 1e-12
 
     @pytest.mark.parametrize("epsilon", [1.0, 2.0, -0.5])
     def test_orthogonality_relation(self, epsilon):
@@ -225,17 +241,26 @@ class TestQuantize:
         assert max_abs(op.matrix - eye) < 1e-12
 
     @pytest.mark.parametrize(
-        "potential,epsilon", [(None, 1.0), (linear_potential(), 2.0)]
+        "group,potential,epsilon",
+        [
+            (ABEL1, None, 1.0),
+            (ABEL1, linear_potential(), 2.0),
+            (ABEL2, crossed_potential(), -0.5),
+        ],
+        ids=["None-1.0", "potential1-2.0", "plane"],
     )
-    def test_harmonic_symbol_is_weyl_operator(self, potential, epsilon):
-        ctx = grid_ctx(potential=potential, epsilon=epsilon)
+    def test_harmonic_symbol_is_weyl_operator(self, group, potential, epsilon):
+        ctx = lattice_ctx(group, potential, epsilon)
         spec = ctx.spec
-        x0 = (11 - 8) * spec.h
-        xi0 = spec.xi_axis[6]
-        zmesh, vmesh = np.meshgrid(spec.zeta_axis, spec.z_axis, indexing="ij")
-        vals = np.exp(-1j * (zmesh * x0 + vmesh * xi0))
+        d = spec.dim
+        half = spec.n_axis // 2
+        jx, ks = {1: ((11,), (6,)), 2: ((6, 2), (5, 1))}[d]
+        x0 = [(j - half) * spec.h for j in jx]
+        xi0 = [spec.xi_axis[k] for k in ks]
+        mesh = np.meshgrid(*([spec.zeta_axis] * d + [spec.z_axis] * d), indexing="ij")
+        vals = np.exp(-1j * sum(m * c for m, c in zip(mesh, x0 + xi0)))
         op = quantize(ctx, PhaseSpaceField(spec, vals, SIDE_XISTAR))
-        ref = weyl_operator(ctx, [x0], [xi0])
+        ref = weyl_operator(ctx, x0, xi0)
         assert max_abs(op.matrix - ref.matrix) < 1e-10
 
     def test_matches_symbolic_synthesis(self):
@@ -286,14 +311,24 @@ class TestQuantize:
 
 
 class TestDequantize:
-    @pytest.mark.parametrize("epsilon", [1.0, 2.0, -0.5])
-    def test_inverse_pair(self, epsilon):
-        ctx = grid_ctx(potential=linear_potential(), epsilon=epsilon)
+    @pytest.mark.parametrize(
+        "group,potential,epsilon",
+        [
+            (ABEL1, linear_potential(), 1.0),
+            (ABEL1, linear_potential(), 2.0),
+            (ABEL1, linear_potential(), -0.5),
+            (ABEL2, crossed_potential(), -0.5),
+        ],
+        ids=["1.0", "2.0", "-0.5", "plane"],
+    )
+    def test_inverse_pair(self, group, potential, epsilon):
+        ctx = lattice_ctx(group, potential, epsilon)
         a = random_symbol(ctx.spec, 61)
         back = dequantize(ctx, quantize(ctx, a))
         assert max_abs(back.values - a.values) < 1e-11
         rng = np.random.default_rng(62)
-        mat = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        n = ctx.spec.n_axis ** ctx.spec.dim
+        mat = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         op = HSOperator(ctx.spec, mat)
         again = quantize(ctx, dequantize(ctx, op))
         assert max_abs(again.matrix - mat) < 1e-11
@@ -441,18 +476,28 @@ class TestSquareRep:
         assert max_abs(one_then_other.matrix - combined.matrix) < 1e-9
 
     def test_rep_operator_matches_apply_rep(self):
-        ctx = grid_ctx(potential=linear_potential())
-        spec = ctx.spec
-        lifted = phase_space_lift(
-            spec.group, ctx.potential, [2 * spec.h], [3 * spec.xi_step], spec.epsilon
-        )
-        m = exp_semidirect(
-            spec.group, ctx.space, lifted.phi, [Fraction(2) * ctx.h_exact]
-        )
-        f = random_state(spec, 102)
-        via_matrix = rep_operator(ctx, m).apply(f)
-        direct = apply_rep(spec, ctx.space, m, f)
-        assert max_abs(via_matrix.values - direct.values) < 1e-12
+        # The plane case pins the operator index of the lattice kernel to
+        # the plain cyclic shift of apply_rep.
+        for group, potential, steps, ks in [
+            (ABEL1, linear_potential(), [2], [3]),
+            (ABEL2, crossed_potential(), [2, -1], [3, 1]),
+        ]:
+            ctx = lattice_ctx(group, potential, 1.0)
+            spec = ctx.spec
+            lifted = phase_space_lift(
+                spec.group,
+                ctx.potential,
+                [s * spec.h for s in steps],
+                [k * spec.xi_step for k in ks],
+                spec.epsilon,
+            )
+            m = exp_semidirect(
+                spec.group, ctx.space, lifted.phi, [Fraction(s) * ctx.h_exact for s in steps]
+            )
+            f = random_state(spec, 102)
+            via_matrix = rep_operator(ctx, m).apply(f)
+            direct = apply_rep(spec, ctx.space, m, f)
+            assert max_abs(via_matrix.values - direct.values) < 1e-12
 
     def test_weyl_operator_unitary(self):
         ctx = grid_ctx(potential=linear_potential(), epsilon=2.0)
@@ -462,9 +507,17 @@ class TestSquareRep:
 
 
 class TestReconstruction:
-    @pytest.mark.parametrize("epsilon", [1.0, -0.5])
-    def test_roundtrip_same_window(self, epsilon):
-        ctx = grid_ctx(potential=linear_potential(), epsilon=epsilon)
+    @pytest.mark.parametrize(
+        "group,potential,epsilon",
+        [
+            (ABEL1, linear_potential(), 1.0),
+            (ABEL1, linear_potential(), -0.5),
+            (ABEL2, crossed_potential(), -0.5),
+        ],
+        ids=["1.0", "-0.5", "plane"],
+    )
+    def test_roundtrip_same_window(self, group, potential, epsilon):
+        ctx = lattice_ctx(group, potential, epsilon)
         f = random_state(ctx.spec, 111)
         back = reconstruct(ctx, ambiguity(ctx, f))
         assert max_abs(back.values - f.values) < 1e-11 * max_abs(f.values)
