@@ -115,16 +115,18 @@ class MagneticField:
 
 def pair_with_right_field(alg, A, X):
     """The function <A, right_field(X)> on the group: sum_i A_i * field_i,
-    an exact polynomial.  Linear in X because the field is."""
+    an exact polynomial.  Linear in X because the field is; for symbolic X
+    it lives in X's polynomial space (the group coordinates first)."""
     if A.dim != alg.dim:
         raise ValueError("potential is on a %d-dimensional group, algebra has %d"
                          % (A.dim, alg.dim))
     if len(list(X)) != alg.dim:
         raise ValueError("direction must have length %d" % alg.dim)
     field = right_invariant_field(alg, X)
-    total = Polynomial.zero(alg.dim)
+    n = field.nvars
+    total = Polynomial.zero(n)
     for a_i, f_i in zip(A.components, field):
-        total = total + a_i * f_i
+        total = total + a_i.lift(n) * f_i
     return total
 
 
@@ -134,15 +136,22 @@ def magnetic_phase_exponent(alg, A, X):
 
         integral over s in [0, 1] of <A, right_field(X)> at (-sX) * Y.
 
-    The unimodular phase itself is exp(i * epsilon * this), taken only at
-    evaluation time.
+    X may be symbolic; the exponent then lives in X's polynomial space,
+    one polynomial in (Y, X) jointly.  The unimodular phase itself is
+    exp(i * epsilon * this), taken only at evaluation time.
     """
     d = alg.dim
     pairing = pair_with_right_field(alg, A, X)
-    s = Polynomial.var(d + 1, d)
-    negsX = [-(s * Polynomial.const(d + 1, Fraction(c))) for c in X]
-    Ysym = [Polynomial.var(d + 1, i) for i in range(d)]
-    along = poly_compose(pairing, PolyVector(bch_product(alg, negsX, Ysym)))
+    n = pairing.nvars
+    s = Polynomial.var(n + 1, n)
+    negsX = [
+        -(s * (c.lift(n + 1) if isinstance(c, Polynomial) else Fraction(c)))
+        for c in X
+    ]
+    coords = [Polynomial.var(n + 1, i) for i in range(n)]
+    along = poly_compose(
+        pairing, PolyVector(bch_product(alg, negsX, coords[:d]) + coords[d:])
+    )
     return poly_integrate_param(along)
 
 

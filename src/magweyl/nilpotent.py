@@ -403,19 +403,23 @@ def _coords(g):
     return list(g.coords) if isinstance(g, GroupElement) else list(g)
 
 
+def _direction_polys(d, X):
+    """The entries of a direction X as polynomials, and their variable
+    count: symbolic entries keep their space (the group coordinates first),
+    exact entries become constants on the group."""
+    Xc = _coords(X)
+    if Xc and isinstance(Xc[0], Polynomial):
+        return Xc, Xc[0].nvars
+    return [_as_poly_const(d, c) for c in Xc], d
+
+
 def left_translation_map(alg, g):
     """The polynomial map y -> (-g) * y (the argument substitution of left
     translation by g).  Entries of g may be exact or symbolic."""
-    gc = _coords(g)
     d = alg.dim
-    if gc and isinstance(gc[0], Polynomial):
-        n = gc[0].nvars
-        Y = [Polynomial.var(n, i) for i in range(d)]
-        neg = [-c for c in gc]
-    else:
-        Y = [Polynomial.var(d, i) for i in range(d)]
-        neg = [Polynomial.const(d, -Fraction(c)) for c in gc]
-    return PolyVector(bch_product(alg, neg, Y))
+    gp, n = _direction_polys(d, g)
+    Y = [Polynomial.var(n, i) for i in range(d)]
+    return PolyVector(bch_product(alg, [-c for c in gp], Y))
 
 
 def left_translate_poly(alg, g, p):
@@ -427,18 +431,22 @@ def left_translate_poly(alg, g, p):
 
 def right_invariant_field(alg, X):
     """The right-invariant vector field of the direction X: its value at g
-    is d/dt|_0 of (exp(tX) * g), as an exact PolyVector on the group."""
+    is d/dt|_0 of (exp(tX) * g), as an exact PolyVector on the group.
+
+    Entries of X may be exact or symbolic; symbolic entries share one
+    polynomial space whose first dim variables are the group coordinates,
+    and the field lives in that space (linear in X)."""
     d = alg.dim
-    Xc = _coords(X)
-    # variables: g_0..g_{d-1}, then the curve parameter t (last)
-    t = Polynomial.var(d + 1, d)
-    tX = [_as_poly_const(d + 1, c) * t for c in Xc]
-    G = [Polynomial.var(d + 1, i) for i in range(d)]
+    Xp, n = _direction_polys(d, X)
+    # variables: g_0..g_{d-1}, any further variables of X, then t (last)
+    t = Polynomial.var(n + 1, n)
+    tX = [c.lift(n + 1) * t for c in Xp]
+    G = [Polynomial.var(n + 1, i) for i in range(d)]
     curve = bch_product(alg, tX, G)
     comps = []
     for comp in curve:
-        dt = poly_partial(comp, d)
-        at0 = Polynomial(d, {e[:-1]: c for e, c in dt.terms.items() if e[-1] == 0})
+        dt = poly_partial(comp, n)
+        at0 = Polynomial(n, {e[:-1]: c for e, c in dt.terms.items() if e[-1] == 0})
         comps.append(at0)
     return PolyVector(comps)
 
@@ -498,6 +506,13 @@ def invert_unipotent(pmap, nfixed=0):
     raise RuntimeError("unipotent inverse iteration failed to stabilize")
 
 
+@lru_cache(maxsize=None)
+def bch_average_inverse_symbolic(alg):
+    """Exact inverse of bch_average_symbolic in its y-block, the x's
+    carried along: a PolyVector in (y's, x's)."""
+    return invert_unipotent(bch_average_symbolic(alg), nfixed=alg.dim)
+
+
 def bch_average_inverse(alg, X):
     """Exact inverse of bch_average_map(alg, X); both compositions are the
     identity (checked cheaply in tests, not at call time)."""
@@ -526,8 +541,9 @@ def substitution_maps(alg):
     avg_VW = avg.compose(PolyVector(first + second))
     average = PolyVector([-p for p in avg_VW] + second)
 
-    inv_first = invert_unipotent(avg, nfixed=d)  # inverse in the y-block, x fixed
-    inv_at_negY = inv_first.compose(PolyVector([-p for p in first] + second))
+    inv_at_negY = bch_average_inverse_symbolic(alg).compose(
+        PolyVector([-p for p in first] + second)
+    )
     average_inv = PolyVector(list(inv_at_negY) + second)
     return twist, average, average_inv
 
@@ -626,7 +642,7 @@ def close_under_translates(alg, seeds, cap_degree):
                     bch_product(alg, [-c for c in g_sym], lifted_vars)
                 ),
             )
-            for piece in _split_by_last_var(moved).values():
+            for piece in _split_tail(moved, d).values():
                 try_add(piece)
 
     # canonical echelon basis (degree-lex pivots): nicer to read and stable
@@ -635,13 +651,13 @@ def close_under_translates(alg, seeds, cap_degree):
     return FunctionSpaceBasis(alg, basis, cap_degree)
 
 
-def _split_by_last_var(p):
-    """Group the terms of p by the exponent of its last variable; values
-    are polynomials in the remaining variables."""
+def _split_tail(p, k):
+    """Group the terms of p by the exponents of its variables from k on;
+    values are polynomials in the first k variables."""
     buckets = {}
     for e, c in p.terms.items():
-        buckets.setdefault(e[-1], {})[e[:-1]] = c
-    return {k: Polynomial(p.nvars - 1, t) for k, t in buckets.items()}
+        buckets.setdefault(e[k:], {})[e[:k]] = c
+    return {tail: Polynomial(k, t) for tail, t in buckets.items()}
 
 
 def build_translate_span(alg):
@@ -704,8 +720,7 @@ def infinitesimal_translate(alg, X, p):
     moved = poly_compose(
         p, PolyVector(bch_product(alg, [-c for c in g_sym], [Polynomial.var(d + 1, i) for i in range(d)]))
     )
-    pieces = _split_by_last_var(moved)
-    return pieces.get(1, Polynomial.zero(d))
+    return _split_tail(moved, d).get((1,), Polynomial.zero(d))
 
 
 class ClosureError(ValueError):
@@ -825,21 +840,27 @@ class _RawAlgebra:
 def exp_semidirect(alg, F, phi, X):
     """Exponential of the semidirect algebra element (phi, X): the function
     part is the exact average over u in [0,1] of translate_{exp(uX)} phi,
-    the group part is X itself (first-kind coordinates)."""
-    if F.in_span(phi) is None:
-        raise ValueError("function part is outside the admissible span")
+    the group part is X itself (first-kind coordinates).
+
+    X may be symbolic, with phi in the same space as its entries (the group
+    coordinates y first): then phi(y, X) = sum_b X^b phi_b(y) lies in the
+    admissible span for every X exactly when each phi_b does, which is what
+    is checked."""
     d = alg.dim
-    Xc = [Fraction(c) for c in _coords(X)]
-    u = Polynomial.var(d + 1, d)
-    g_sym = [u * _as_poly_const(d + 1, c) for c in Xc]
+    Xp, n = _direction_polys(d, X)
+    if phi.nvars != n:
+        raise ValueError("function part has %d variables, the direction %d"
+                         % (phi.nvars, n))
+    if any(F.in_span(part) is None for part in _split_tail(phi, d).values()):
+        raise ValueError("function part is outside the admissible span")
+    u = Polynomial.var(n + 1, n)
+    neg_uX = [-(c.lift(n + 1) * u) for c in Xp]
+    coords = [Polynomial.var(n + 1, i) for i in range(n)]
     moved = poly_compose(
-        phi,
-        PolyVector(
-            bch_product(alg, [-c for c in g_sym], [Polynomial.var(d + 1, i) for i in range(d)])
-        ),
+        phi, PolyVector(bch_product(alg, neg_uX, coords[:d]) + coords[d:])
     )
-    averaged = poly_integrate_param(moved)
-    return SemidirectElement(averaged, Xc)
+    group_part = [c if isinstance(c, Polynomial) else Fraction(c) for c in _coords(X)]
+    return SemidirectElement(poly_integrate_param(moved), group_part)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ fixed-shape array or a fixed-order matrix contraction; identical inputs
 give bit-identical outputs.
 """
 
+import itertools
 import math
 import os
 import struct
@@ -255,13 +256,16 @@ def eval_poly_grid(spec, p):
     if p.nvars != spec.dim:
         raise ValueError("polynomial has %d variables, grid has %d" % (p.nvars, spec.dim))
     mesh = spec.mesh()
+    powers = {}
     out = np.zeros(spec.state_shape)
     for e, c in sorted(p.terms.items()):
         term = float(c) * np.ones(spec.state_shape)
         for i, k in enumerate(e):
             if k:
-                term = term * mesh[i] ** k
-        out = out + term
+                if (i, k) not in powers:
+                    powers[i, k] = mesh[i] ** k
+                term = term * powers[i, k]
+        out += term
     return out
 
 
@@ -446,6 +450,10 @@ class HSOperator:
 # ---------------------------------------------------------------------------
 
 
+# Rows per block of NumPoly.eval_batch.
+EVAL_BLOCK = 1 << 15
+
+
 class NumPoly:
     """A numeric (complex-coefficient) polynomial for quadrature-backend
     expressions: sparse exponent map, batch evaluation, ring operations,
@@ -490,14 +498,23 @@ class NumPoly:
     __rmul__ = __mul__
 
     def eval_batch(self, pts):
-        """pts: (M, nvars) float array -> (M,) complex values."""
+        """pts: (M, nvars) float array -> (M,) complex values.  Rows go in
+        blocks of EVAL_BLOCK, each computing every power x_i^k once, so the
+        power tables stay small however large M is."""
+        terms = sorted(self.terms.items())
         out = np.zeros(pts.shape[0], dtype=complex)
-        for e, c in sorted(self.terms.items()):
-            term = np.full(pts.shape[0], c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * pts[:, i] ** k
-            out = out + term
+        for start in range(0, pts.shape[0], EVAL_BLOCK):
+            block = pts[start : start + EVAL_BLOCK]
+            acc = out[start : start + EVAL_BLOCK]
+            powers = {}
+            for e, c in terms:
+                term = np.full(block.shape[0], c)
+                for i, k in enumerate(e):
+                    if k:
+                        if (i, k) not in powers:
+                            powers[i, k] = block[:, i] ** k
+                        term = term * powers[i, k]
+                acc += term
         return out
 
     def compose_exact(self, pmap):
@@ -630,23 +647,50 @@ def csv_write(path, array):
 
 
 def csv_read(path):
+    """Read a csv_write file back.  Raises ValueError naming the problem
+    for a malformed row (wrong column count, a field that is not a
+    number), an index that is not a non-negative integer, and a duplicated
+    or missing index."""
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
         rank = len(header) - 2
         if rank < 0 or header[-2:] != ["re", "im"]:
             raise ValueError("not a field CSV (header %r)" % header)
-        if rank == 0:
-            line = fh.readline().strip().split(",")
-            return np.array(complex(float(line[0]), float(line[1])))
-        entries = []
-        for line in fh:
-            parts = line.strip().split(",")
-            if not parts or parts == [""]:
-                continue
-            idx = tuple(int(p) for p in parts[:rank])
-            entries.append((idx, complex(float(parts[rank]), float(parts[rank + 1]))))
-    dims = tuple(max(idx[k] for idx, _ in entries) + 1 for k in range(rank))
-    out = np.zeros(dims, dtype=complex)
-    for idx, v in entries:
-        out[idx] = v
-    return out
+        first = next((line for line in fh if line.strip()), None)
+        if first is None:
+            raise ValueError("CSV has no data rows")
+        try:
+            table = np.loadtxt(itertools.chain([first], fh), delimiter=",",
+                               comments=None, ndmin=2)
+        except ValueError as err:
+            raise ValueError("malformed CSV data: %s" % err) from None
+    if table.shape[1] != rank + 2:
+        raise ValueError("CSV rows have %d columns, the header %d"
+                         % (table.shape[1], rank + 2))
+    values = np.empty(table.shape[0], dtype=complex)
+    values.real = table[:, rank]
+    values.imag = table[:, rank + 1]
+    if rank == 0:
+        if len(values) != 1:
+            raise ValueError("scalar CSV holds %d values, not 1" % len(values))
+        return np.array(values[0])
+    idx = table[:, :rank]
+    bad = (~np.isfinite(idx) | (idx != np.floor(idx)) | (idx < 0)).any(axis=1)
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise ValueError("CSV data row %d: index %r is not a non-negative integer"
+                         % (row + 1, idx[row].tolist()))
+    dims = tuple(int(k) + 1 for k in idx.max(axis=0))
+    size = math.prod(dims)
+    if size > len(values):
+        raise ValueError("CSV indices span dims %r (%d entries) in only %d rows: "
+                         "indices are missing" % (dims, size, len(values)))
+    flat = np.ravel_multi_index(idx.T.astype(np.intp), dims)
+    seen = np.zeros(size, dtype=bool)
+    seen[flat] = True
+    if np.count_nonzero(seen) < len(flat):
+        dup = np.unravel_index(np.argmax(np.bincount(flat) > 1), dims)
+        raise ValueError("CSV index %r appears more than once" % ([int(k) for k in dup],))
+    out = np.empty(size, dtype=complex)
+    out[flat] = values
+    return out.reshape(dims)

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import Polynomial, PolyVector
+from .poly import Polynomial, PolyVector, poly_compose
 from .nilpotent import (
     algebra,
     bch_product,
@@ -29,7 +29,12 @@ from .nilpotent import (
     build_translate_span,
     substitution_maps,
 )
-from .magnetic import MagneticPotential, admissible_space, gauge_shift
+from .magnetic import (
+    MagneticPotential,
+    admissible_space,
+    gauge_shift,
+    magnetic_phase_exponent,
+)
 from .repspace import (
     GridSpec,
     HSOperator,
@@ -47,6 +52,7 @@ from .weyl import (
     QuantizerContext,
     ambiguity,
     ambiguity_overlap_quadrature,
+    averaged_phase,
     materialize_quantizer,
     moyal_product,
     project_field,
@@ -743,16 +749,21 @@ def _run_gauge_field(seed_seq, thresholds):
 def _run_symbolic_exactness(seed_seq, thresholds):
     """Exact rational identities: associativity of the group product, the
     translation action composing as a homomorphism, the two pair
-    substitutions inverting each other, and Jacobi plus nilpotency of the
-    extended algebra built on the translate span."""
+    substitutions inverting each other, Jacobi plus nilpotency of the
+    extended algebra built on the translate span, and each route's joint
+    magnetic phase in (y, X) specialising to its per-step phase (engel left
+    out there: its admissible span with a potential takes seconds)."""
     rng = np.random.default_rng(seed_seq)
+    # The joint-phase draws come from their own stream, so the draws above
+    # stay those of a suite without them.
+    joint_rng = np.random.default_rng(np.random.SeedSequence(seed_seq).spawn(1)[0])
     names = ["abelian:1", "abelian:2", "heisenberg", "engel"]
     failures = []
     details = {}
 
-    def rand_vec(alg):
-        nums = rng.integers(-3, 4, alg.dim)
-        dens = rng.integers(1, 4, alg.dim)
+    def rand_vec(alg, gen=rng):
+        nums = gen.integers(-3, 4, alg.dim)
+        dens = gen.integers(1, 4, alg.dim)
         return [Fraction(int(p), int(q)) for p, q in zip(nums, dens)]
 
     for name in names:
@@ -794,12 +805,43 @@ def _run_symbolic_exactness(seed_seq, thresholds):
             entry["extended_step"] = step
             if not is_nilpotent:
                 failures.append("%s: extended algebra is not nilpotent" % name)
+
+        if name != "engel":
+            failures.extend(_joint_phase_failures(alg, joint_rng, rand_vec))
         details[name] = entry
 
     threshold = thresholds.get("symbolic-exactness", 0.0)
     context = {"seed": list(seed_seq), "algebras": details, "failures": failures}
     return [CheckReport.from_metric("symbolic-exactness", float(len(failures)),
                                     threshold, context=context)]
+
+
+def _joint_phase_failures(alg, rng, rand_vec):
+    """Each route's magnetic phase built once with a symbolic step X (the
+    last d of 2d variables) must equal, at a few rational X, the phase
+    built for that X alone.  The potential is linear with coefficients k/8."""
+    d = alg.dim
+    y = [Polynomial.var(d, i) for i in range(d)]
+
+    def coeff():
+        return Fraction(int(rng.choice([-7, -5, -3, -1, 1, 3, 5, 7])), 8)
+
+    A = MagneticPotential([coeff() * y[(i + 1) % d] + coeff() for i in range(d)])
+    space = admissible_space(alg, A)
+    X = [Polynomial.var(2 * d, d + i) for i in range(d)]
+    rep = averaged_phase(alg, space, A, X)
+    formula = magnetic_phase_exponent(alg, A, X)
+    failures = []
+    for _ in range(2):
+        x = rand_vec(alg, rng)
+        at = PolyVector(y + [Polynomial.const(d, c) for c in x])
+        where = "%s: %%s joint phase differs from the per-step phase at X=%s" % (
+            alg.name, [str(c) for c in x])
+        if poly_compose(rep, at) != averaged_phase(alg, space, A, x):
+            failures.append(where % "representation")
+        if poly_compose(formula, at) != magnetic_phase_exponent(alg, A, x):
+            failures.append(where % "formula")
+    return failures
 
 
 def _run_quadrature_orthogonality(seed_seq, thresholds):

@@ -25,10 +25,15 @@ Only per-axis N x N tables are cached, broadcast over axes (i, d + i): the
 shift index I[j, p] = (p - s_j) mod N (I[I[q, p], p] = q), the prefactor
 exp(i eps s_j h/2 xi_k) and the symmetric DFT exp(-i eps xi_k x_p).  A state
 moves by the gather ``values[I_0, I_1]``; operator entries move through the
-same index.  The magnetic phase, an exact polynomial per step, is built per
-call step by step (a fresh context gains nothing from a float cache), and
-``ambiguity_formula`` loops over steps: each step's exact average map is
-its cost.
+same index.  The magnetic phase depends on the step X only through the
+segment of X, so each route's phase is one exact polynomial in
+(y_0..y_{d-1}, X_0..X_{d-1}), built once per context on first use (only the
+polynomials are cached: a fresh context gains nothing from a float cache).
+``_eval_joint`` evaluates such a joint polynomial on the whole (step, point)
+lattice in one broadcast pass over per-axis power tables; the formula
+route's segment-average map and its inverse are joint polynomials the same
+way, one per algebra.  ``ambiguity_formula`` still applies its per-step
+substitution kernels in a loop (batched, they would hold N^(d+2) values).
 
 Two independent computational routes exist for the ambiguity transform and
 are kept apart deliberately: the representation route (translation-averaged
@@ -41,6 +46,7 @@ They share only the shift index and the axis transform.
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,11 +59,14 @@ from .magnetic import (
 )
 from .nilpotent import (
     bch_average_inverse,
+    bch_average_inverse_symbolic,
     bch_average_map,
+    bch_average_symbolic,
     bch_symbolic,
     exp_semidirect,
     left_translation_map,
 )
+from .poly import Polynomial, PolyVector
 from .repspace import (
     SIDE_XI,
     SIDE_XISTAR,
@@ -76,10 +85,18 @@ from .repspace import (
 )
 
 
+def averaged_phase(alg, space, potential, X):
+    """Representation route: the potential pairing averaged over the
+    segment of X (exact, or symbolic in (y, X)), through the semidirect
+    exponential."""
+    pairing = pair_with_right_field(alg, potential, X)
+    return exp_semidirect(alg, space, pairing, X).phi
+
+
 class QuantizerContext:
     """Precomputed machinery for one (grid, potential) pair: the admissible
-    function space, the default window, and per-translation caches of the
-    averaged phases both calculus routes need."""
+    function space, the default window, and each route's magnetic phase as
+    one exact polynomial in (y, X), built on first use."""
 
     def __init__(self, spec, potential=None, window=None):
         d = spec.dim
@@ -94,52 +111,41 @@ class QuantizerContext:
         self.space = admissible_space(spec.group, potential)
         self.window = window if window is not None else gaussian_state(spec)
         self.h_exact = Fraction(spec.extent) / spec.n_axis
-        self._avg_pairing = {}
-        self._segment_exponent = {}
+        self._joint_phase = {}
 
     def lattice_point(self, steps):
         return [Fraction(s) * self.h_exact for s in steps]
 
-    def averaged_pairing(self, steps):
-        """Representation route: the potential pairing averaged over the
-        translation segment, through the semidirect exponential."""
-        steps = tuple(steps)
-        if steps not in self._avg_pairing:
+    def joint_phase(self, route):
+        """The route's magnetic phase exponent as one exact polynomial in
+        (y_0..y_{d-1}, X_0..X_{d-1}), or None when the potential vanishes;
+        at X = a lattice point it is that step's phase."""
+        if route not in self._joint_phase:
+            alg, d = self.spec.group, self.spec.dim
+            X = [Polynomial.var(2 * d, d + i) for i in range(d)]
             if self.potential.is_zero():
-                self._avg_pairing[steps] = None
+                phase = None
+            elif route == "rep":
+                phase = averaged_phase(alg, self.space, self.potential, X)
             else:
-                X = self.lattice_point(steps)
-                pairing = pair_with_right_field(self.spec.group, self.potential, X)
-                m = exp_semidirect(self.spec.group, self.space, pairing, X)
-                self._avg_pairing[steps] = m.phi
-        return self._avg_pairing[steps]
+                phase = magnetic_phase_exponent(alg, self.potential, X)
+            self._joint_phase[route] = phase
+        return self._joint_phase[route]
+
+    def averaged_pairing(self, steps):
+        """The representation route's phase at one lattice step, exact (the
+        per-step reference for joint_phase("rep"))."""
+        return averaged_phase(
+            self.spec.group, self.space, self.potential, self.lattice_point(steps)
+        )
 
     def segment_exponent(self, steps):
-        """Formula route: the magnetic phase exponent accumulated along the
-        product segment (never consults the semidirect exponential)."""
-        steps = tuple(steps)
-        if steps not in self._segment_exponent:
-            if self.potential.is_zero():
-                self._segment_exponent[steps] = None
-            else:
-                X = self.lattice_point(steps)
-                self._segment_exponent[steps] = magnetic_phase_exponent(
-                    self.spec.group, self.potential, X
-                )
-        return self._segment_exponent[steps]
-
-    def magnetic_phase(self, steps, sign, route="rep"):
-        """exp(sign * i * eps * averaged phase) on the grid, or None when
-        the potential vanishes."""
-        poly = (
-            self.averaged_pairing(steps)
-            if route == "rep"
-            else self.segment_exponent(steps)
+        """The formula route's phase exponent at one lattice step, exact
+        (the per-step reference for joint_phase("formula"); never consults
+        the semidirect exponential)."""
+        return magnetic_phase_exponent(
+            self.spec.group, self.potential, self.lattice_point(steps)
         )
-        if poly is None:
-            return None
-        vals = eval_poly_grid(self.spec, poly)
-        return np.exp(sign * 1j * self.spec.epsilon * vals)
 
 
 def _require_grid(spec, what):
@@ -150,10 +156,6 @@ def _require_grid(spec, what):
 # ---------------------------------------------------------------------------
 # lattice kernel: the Weyl system over all translation steps at once
 # ---------------------------------------------------------------------------
-
-
-def _steps_of(spec, jX):
-    return tuple(int(j) - spec.n_axis // 2 for j in jX)
 
 
 def _along(table, axes, ndim):
@@ -184,6 +186,32 @@ def _tables(spec):
     return spec._cache["weyl"]
 
 
+def _eval_joint(spec, poly, steps=None):
+    """poly(x_p, s_j h) for a polynomial in (y_0..y_{d-1}, X_0..X_{d-1}),
+    step axes first: shape (len(steps),) * d + state_shape, the lattice
+    steps s_j = j - N/2 by default.  Per-axis 1-D power tables broadcast
+    into one accumulator, terms in sorted order; each s_j h is rounded once
+    from its exact value."""
+    d = spec.dim
+    if steps is None:
+        steps = np.arange(spec.n_axis) - spec.n_axis // 2
+    h = Fraction(spec.extent) / spec.n_axis
+    step_axis = np.array([float(int(s) * h) for s in steps])
+    axes = [(spec.x_axis, d + i) for i in range(d)] + [(step_axis, i) for i in range(d)]
+    powers = {}
+    out = np.zeros((len(steps),) * d + spec.state_shape)
+    for e, c in sorted(poly.terms.items()):
+        term = float(c)
+        for v, k in enumerate(e):
+            if k:
+                if (v, k) not in powers:
+                    values, axis = axes[v]
+                    powers[v, k] = _along(values ** k, (axis,), 2 * d)
+                term = term * powers[v, k]
+        out += term
+    return out
+
+
 def _steps_to_operator(spec, D):
     mat = np.empty(spec.field_shape, dtype=complex)
     mat[_tables(spec).entries] = D
@@ -196,12 +224,18 @@ def _mul_axes(arr, table, first, second):
         arr *= _along(table, (first + i, second + i), arr.ndim)
 
 
+def _phase_factor(spec, poly, sign, steps=None):
+    """exp(sign i eps poly(x_p, s_j h)) over _eval_joint's layout, with a
+    single complex temporary."""
+    z = _eval_joint(spec, poly, steps) * (sign * 1j * spec.epsilon)
+    return np.exp(z, out=z)
+
+
 def _apply_magnetic(ctx, arr, sign):
-    """In place, arr[j, p] *= exp(sign i eps phase_j(p)) for every step j."""
-    if ctx.potential.is_zero():
-        return
-    for jX in np.ndindex(ctx.spec.state_shape):
-        arr[jX] *= ctx.magnetic_phase(_steps_of(ctx.spec, jX), sign, route="rep")
+    """In place, arr[j, p] *= exp(sign i eps phase(x_p, s_j h)) for every
+    step j, with the representation route's joint phase."""
+    if not ctx.potential.is_zero():
+        arr *= _phase_factor(ctx.spec, ctx.joint_phase("rep"), sign)
 
 
 def _analyze(ctx, B):
@@ -284,6 +318,46 @@ def _average_map_arrays(ctx, steps_or_point, pts):
     return Y
 
 
+@lru_cache(maxsize=None)
+def _joint_average_maps(alg):
+    """The segment-average map at -y and the exact inverse of the map, as
+    joint PolyVectors in (y, X)."""
+    d = alg.dim
+    coords = [Polynomial.var(2 * d, i) for i in range(2 * d)]
+    at_neg_y = PolyVector([-c for c in coords[:d]] + coords[d:])
+    return bch_average_symbolic(alg).compose(at_neg_y), bch_average_inverse_symbolic(alg)
+
+
+def _average_kernel_rows(spec):
+    """Per axis i, the i-th component of the segment-average map at -x_p
+    for every step, shaped (step, p_i): the formula substitutes through it,
+    so it must not depend on the other point axes.  Its exact inverse is
+    spot-checked on a few points, for every step in one batch."""
+    d, n = spec.dim, spec.n_axis
+    avg, inv = _joint_average_maps(spec.group)
+    Y = [_eval_joint(spec, comp) for comp in avg]
+    rows = []
+    for i, Yi in enumerate(Y):
+        # Yi at point index 0 on every point axis but i.
+        first = Yi[(Ellipsis,) + tuple(slice(None) if k == i else slice(0, 1)
+                                       for k in range(d))]
+        if not (Yi == first).all():
+            raise NotImplementedError("substitution kernel does not factor along axes")
+        rows.append(first.reshape(spec.state_shape + (n,)))
+    m = n ** d
+    sample = np.arange(m)[:: max(1, m // 3)][:4]
+
+    def sampled(arr):
+        return arr.reshape(m, m)[:, sample].reshape(-1)
+
+    coords = [sampled(_eval_joint(spec, Polynomial.var(2 * d, v))) for v in range(2 * d)]
+    at = np.stack([sampled(Yi) for Yi in Y] + coords[d:], axis=-1)
+    back = np.stack([NumPoly.from_exact(p).eval_batch(at).real for p in inv], axis=-1)
+    if np.max(np.abs(back + np.stack(coords[:d], axis=-1))) > 1e-9:
+        raise RuntimeError("segment-average map inverse failed its round trip")
+    return rows
+
+
 def ambiguity_formula(ctx, f, window=None):
     """Closed-formula route on the full lattice: integrate the window
     against the segment phase exponent, with the argument substituted
@@ -293,25 +367,15 @@ def ambiguity_formula(ctx, f, window=None):
     spec = ctx.spec
     _require_grid(spec, "ambiguity_formula")
     w = window if window is not None else ctx.window
-    d = spec.dim
-    N = spec.n_axis
-    pts = np.stack([m.reshape(-1) for m in spec.mesh()], axis=-1)
     eps = spec.epsilon
+    rows = _average_kernel_rows(spec)
     B = w.values[_tables(spec).moved]
     np.conj(B, out=B)
     B *= f.values * spec.state_weight
+    if not ctx.potential.is_zero():
+        B *= _phase_factor(spec, ctx.joint_phase("formula"), -1)
     for jX in np.ndindex(spec.state_shape):
-        steps = _steps_of(spec, jX)
-        Y = _average_map_arrays(ctx, ctx.lattice_point(steps), pts)
-        kernels = []
-        for i in range(d):
-            rows = np.moveaxis(Y[:, i].reshape(spec.state_shape), i, 0).reshape(N, -1)
-            if not (rows == rows[:, :1]).all():
-                raise NotImplementedError("substitution kernel does not factor along axes")
-            kernels.append(np.exp(1j * eps * np.outer(spec.xi_axis, rows[:, 0])))
-        mag = ctx.magnetic_phase(steps, -1, route="formula")
-        if mag is not None:
-            B[jX] *= mag
+        kernels = [np.exp(1j * eps * np.outer(spec.xi_axis, row[jX])) for row in rows]
         B[jX] = axis_transform(B[jX], kernels)
     return PhaseSpaceField(spec, B, SIDE_XI)
 
@@ -471,6 +535,11 @@ def symbol_ambiguity(ctx, a, b):
     Pplus = np.conj(P)
     xi = spec.xi_axis
     out = np.empty((N, N, N, N), dtype=complex)
+    if not ctx.potential.is_zero():
+        # Steps s1 and su = s1 + s2 in [-N, N - 2]; su may leave the box.
+        steps = np.arange(-N, N - 1)
+        mag_minus = _phase_factor(spec, ctx.joint_phase("rep"), -1, steps)
+        mag_plus = _phase_factor(spec, ctx.joint_phase("rep"), +1, steps)
     for t1 in range(N):
         s1 = t1 - N // 2
         for t2 in range(N):
@@ -479,9 +548,7 @@ def symbol_ambiguity(ctx, a, b):
             Wr = np.roll(W, shift=(su, s1), axis=(0, 1))
             C = T * np.conj(Wr)
             if not ctx.potential.is_zero():
-                mag_u = ctx.magnetic_phase((su,), -1, route="rep")
-                mag_1 = ctx.magnetic_phase((s1,), +1, route="rep")
-                C = C * np.outer(mag_u, mag_1)
+                C = C * np.outer(mag_minus[su + N], mag_plus[s1 + N])
             H = C @ Pplus.T
             V1 = P.T * H
             val = (P @ V1).T

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from magweyl.poly import Polynomial, poly_partial
+from magweyl.poly import Polynomial, PolyVector, poly_compose, poly_partial
 from magweyl.nilpotent import algebra
 from magweyl.magnetic import (
     LiftedPhasePoint,
@@ -102,6 +102,17 @@ class TestPhaseExponent:
             alg, MagneticPotential([a + b for a, b in zip(comps1, comps2)]), X
         )
         assert esum == e1 + e2
+
+    def test_symbolic_direction_specialises(self):
+        alg = algebra("heisenberg")
+        rng = random.Random(79)
+        A = MagneticPotential([rand_poly(rng, 3, 2) for _ in range(3)])
+        joint = magnetic_phase_exponent(alg, A, [Polynomial.var(6, 3 + i) for i in range(3)])
+        y = [Polynomial.var(3, i) for i in range(3)]
+        for _ in range(2):
+            x = [Fraction(rng.randint(-3, 3), 2) for _ in range(3)]
+            at = PolyVector(y + [Polynomial.const(3, c) for c in x])
+            assert poly_compose(joint, at) == magnetic_phase_exponent(alg, A, x)
 
 
 class TestExteriorDerivative:

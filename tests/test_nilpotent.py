@@ -209,6 +209,17 @@ class TestRightInvariantField:
         # value at the identity point recovers the direction: injectivity
         assert fX.eval([Fraction(0)] * alg.dim) == X
 
+    def test_symbolic_direction_specialises(self):
+        # X as the last 3 of 6 variables: the field at a rational X is the
+        # symbolic field with X substituted.
+        alg = algebra("heisenberg")
+        X = [Polynomial.var(6, 3 + i) for i in range(3)]
+        joint = right_invariant_field(alg, X)
+        x = rand_vec(random.Random(29), 3)
+        at = PolyVector([Polynomial.var(3, i) for i in range(3)]
+                        + [Polynomial.const(3, c) for c in x])
+        assert joint.compose(at) == right_invariant_field(alg, x)
+
 
 class TestSegmentAverage:
     def test_abelian_half_shift(self):
@@ -397,6 +408,31 @@ class TestSemidirectExponential:
         F = build_translate_span(alg)
         with pytest.raises(ValueError):
             exp_semidirect(alg, F, Polynomial.var(1, 0) ** 2, [1])
+
+    def test_symbolic_direction_specialises(self):
+        alg = algebra("heisenberg")
+        F = build_translate_span(alg)
+        X = [Polynomial.var(6, 3 + i) for i in range(3)]
+        phi = X[0] * F.basis[1].lift(6) + X[2] * X[1] * F.basis[2].lift(6) + F.basis[0].lift(6)
+        joint = exp_semidirect(alg, F, phi, X)
+        assert list(joint.x) == X
+        rng = random.Random(31)
+        y = [Polynomial.var(3, i) for i in range(3)]
+        for _ in range(2):
+            x = rand_vec(rng, 3)
+            at = PolyVector(y + [Polynomial.const(3, c) for c in x])
+            exact = exp_semidirect(alg, F, poly_compose(phi, at), x)
+            assert poly_compose(joint.phi, at) == exact.phi
+
+    def test_symbolic_outside_span_rejected(self):
+        # phi(y, X) = y + X y^2: the X-coefficient y^2 leaves the span
+        alg = algebra("abelian:1")
+        F = build_translate_span(alg)
+        y, X = Polynomial.var(2, 0), Polynomial.var(2, 1)
+        with pytest.raises(ValueError, match="outside the admissible span"):
+            exp_semidirect(alg, F, y + X * y ** 2, [X])
+        with pytest.raises(ValueError, match="variables"):
+            exp_semidirect(alg, F, Polynomial.var(1, 0), [X])
 
 
 def rand_sd(alg, F, rng):

@@ -1,0 +1,96 @@
+"""Property tests over random small magnetic configurations: grids
+abelian:1 N in {8, 16} and abelian:2 N = 8, eps in {1, -0.7}, and random
+potentials of degree <= 3 with coefficients k/8.
+
+Examples are derandomized (a fixed sequence per test) and bounded, so the
+suite stays deterministic and its wall time stays small."""
+
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from magweyl.magnetic import MagneticPotential
+from magweyl.nilpotent import algebra
+from magweyl.poly import Polynomial
+from magweyl.repspace import SIDE_XISTAR, GridSpec, PhaseSpaceField, StateVector
+from magweyl.weyl import (
+    QuantizerContext,
+    ambiguity,
+    ambiguity_at,
+    ambiguity_formula,
+    dequantize,
+    quantize,
+)
+
+GRIDS = (("abelian:1", 8), ("abelian:1", 16), ("abelian:2", 8))
+EXTENT = 6.0
+
+PROPERTY = settings(max_examples=20, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def magnetic_contexts(draw):
+    group, n = draw(st.sampled_from(GRIDS))
+    eps = draw(st.sampled_from([1.0, -0.7]))
+    spec = GridSpec(algebra(group), n, EXTENT, epsilon=eps)
+    d = spec.dim
+    monomial = st.tuples(
+        st.integers(0, d - 1),
+        st.lists(st.integers(0, 3), min_size=d, max_size=d).filter(lambda e: sum(e) <= 3),
+        st.integers(-8, 8),
+    )
+    comps = [Polynomial.zero(d) for _ in range(d)]
+    for comp, expts, k in draw(st.lists(monomial, min_size=1, max_size=3)):
+        comps[comp] = comps[comp] + Polynomial(d, {tuple(expts): Fraction(k, 8)})
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    window = _random_state(spec, rng)
+    return QuantizerContext(spec, MagneticPotential(comps), window), rng
+
+
+def _random_state(spec, rng):
+    values = rng.standard_normal(spec.state_shape) + 1j * rng.standard_normal(spec.state_shape)
+    state = StateVector(spec, values)
+    return state.scaled(1.0 / state.norm())
+
+
+def _max_abs(a):
+    return float(np.max(np.abs(a)))
+
+
+@PROPERTY
+@given(magnetic_contexts())
+def test_batched_ambiguity_matches_pointwise(case):
+    ctx, rng = case
+    spec = ctx.spec
+    f = _random_state(spec, rng)
+    field = ambiguity(ctx, f).values
+    scale = max(1.0, _max_abs(field))
+    for _ in range(3):
+        index = tuple(int(j) for j in rng.integers(0, spec.n_axis, 2 * spec.dim))
+        steps, freqs = index[: spec.dim], index[spec.dim :]
+        x = [(j - spec.n_axis // 2) * spec.h for j in steps]
+        xi = [spec.xi_axis[k] for k in freqs]
+        assert abs(field[index] - ambiguity_at(ctx, f, x, xi)) <= 1e-10 * scale
+
+
+@PROPERTY
+@given(magnetic_contexts())
+def test_formula_route_matches_representation_route(case):
+    ctx, rng = case
+    f = _random_state(ctx.spec, rng)
+    rep = ambiguity(ctx, f).values
+    closed = ambiguity_formula(ctx, f).values
+    assert _max_abs(closed - rep) <= 1e-9 * _max_abs(rep)
+
+
+@PROPERTY
+@given(magnetic_contexts())
+def test_dequantize_inverts_quantize(case):
+    ctx, rng = case
+    spec = ctx.spec
+    values = rng.standard_normal(spec.field_shape) + 1j * rng.standard_normal(spec.field_shape)
+    a = PhaseSpaceField(spec, values, SIDE_XISTAR)
+    back = dequantize(ctx, quantize(ctx, a))
+    assert _max_abs(back.values - a.values) <= 1e-11 * _max_abs(a.values)

@@ -152,6 +152,39 @@ class TestStates:
         p = Polynomial.var(1, 0) ** 2
         assert np.array_equal(rs.eval_poly_grid(spec, p), spec.x_axis ** 2)
 
+    def test_shared_power_tables_bitwise(self, monkeypatch):
+        # Reference: each term recomputes its powers, in the same product
+        # and summation order; sharing the powers must not change a bit.
+        rng = np.random.default_rng(54)
+        terms = {
+            (int(a), int(b)): Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+            for a, b in rng.integers(0, 4, (12, 2))
+        }
+        p = Polynomial(2, terms)
+        spec = rs.GridSpec(ABEL2, 8, 6.0)
+        mesh = spec.mesh()
+        ref = np.zeros(spec.state_shape)
+        for e, c in sorted(p.terms.items()):
+            term = float(c) * np.ones(spec.state_shape)
+            for i, k in enumerate(e):
+                if k:
+                    term = term * mesh[i] ** k
+            ref = ref + term
+        assert np.array_equal(rs.eval_poly_grid(spec, p), ref)
+
+        # Blocks of 16 rows: the power tables restart at every block.
+        monkeypatch.setattr(rs, "EVAL_BLOCK", 16)
+        num = rs.NumPoly(2, {e: complex(c) * (1 - 0.5j) for e, c in terms.items()})
+        pts = rng.standard_normal((50, 2))
+        ref = np.zeros(50, dtype=complex)
+        for e, c in sorted(num.terms.items()):
+            term = np.full(50, c)
+            for i, k in enumerate(e):
+                if k:
+                    term = term * pts[:, i] ** k
+            ref = ref + term
+        assert np.array_equal(num.eval_batch(pts), ref)
+
 
 # ---------------------------------------------------------------------------
 # representation action
@@ -499,6 +532,34 @@ class TestSerialization:
         path = tmp_path / "junk.csv"
         path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
         with pytest.raises(ValueError, match="header"):
+            rs.csv_read(path)
+
+    def test_csv_missing_index(self, tmp_path):
+        path = tmp_path / "gap.csv"
+        path.write_text("i0,i1,re,im\n0,0,1,0\n0,1,2,0\n1,1,3,0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="missing"):
+            rs.csv_read(path)
+
+    def test_csv_duplicate_index(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_text("i0,re,im\n0,1,0\n1,2,0\n1,3,0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"\[1\] appears more than once"):
+            rs.csv_read(path)
+
+    def test_csv_wrong_column_count(self, tmp_path):
+        path = tmp_path / "ragged.csv"
+        path.write_text("i0,re,im\n0,1,0\n1,2\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="columns changed from 3 to 2"):
+            rs.csv_read(path)
+        path.write_text("i0,i1,re,im\n0,1,0\n1,2,0\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="rows have 3 columns, the header 4"):
+            rs.csv_read(path)
+
+    @pytest.mark.parametrize("index", ["1.5", "-1", "abc"])
+    def test_csv_non_integer_index(self, tmp_path, index):
+        path = tmp_path / "bad_index.csv"
+        path.write_text("i0,re,im\n0,1,0\n%s,2,0\n" % index, encoding="utf-8")
+        with pytest.raises(ValueError, match="non-negative integer|could not convert"):
             rs.csv_read(path)
 
     def test_unicode_path(self, tmp_path):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from magweyl.magnetic import MagneticPotential, phase_space_lift
 from magweyl.nilpotent import algebra, exp_semidirect, sd_product, square_product
-from magweyl.poly import Polynomial
+from magweyl.poly import Polynomial, PolyVector, poly_compose
 from magweyl.repspace import (
     SIDE_XI,
     SIDE_XISTAR,
@@ -633,3 +633,19 @@ class TestContextValidation:
         )
         with pytest.raises(ValueError, match="Xi"):
             project_field(ctx, kern, bad)
+
+
+class TestJointPhase:
+    @pytest.mark.parametrize("route,per_step", [("rep", "averaged_pairing"),
+                                                ("formula", "segment_exponent")])
+    def test_specialises_to_per_step_phase(self, route, per_step):
+        ctx = grid_ctx(n=8, group=ABEL2, potential=crossed_potential())
+        joint = ctx.joint_phase(route)
+        y = [Polynomial.var(2, i) for i in range(2)]
+        for steps in [(-4, 3), (0, -1), (2, 2)]:
+            at = PolyVector(y + [Polynomial.const(2, c) for c in ctx.lattice_point(steps)])
+            assert poly_compose(joint, at) == getattr(ctx, per_step)(steps)
+
+    def test_zero_potential_has_none(self):
+        ctx = grid_ctx(n=8)
+        assert ctx.joint_phase("rep") is None and ctx.joint_phase("formula") is None
