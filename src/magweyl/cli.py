@@ -92,10 +92,6 @@ _DEFAULTS = {
     "state2.chirp": "0",
     "exponents.r": "2",
     "exponents.s": "2",
-    "exponents.r1": "2",
-    "exponents.s1": "2",
-    "exponents.r2": "2",
-    "exponents.s2": "2",
 }
 
 _POTENTIAL_ENTRY = re.compile(
@@ -262,7 +258,7 @@ class RunConfig:
         self.symbol_kind = kind
 
         self.exponents = {}
-        for name in ("r", "s", "r1", "s1", "r2", "s2"):
+        for name in ("r", "s"):
             self.exponents[name] = _parse_exponent(self.raw, "exponents." + name)
 
         self.gaussians = {}
@@ -516,10 +512,6 @@ _FLAG_KEYS = (
     ("out", "out"),
     ("r", "exponents.r"),
     ("s", "exponents.s"),
-    ("r1", "exponents.r1"),
-    ("s1", "exponents.s1"),
-    ("r2", "exponents.r2"),
-    ("s2", "exponents.s2"),
 )
 
 
@@ -542,7 +534,7 @@ def build_parser():
     common.add_argument("--epsilon", help="representation parameter")
     common.add_argument("--seed", help="random seed")
     common.add_argument("--out", help="output directory")
-    for name in ("r", "s", "r1", "s1", "r2", "s2"):
+    for name in ("r", "s"):
         common.add_argument("--" + name, help="exponent (number or 'inf')")
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")

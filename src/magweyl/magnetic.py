@@ -1,7 +1,7 @@
 """Magnetic structure on the group: polynomial 1-forms (potentials), their
 exterior derivatives (fields), the pairing with right-invariant vector
 fields, the phase exponent picked up along BCH segments, gauge shifts, and
-the lift of phase-space points into the semidirect algebra.
+the admissible function space of a potential.
 
 Potentials are restricted to polynomial coefficients, so every phase
 exponent below is an exact rational polynomial; complex exponentiation
@@ -60,9 +60,6 @@ class MagneticPotential:
 
     def is_zero(self):
         return all(c.is_zero() for c in self.components)
-
-    def max_degree(self):
-        return max(c.degree() for c in self.components)
 
 
 class MagneticField:
@@ -175,54 +172,6 @@ def gauge_shift(A, chi):
     return MagneticPotential(
         [A.components[i] + poly_partial(chi, i) for i in range(A.dim)]
     )
-
-
-class LiftedPhasePoint:
-    """A phase-space point (X, xi) lifted into the semidirect algebra: the
-    function part is the linear functional of xi plus the potential pairing
-    of X; the original (X, xi, epsilon) are kept for bookkeeping."""
-
-    __slots__ = ("phi", "x", "xi", "epsilon")
-
-    def __init__(self, phi, x, xi, epsilon):
-        if epsilon == 0:
-            raise ValueError("representation parameter epsilon must be nonzero")
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "x", tuple(x))
-        object.__setattr__(self, "xi", tuple(xi))
-        object.__setattr__(self, "epsilon", epsilon)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LiftedPhasePoint is immutable")
-
-    def __repr__(self):
-        return "LiftedPhasePoint(%r, x=%r, xi=%r, epsilon=%r)" % (
-            self.phi,
-            list(self.x),
-            list(self.xi),
-            self.epsilon,
-        )
-
-
-def phase_space_lift(alg, A, X, xi, epsilon):
-    """Build the semidirect algebra element of the phase-space point:
-    function part = <xi, .> + <A, right_field(X)>, group part = X.
-
-    Linear in (X, xi) jointly — the pairing is linear in X and the
-    functional is linear in xi.
-    """
-    X = list(X)
-    xi = list(xi)
-    if len(X) != alg.dim or len(xi) != alg.dim:
-        raise ValueError("phase-space point must have %d + %d coordinates" % (alg.dim, alg.dim))
-    linear = Polynomial.zero(alg.dim)
-    for i, c in enumerate(xi):
-        if c != 0:
-            linear = linear + Polynomial.var(alg.dim, i) * (
-                Fraction(c) if not isinstance(c, float) else c
-            )
-    phi = linear + pair_with_right_field(alg, A, X)
-    return LiftedPhasePoint(phi, X, xi, epsilon)
 
 
 def admissible_space(alg, A, cap_degree=None):

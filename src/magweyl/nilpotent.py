@@ -19,8 +19,7 @@ Contents:
   inverses, and the pair substitutions built from them;
 - spans of translated coordinate functionals and the semidirect structure
   (function space) x| (group), with nilpotency certification;
-- the semidirect exponential and the group-square (double semidirect)
-  operations.
+- the semidirect exponential.
 """
 
 from fractions import Fraction
@@ -366,48 +365,11 @@ def bch_symbolic(alg):
 # ---------------------------------------------------------------------------
 
 
-class GroupElement:
-    """A group point in exponential coordinates (thin wrapper; most
-    operations accept any coordinate sequence)."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(coords))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GroupElement is immutable")
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __len__(self):
-        return len(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def __eq__(self, other):
-        if isinstance(other, GroupElement):
-            return self.coords == other.coords
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coords)
-
-    def __repr__(self):
-        return "GroupElement(%r)" % (list(self.coords),)
-
-
-def _coords(g):
-    return list(g.coords) if isinstance(g, GroupElement) else list(g)
-
-
 def _direction_polys(d, X):
     """The entries of a direction X as polynomials, and their variable
     count: symbolic entries keep their space (the group coordinates first),
     exact entries become constants on the group."""
-    Xc = _coords(X)
+    Xc = list(X)
     if Xc and isinstance(Xc[0], Polynomial):
         return Xc, Xc[0].nvars
     return [_as_poly_const(d, c) for c in Xc], d
@@ -476,7 +438,7 @@ def bch_average_symbolic(alg):
 def bch_average_map(alg, X):
     """Y -> integral over [0,1] of Y * (sX), a unipotent polynomial map of Y."""
     d = alg.dim
-    Xc = [Fraction(c) for c in _coords(X)]
+    Xc = [Fraction(c) for c in X]
     subs = PolyVector(
         [Polynomial.var(d, i) for i in range(d)]
         + [Polynomial.const(d, c) for c in Xc]
@@ -716,7 +678,7 @@ def infinitesimal_translate(alg, X, p):
     translation action on functions."""
     d = alg.dim
     t = Polynomial.var(d + 1, d)
-    g_sym = [t * _as_poly_const(d + 1, c) for c in _coords(X)]
+    g_sym = [t * _as_poly_const(d + 1, c) for c in X]
     moved = poly_compose(
         p, PolyVector(bch_product(alg, [-c for c in g_sym], [Polynomial.var(d + 1, i) for i in range(d)]))
     )
@@ -859,44 +821,5 @@ def exp_semidirect(alg, F, phi, X):
     moved = poly_compose(
         phi, PolyVector(bch_product(alg, neg_uX, coords[:d]) + coords[d:])
     )
-    group_part = [c if isinstance(c, Polynomial) else Fraction(c) for c in _coords(X)]
+    group_part = [c if isinstance(c, Polynomial) else Fraction(c) for c in X]
     return SemidirectElement(poly_integrate_param(moved), group_part)
-
-
-# ---------------------------------------------------------------------------
-# the group square: pairs of semidirect elements with a twisted product
-# ---------------------------------------------------------------------------
-
-
-def square_product(alg, pair1, pair2):
-    """(m1, m2)(n1, n2) = (m1 n1, n1^{-1} m2 n1 n2) — the twisted product on
-    pairs that carries conjugation-covariant data."""
-    m1, m2 = pair1
-    n1, n2 = pair2
-    n1_inv = sd_inverse(alg, n1)
-    left = sd_product(alg, m1, n1)
-    right = sd_product(alg, sd_product(alg, sd_product(alg, n1_inv, m2), n1), n2)
-    return (left, right)
-
-
-def square_untwist(alg, pair):
-    """(m1, m2) -> (m1 m2, m1): turns the twisted pair product into the
-    plain componentwise product (an isomorphism onto the direct square)."""
-    m1, m2 = pair
-    return (sd_product(alg, m1, m2), m1)
-
-
-def square_untwist_inverse(alg, pair):
-    a, b = pair
-    return (b, sd_product(alg, sd_inverse(alg, b), a))
-
-
-def exp_square(alg, F, elt1, elt2):
-    """Exponential of the pair algebra: ((phiX, X), (phiY, Y)) maps to
-    (exp(X), exp(-X) exp(X+Y)) with all exponentials semidirect."""
-    phiX, X = elt1
-    phiY, Y = elt2
-    eX = exp_semidirect(alg, F, phiX, X)
-    eXneg = sd_inverse(alg, eX)
-    eXY = exp_semidirect(alg, F, phiX + phiY, [a + b for a, b in zip(_coords(X), _coords(Y))])
-    return (eX, sd_product(alg, eXneg, eXY))

@@ -334,49 +334,3 @@ def poly_partial(p, i):
         shifted = e[:i] + (e[i] - 1,) + e[i + 1 :]
         terms[shifted] = terms.get(shifted, Fraction(0)) + c * e[i]
     return Polynomial(p.nvars, terms)
-
-
-# -- text serialization -----------------------------------------------------
-#
-# One term per line:  ``num/den : e1 e2 ... en``
-# The zero polynomial serializes to the empty string (parse it back with an
-# explicit nvars).  This is the on-disk format the CLI uses for magnetic
-# potential component polynomials.
-
-
-def poly_to_text(p):
-    lines = []
-    for e in sorted(p.terms):
-        c = p.terms[e]
-        lines.append(
-            "%d/%d : %s" % (c.numerator, c.denominator, " ".join(str(k) for k in e))
-        )
-    return "\n".join(lines)
-
-
-def poly_from_text(text, nvars=None):
-    terms = {}
-    seen_nvars = nvars
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise ValueError("malformed polynomial line %r (missing ':')" % raw)
-        coeff_part, _, exp_part = line.partition(":")
-        try:
-            coeff = Fraction(coeff_part.strip())
-        except (ValueError, ZeroDivisionError) as err:
-            raise ValueError("bad coefficient in line %r: %s" % (raw, err)) from None
-        expts = tuple(int(tok) for tok in exp_part.split())
-        if seen_nvars is None:
-            seen_nvars = len(expts)
-        elif len(expts) != seen_nvars:
-            raise ValueError(
-                "inconsistent exponent length in line %r (expected %d)"
-                % (raw, seen_nvars)
-            )
-        terms[expts] = terms.get(expts, Fraction(0)) + coeff
-    if seen_nvars is None:
-        raise ValueError("cannot infer variable count from empty text; pass nvars")
-    return Polynomial(seen_nvars, terms)

@@ -40,11 +40,8 @@ import itertools
 import math
 import os
 import struct
-from fractions import Fraction
 
 import numpy as np
-
-from .nilpotent import exp_semidirect, left_translation_map
 
 TWO_PI = 2.0 * math.pi
 
@@ -269,47 +266,6 @@ def eval_poly_grid(spec, p):
     return out
 
 
-def lattice_shift_indices(spec, g):
-    """Integer lattice steps of a group point, or a ValueError when the
-    point is off the translation lattice."""
-    steps = []
-    for c in g:
-        s = float(c) / spec.h
-        r = round(s)
-        if abs(s - r) > 1e-9:
-            raise ValueError("group point %r is off the lattice (h=%g)" % (list(g), spec.h))
-        steps.append(int(r))
-    return tuple(steps)
-
-
-def apply_rep(spec, F, m, f):
-    """The representation action (phi, g) . f = exp(i eps phi) f((-g) * x).
-
-    Grid backend: g must sit on the translation lattice; the argument index
-    wraps cyclically while the phase polynomial is evaluated at the true
-    (unwrapped) output coordinates.  Quadrature backend: any g.
-
-    When a function-space basis F is supplied, membership of phi is checked.
-    """
-    if F is not None and F.in_span(m.phi) is None:
-        raise ValueError("representation phase is outside the admissible span")
-    if spec.backend == "quadrature":
-        return f.translated(m)
-    steps = lattice_shift_indices(spec, m.x)
-    shifted = np.roll(f.values, shift=steps, axis=tuple(range(spec.dim)))
-    phase = np.exp(1j * spec.epsilon * eval_poly_grid(spec, m.phi))
-    return StateVector(spec, phase * shifted)
-
-
-def apply_rep_exp(spec, F, lifted, f):
-    """Action of the exponential of a lifted phase-space point: the
-    semidirect exponential of (phi, X) applied through apply_rep."""
-    phi = lifted.phi
-    X = [Fraction(c) for c in lifted.x]
-    m = exp_semidirect(spec.group, F, phi, X)
-    return apply_rep(spec, F, m, f)
-
-
 # ---------------------------------------------------------------------------
 # phase-space fields and the symbol transform pair
 # ---------------------------------------------------------------------------
@@ -456,8 +412,8 @@ EVAL_BLOCK = 1 << 15
 
 class NumPoly:
     """A numeric (complex-coefficient) polynomial for quadrature-backend
-    expressions: sparse exponent map, batch evaluation, ring operations,
-    and composition with exact polynomial maps."""
+    expressions: sparse exponent map, batch evaluation and ring
+    operations."""
 
     __slots__ = ("nvars", "terms")
 
@@ -517,24 +473,12 @@ class NumPoly:
                 acc += term
         return out
 
-    def compose_exact(self, pmap):
-        """Substitute an exact PolyVector (one component per variable)."""
-        comps = [NumPoly.from_exact(q) for q in pmap]
-        result = NumPoly(comps[0].nvars, {})
-        for e, c in self.terms.items():
-            term = NumPoly.const(comps[0].nvars, c)
-            for i, k in enumerate(e):
-                for _ in range(k):
-                    term = term * comps[i]
-            result = result + term
-        return result
-
 
 class QuadratureState:
     """A closed-form state: a sum of terms P(x) * exp(E(x)) with numeric
     polynomials P, E.  Closed under multiplication by polynomial phases and
-    composition with polynomial coordinate changes, which is exactly what
-    the representation action needs."""
+    composition with polynomial coordinate changes, so the representation
+    action keeps it in closed form (reference.apply_rep)."""
 
     __slots__ = ("spec", "expr")
 
@@ -561,35 +505,8 @@ class QuadratureState:
             out = out + poly.eval_batch(pts) * np.exp(expo.eval_batch(pts))
         return out
 
-    def conjugated(self):
-        conj_expr = []
-        for poly, expo in self.expr:
-            conj_expr.append(
-                (
-                    NumPoly(poly.nvars, {e: np.conj(c) for e, c in poly.terms.items()}),
-                    NumPoly(expo.nvars, {e: np.conj(c) for e, c in expo.terms.items()}),
-                )
-            )
-        return QuadratureState(self.spec, conj_expr)
-
     def scaled(self, c):
         return QuadratureState(self.spec, [(poly * c, expo) for poly, expo in self.expr])
-
-    def translated(self, m):
-        """Apply the representation element (phi, g): multiply by the phase
-        exp(i eps phi) and substitute x -> (-g) * x."""
-        spec = self.spec
-        pmap = left_translation_map(spec.group, [Fraction(c) for c in m.x])
-        phase = 1j * spec.epsilon * NumPoly.from_exact(m.phi)
-        out = []
-        for poly, expo in self.expr:
-            out.append(
-                (
-                    poly.compose_exact(pmap),
-                    expo.compose_exact(pmap) + phase,
-                )
-            )
-        return QuadratureState(spec, out)
 
     def norm(self):
         return math.sqrt(abs(inner_product(self.spec, self, self)))

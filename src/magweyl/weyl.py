@@ -39,8 +39,10 @@ Two independent computational routes exist for the ambiguity transform and
 are kept apart deliberately: the representation route (translation-averaged
 phases out of the semidirect exponential) and the closed-formula route
 (segment phase exponent plus the unipotent average map and its inverse).
-Tests and the verification suite compare them; neither calls the other.
-They share only the shift index and the axis transform.
+Tests compare them (acceptance criterion 07 and the property tests);
+neither calls the other.  They share only the shift index and the axis
+transform.  The per-point oracles the tests check both routes against
+live in ``reference``.
 """
 
 import math
@@ -55,16 +57,12 @@ from .magnetic import (
     admissible_space,
     magnetic_phase_exponent,
     pair_with_right_field,
-    phase_space_lift,
 )
 from .nilpotent import (
-    bch_average_inverse,
     bch_average_inverse_symbolic,
-    bch_average_map,
     bch_average_symbolic,
     bch_symbolic,
     exp_semidirect,
-    left_translation_map,
 )
 from .poly import Polynomial, PolyVector
 from .repspace import (
@@ -74,14 +72,11 @@ from .repspace import (
     NumPoly,
     PhaseSpaceField,
     StateVector,
-    apply_rep_exp,
     axis_transform,
-    eval_poly_grid,
     ft_symbol,
     gaussian_state,
     ift_symbol,
     inner_product,
-    lattice_shift_indices,
 )
 
 
@@ -264,7 +259,7 @@ def _synthesize(ctx, A):
 def ambiguity(ctx, f, window=None):
     """Matrix coefficient field Z -> (f | Pi(Z) w) over the phase-space
     lattice (side Xi).  Representation route, batched over the lattice
-    kernel; tests pin it pointwise to apply_rep_exp."""
+    kernel; tests pin it pointwise to reference.apply_rep_exp."""
     spec = ctx.spec
     _require_grid(spec, "ambiguity")
     w = window if window is not None else ctx.window
@@ -272,18 +267,6 @@ def ambiguity(ctx, f, window=None):
     np.conj(B, out=B)
     B *= f.values * spec.state_weight
     return PhaseSpaceField(spec, _analyze(ctx, B), SIDE_XI)
-
-
-def ambiguity_at(ctx, f, x_point, xi_point, window=None):
-    """Single phase-space point, fully through the representation stack
-    (semidirect exponential + apply_rep).  Works on both backends; the grid
-    backend needs a lattice group point."""
-    w = window if window is not None else ctx.window
-    lifted = phase_space_lift(
-        ctx.spec.group, ctx.potential, list(x_point), list(xi_point), ctx.spec.epsilon
-    )
-    moved = apply_rep_exp(ctx.spec, ctx.space, lifted, w)
-    return inner_product(ctx.spec, f, moved)
 
 
 def wigner(ctx, f, window=None):
@@ -295,27 +278,6 @@ def wigner(ctx, f, window=None):
 # ---------------------------------------------------------------------------
 # ambiguity transform: closed-formula route
 # ---------------------------------------------------------------------------
-
-
-def _average_map_arrays(ctx, steps_or_point, pts):
-    """Evaluate the unipotent segment-average map at -pts and spot-check its
-    exact inverse on a few rows (the formula substitutes through the
-    inverse, so its correctness is asserted where it is used)."""
-    alg = ctx.spec.group
-    X = steps_or_point
-    avg = bch_average_map(alg, X)
-    Y = np.stack(
-        [NumPoly.from_exact(p).eval_batch(-pts).real for p in avg], axis=-1
-    )
-    inv = bch_average_inverse(alg, X)
-    sample = Y[:: max(1, Y.shape[0] // 3)][:4]
-    back = np.stack(
-        [NumPoly.from_exact(p).eval_batch(sample).real for p in inv], axis=-1
-    )
-    target = -pts[:: max(1, pts.shape[0] // 3)][:4]
-    if np.max(np.abs(back - target)) > 1e-9:
-        raise RuntimeError("segment-average map inverse failed its round trip")
-    return Y
 
 
 @lru_cache(maxsize=None)
@@ -380,66 +342,9 @@ def ambiguity_formula(ctx, f, window=None):
     return PhaseSpaceField(spec, B, SIDE_XI)
 
 
-def ambiguity_formula_at(ctx, f, x_point, xi_point, window=None):
-    """Closed-formula route at one phase-space point; both backends."""
-    spec = ctx.spec
-    alg = spec.group
-    w = window if window is not None else ctx.window
-    d = spec.dim
-    eps = spec.epsilon
-    Xfr = [Fraction(c) for c in x_point]
-    xi = np.asarray([float(c) for c in xi_point])
-    if spec.backend == "grid":
-        mesh = spec.mesh()
-        pts = np.stack([m.reshape(-1) for m in mesh], axis=-1)
-        weights = spec.state_weight
-        fvals = f.values.reshape(-1)
-        steps = lattice_shift_indices(spec, Xfr)
-        wvals = np.roll(w.values, shift=steps, axis=tuple(range(d))).reshape(-1)
-    else:
-        pts, weights = spec.gl_rule()
-        fvals = f.eval_batch(pts)
-        tmap = left_translation_map(alg, Xfr)
-        moved = np.stack(
-            [NumPoly.from_exact(p).eval_batch(pts).real for p in tmap], axis=-1
-        )
-        wvals = w.eval_batch(moved)
-    Y = _average_map_arrays(ctx, Xfr, pts)
-    phase = np.exp(1j * eps * (Y @ xi))
-    if not ctx.potential.is_zero():
-        mexp = magnetic_phase_exponent(alg, ctx.potential, Xfr)
-        phase = phase * np.exp(-1j * eps * NumPoly.from_exact(mexp).eval_batch(pts))
-    return complex(np.sum(weights * phase * fvals * np.conj(wvals)))
-
-
 # ---------------------------------------------------------------------------
 # quantization
 # ---------------------------------------------------------------------------
-
-
-def rep_operator(ctx, m):
-    """Dense matrix of the representation of one semidirect group element
-    (lattice translation part required)."""
-    spec = ctx.spec
-    _require_grid(spec, "rep_operator")
-    steps = lattice_shift_indices(spec, m.x)
-    D = np.zeros(spec.field_shape, dtype=complex)
-    D[tuple((s + spec.n_axis // 2) % spec.n_axis for s in steps)] = np.exp(
-        1j * spec.epsilon * eval_poly_grid(spec, m.phi)
-    )
-    return HSOperator(spec, _steps_to_operator(spec, D))
-
-
-def weyl_operator(ctx, x_point, xi_point):
-    """Pi(Z) at a literal phase-space point, through the full symbolic
-    pipeline (slow, honest; the vectorized paths are tested against it)."""
-    lifted = phase_space_lift(
-        ctx.spec.group, ctx.potential, list(x_point), list(xi_point), ctx.spec.epsilon
-    )
-    m = exp_semidirect(
-        ctx.spec.group, ctx.space, lifted.phi, [Fraction(c) for c in x_point]
-    )
-    return rep_operator(ctx, m)
 
 
 def quantize(ctx, symbol):
@@ -561,7 +466,7 @@ def symbol_ambiguity(ctx, a, b):
 
 
 # ---------------------------------------------------------------------------
-# reconstruction, reproducing kernel, operator pairs
+# reconstruction and the reproducing kernel
 # ---------------------------------------------------------------------------
 
 
@@ -624,21 +529,14 @@ def project_field(ctx, kernel, field):
     return PhaseSpaceField(spec, vec.reshape(spec.field_shape), SIDE_XI)
 
 
-def square_rep_on_operators(ctx, pair, op):
-    """Action of a twisted pair of group elements on operators:
-
-        (m1, m2) . T = Pi(m1) T Pi(m2)^{-1} Pi(m1)^{-1}
-
-    homomorphic for the twisted pair product (the pair carries the
-    conjugation data, the twist keeps composition covariant)."""
-    p1 = rep_operator(ctx, pair[0])
-    p2 = rep_operator(ctx, pair[1])
-    return p1.compose(op).compose(p2.adjoint()).compose(p1.adjoint())
-
-
 # ---------------------------------------------------------------------------
 # quadrature-backend overlap (frequency integral reduced exactly)
 # ---------------------------------------------------------------------------
+
+
+# (x, X) node pairs per block of ambiguity_overlap_quadrature: bounds its
+# temporaries to a few tens of MB at any node count.
+OVERLAP_BLOCK = 1 << 18
 
 
 def ambiguity_overlap_quadrature(spec, f1, w1, f2, w2):
@@ -660,7 +558,7 @@ def ambiguity_overlap_quadrature(spec, f1, w1, f2, w2):
     M = nodes.shape[0]
     inner = (wts * f1.eval_batch(nodes) * np.conj(f2.eval_batch(nodes)))
     law = [NumPoly.from_exact(p) for p in bch_symbolic(spec.group)]
-    block = max(1, 4_000_000 // M)
+    block = max(1, OVERLAP_BLOCK // M)
     total = 0.0 + 0.0j
     for start in range(0, M, block):
         stop = min(M, start + block)

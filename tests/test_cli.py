@@ -69,6 +69,10 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="unknown configuration key"):
             parse_config(path=str(path))
 
+    def test_removed_exponent_key_rejected(self):
+        with pytest.raises(ValueError, match="unknown configuration key"):
+            parse_config(overrides=[("exponents.r1", "2")])
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="malformed configuration line"):
             parse_config_text("group abelian:1\n")
@@ -340,6 +344,12 @@ class TestArgparseSurface:
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_removed_exponent_flag_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["modnorm", "--r1", "2", "--out", str(tmp_path / "o")])
+        assert excinfo.value.code == 2
+        assert "--r1" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

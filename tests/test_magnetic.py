@@ -6,7 +6,6 @@ import pytest
 from magweyl.poly import Polynomial, PolyVector, poly_compose, poly_partial
 from magweyl.nilpotent import algebra
 from magweyl.magnetic import (
-    LiftedPhasePoint,
     MagneticField,
     MagneticPotential,
     admissible_space,
@@ -14,8 +13,8 @@ from magweyl.magnetic import (
     gauge_shift,
     magnetic_phase_exponent,
     pair_with_right_field,
-    phase_space_lift,
 )
+from magweyl.reference import LiftedPhasePoint, phase_space_lift
 
 
 def rand_poly(rng, nvars, max_deg):

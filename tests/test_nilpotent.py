@@ -16,7 +16,6 @@ from magweyl.nilpotent import (
     bch_symbolic,
     build_translate_span,
     exp_semidirect,
-    exp_square,
     group_inverse,
     infinitesimal_translate,
     invert_unipotent,
@@ -27,9 +26,6 @@ from magweyl.nilpotent import (
     sd_inverse,
     sd_product,
     semidirect_nilpotency_check,
-    square_product,
-    square_untwist,
-    square_untwist_inverse,
     substitution_maps,
     _structure_from_brackets,
 )
@@ -454,48 +450,3 @@ class TestGroupSquare:
             m = rand_sd(self.alg, self.F, rng)
             assert sd_product(self.alg, m, sd_inverse(self.alg, m)) == sd_identity(self.alg)
             assert sd_product(self.alg, sd_inverse(self.alg, m), m) == sd_identity(self.alg)
-
-    def test_identity_pair_neutral(self):
-        rng = random.Random(47)
-        e = sd_identity(self.alg)
-        pair = (rand_sd(self.alg, self.F, rng), rand_sd(self.alg, self.F, rng))
-        assert square_product(self.alg, pair, (e, e)) == pair
-        assert square_product(self.alg, (e, e), pair) == pair
-
-    def test_untwist_of_identity_second(self):
-        rng = random.Random(53)
-        m = rand_sd(self.alg, self.F, rng)
-        e = sd_identity(self.alg)
-        assert square_untwist(self.alg, (m, e)) == (m, m)
-
-    def test_untwist_is_homomorphism_to_direct_product(self):
-        rng = random.Random(59)
-        for _ in range(5):
-            p1 = (rand_sd(self.alg, self.F, rng), rand_sd(self.alg, self.F, rng))
-            p2 = (rand_sd(self.alg, self.F, rng), rand_sd(self.alg, self.F, rng))
-            twisted = square_untwist(self.alg, square_product(self.alg, p1, p2))
-            u1 = square_untwist(self.alg, p1)
-            u2 = square_untwist(self.alg, p2)
-            direct = (
-                sd_product(self.alg, u1[0], u2[0]),
-                sd_product(self.alg, u1[1], u2[1]),
-            )
-            assert twisted == direct
-
-    def test_untwist_round_trip(self):
-        rng = random.Random(61)
-        pair = (rand_sd(self.alg, self.F, rng), rand_sd(self.alg, self.F, rng))
-        assert square_untwist_inverse(self.alg, square_untwist(self.alg, pair)) == pair
-
-    def test_exp_square_zero_second(self):
-        rng = random.Random(67)
-        phi = self.F.basis[1]
-        X = rand_vec(rng, 3)
-        eX, rest = exp_square(
-            self.alg,
-            self.F,
-            (phi, X),
-            (Polynomial.zero(3), [Fraction(0)] * 3),
-        )
-        assert eX == exp_semidirect(self.alg, self.F, phi, X)
-        assert rest == sd_identity(self.alg)

@@ -8,10 +8,8 @@ from magweyl.poly import (
     PolyVector,
     poly_compose,
     poly_eval,
-    poly_from_text,
     poly_integrate_param,
     poly_partial,
-    poly_to_text,
 )
 
 
@@ -172,30 +170,3 @@ class TestCanonicalization:
         assert Polynomial.zero(2).degree() == -1
         assert Polynomial.const(2, 5).degree() == 0
         assert (Polynomial.var(2, 0) * Polynomial.var(2, 1) ** 2).degree() == 3
-
-
-class TestTextFormat:
-    def test_round_trip(self):
-        rng = random.Random(47)
-        for _ in range(10):
-            p = rand_poly(rng, 3, max_deg=5, nterms=8)
-            assert poly_from_text(poly_to_text(p), nvars=3) == p
-
-    def test_explicit_line(self):
-        p = poly_from_text("1/2 : 0 1\n1/1 : 1 1")
-        x0 = Polynomial.var(2, 0)
-        x1 = Polynomial.var(2, 1)
-        assert p == x0 * x1 + Fraction(1, 2) * x1
-
-    def test_zero_needs_nvars(self):
-        assert poly_from_text("", nvars=2) == Polynomial.zero(2)
-        with pytest.raises(ValueError):
-            poly_from_text("")
-
-    def test_bad_coefficient(self):
-        with pytest.raises(ValueError):
-            poly_from_text("nope : 0 0")
-
-    def test_inconsistent_exponents(self):
-        with pytest.raises(ValueError):
-            poly_from_text("1/1 : 0 0\n1/1 : 0")

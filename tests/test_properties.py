@@ -1,24 +1,36 @@
 """Property tests over random small magnetic configurations: grids
 abelian:1 N in {8, 16} and abelian:2 N = 8, eps in {1, -0.7}, and random
-potentials of degree <= 3 with coefficients k/8.
+potentials of degree <= 3 with coefficients k/8; the symbol transform pair
+on the same grids, and the exact group law of every registered algebra.
 
 Examples are derandomized (a fixed sequence per test) and bounded, so the
 suite stays deterministic and its wall time stays small."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magweyl.magnetic import MagneticPotential
-from magweyl.nilpotent import algebra
+from magweyl.nilpotent import algebra, bch_product, registry_names
 from magweyl.poly import Polynomial
-from magweyl.repspace import SIDE_XISTAR, GridSpec, PhaseSpaceField, StateVector
+from magweyl.reference import ambiguity_at
+from magweyl.repspace import (
+    SIDE_XI,
+    SIDE_XISTAR,
+    GridSpec,
+    PhaseSpaceField,
+    StateVector,
+    field_inner,
+    ft_symbol,
+    ift_symbol,
+)
 from magweyl.weyl import (
     QuantizerContext,
     ambiguity,
-    ambiguity_at,
     ambiguity_formula,
     dequantize,
     quantize,
@@ -94,3 +106,37 @@ def test_dequantize_inverts_quantize(case):
     a = PhaseSpaceField(spec, values, SIDE_XISTAR)
     back = dequantize(ctx, quantize(ctx, a))
     assert _max_abs(back.values - a.values) <= 1e-11 * _max_abs(a.values)
+
+
+@PROPERTY
+@given(st.sampled_from(GRIDS), st.sampled_from([1.0, -0.7]), st.integers(0, 2 ** 32 - 1))
+def test_symbol_transform_is_unitary(grid, eps, seed):
+    group, n = grid
+    spec = GridSpec(algebra(group), n, EXTENT, epsilon=eps)
+    rng = np.random.default_rng(seed)
+    u, v = (
+        PhaseSpaceField(
+            spec,
+            rng.standard_normal(spec.field_shape) + 1j * rng.standard_normal(spec.field_shape),
+            SIDE_XI,
+        )
+        for _ in range(2)
+    )
+    fu, fv = ft_symbol(spec, u), ft_symbol(spec, v)
+    assert _max_abs(ift_symbol(spec, fu).values - u.values) <= 1e-12 * _max_abs(u.values)
+    scale = math.sqrt(field_inner(u, u).real * field_inner(v, v).real)
+    assert abs(field_inner(fu, fv) - field_inner(u, v)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("name", registry_names())
+@PROPERTY
+@given(st.data())
+def test_bch_product_is_associative(name, data):
+    alg = algebra(name)
+    coords = st.lists(
+        st.fractions(min_value=-4, max_value=4, max_denominator=12),
+        min_size=alg.dim,
+        max_size=alg.dim,
+    )
+    X, Y, Z = (data.draw(coords) for _ in range(3))
+    assert bch_product(alg, bch_product(alg, X, Y), Z) == bch_product(alg, X, bch_product(alg, Y, Z))

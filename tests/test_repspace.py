@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 from magweyl import repspace as rs
-from magweyl.magnetic import MagneticPotential, admissible_space, phase_space_lift
+from magweyl.magnetic import MagneticPotential, admissible_space
 from magweyl.nilpotent import SemidirectElement, algebra, build_translate_span, sd_product
 from magweyl.poly import Polynomial
+from magweyl.reference import apply_rep, apply_rep_exp, phase_space_lift
 
 ABEL1 = algebra("abelian:1")
 ABEL2 = algebra("abelian:2")
@@ -202,7 +203,7 @@ class TestApplyRep:
         X = 1.0  # 4 lattice steps of h = 0.25
         xi = 0.7
         lifted = phase_space_lift(ABEL1, MagneticPotential.zero(1), [X], [xi], eps)
-        out = rs.apply_rep_exp(spec, F, lifted, f)
+        out = apply_rep_exp(spec, F, lifted, f)
         ref = np.exp(1j * eps * (xi * spec.x_axis - xi * X / 2.0)) * np.roll(f.values, 4)
         assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -216,7 +217,7 @@ class TestApplyRep:
         f = random_state(spec, rng)
         X, xi = 1.0, 0.3
         lifted = phase_space_lift(ABEL1, A, [X], [xi], 1.0)
-        out = rs.apply_rep_exp(spec, F, lifted, f)
+        out = apply_rep_exp(spec, F, lifted, f)
         phase = xi * spec.x_axis - xi * X / 2.0 + alpha * X * (spec.x_axis - X / 2.0)
         ref = np.exp(1j * phase) * np.roll(f.values, 4)
         assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -228,7 +229,7 @@ class TestApplyRep:
         f = random_state(spec, rng)
         phi = Polynomial.var(1, 0) * Fraction(5, 7) + Polynomial.const(1, Fraction(1, 3))
         m = SemidirectElement(phi, [Fraction(3, 2)])  # 3 lattice steps
-        out = rs.apply_rep(spec, F, m, f)
+        out = apply_rep(spec, F, m, f)
         assert abs(out.norm() - f.norm()) <= 1e-12 * f.norm()
 
     def test_off_lattice_point_rejected(self):
@@ -236,7 +237,7 @@ class TestApplyRep:
         f = rs.gaussian_state(spec)
         m = SemidirectElement(Polynomial.zero(1), [Fraction(1, 3)])
         with pytest.raises(ValueError, match="lattice"):
-            rs.apply_rep(spec, None, m, f)
+            apply_rep(spec, None, m, f)
 
     def test_phase_outside_span_rejected(self):
         spec = rs.GridSpec(ABEL1, 16, 8.0)
@@ -244,7 +245,7 @@ class TestApplyRep:
         f = rs.gaussian_state(spec)
         m = SemidirectElement(Polynomial.var(1, 0) ** 2, [Fraction(1, 2)])
         with pytest.raises(ValueError, match="span"):
-            rs.apply_rep(spec, F, m, f)
+            apply_rep(spec, F, m, f)
 
     def test_homomorphism_exact_on_dual_lattice(self):
         # lattice xi makes phase wrap-around invisible: exact homomorphism
@@ -254,8 +255,8 @@ class TestApplyRep:
         y = Polynomial.var(1, 0)
         m1 = SemidirectElement(y * Fraction(3 * spec.xi_step), [Fraction(1)])
         m2 = SemidirectElement(y * Fraction(-1 * spec.xi_step), [Fraction(-3, 2)])
-        seq = rs.apply_rep(spec, None, m1, rs.apply_rep(spec, None, m2, f))
-        prod = rs.apply_rep(spec, None, sd_product(ABEL1, m1, m2), f)
+        seq = apply_rep(spec, None, m1, apply_rep(spec, None, m2, f))
+        prod = apply_rep(spec, None, sd_product(ABEL1, m1, m2), f)
         scale = np.max(np.abs(seq.values))
         assert np.max(np.abs(seq.values - prod.values)) <= 1e-12 * scale
 
@@ -266,8 +267,8 @@ class TestApplyRep:
         y = Polynomial.var(1, 0)
         m1 = SemidirectElement(y * Fraction(0.37), [Fraction(1, 2)])
         m2 = SemidirectElement(y * Fraction(0.61), [Fraction(-1, 4)])
-        seq = rs.apply_rep(spec, None, m1, rs.apply_rep(spec, None, m2, f))
-        prod = rs.apply_rep(spec, None, sd_product(ABEL1, m1, m2), f)
+        seq = apply_rep(spec, None, m1, apply_rep(spec, None, m2, f))
+        prod = apply_rep(spec, None, sd_product(ABEL1, m1, m2), f)
         assert np.max(np.abs(seq.values - prod.values)) <= 1e-10
 
 
@@ -440,7 +441,7 @@ class TestQuadratureBackend:
         phi = Polynomial.var(3, 2) * Fraction(1, 2)
         g = np.array([0.3, -0.7, 0.2])
         m = SemidirectElement(phi, [Fraction(c) for c in g])
-        out = rs.apply_rep(spec, None, m, f)
+        out = apply_rep(spec, None, m, f)
         pts = np.array([[0.1, 0.2, 0.3], [-1.0, 0.5, 0.25], [0.0, 0.0, 0.0]])
         moved = pts - g
         # bracket correction: [-g, x] has only a third component
@@ -458,8 +459,8 @@ class TestQuadratureBackend:
         y3 = Polynomial.var(3, 2)
         m1 = SemidirectElement(y3 * Fraction(2, 3), [Fraction(1, 2), Fraction(-1, 3), Fraction(0)])
         m2 = SemidirectElement(y3 * Fraction(-1, 4), [Fraction(1, 5), Fraction(1), Fraction(1, 7)])
-        seq = rs.apply_rep(spec, None, m1, rs.apply_rep(spec, None, m2, f))
-        prod = rs.apply_rep(spec, None, sd_product(HEIS, m1, m2), f)
+        seq = apply_rep(spec, None, m1, apply_rep(spec, None, m2, f))
+        prod = apply_rep(spec, None, sd_product(HEIS, m1, m2), f)
         pts = np.array([[0.3, -0.4, 0.1], [1.2, 0.7, -0.5], [0.0, 0.0, 2.0]])
         assert np.max(np.abs(seq.eval_batch(pts) - prod.eval_batch(pts))) <= 1e-12
 
@@ -467,7 +468,7 @@ class TestQuadratureBackend:
         spec = quad_spec()
         f = rs.gaussian_state(spec)
         m = SemidirectElement(Polynomial.var(3, 2), [Fraction(1, 2), Fraction(1, 4), Fraction(0)])
-        out = rs.apply_rep(spec, None, m, f)
+        out = apply_rep(spec, None, m, f)
         assert abs(out.norm() - f.norm()) <= 5e-3
 
 

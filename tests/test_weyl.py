@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from magweyl.magnetic import MagneticPotential, phase_space_lift
-from magweyl.nilpotent import algebra, exp_semidirect, sd_product, square_product
+from magweyl import weyl as weyl_module
+from magweyl.magnetic import MagneticPotential
+from magweyl.nilpotent import algebra, exp_semidirect, sd_product
 from magweyl.poly import Polynomial, PolyVector, poly_compose
 from magweyl.repspace import (
     SIDE_XI,
@@ -12,18 +13,23 @@ from magweyl.repspace import (
     HSOperator,
     PhaseSpaceField,
     StateVector,
-    apply_rep,
     field_inner,
     ft_symbol,
     gaussian_state,
     inner_product,
 )
+from magweyl.reference import (
+    ambiguity_at,
+    ambiguity_formula_at,
+    apply_rep,
+    phase_space_lift,
+    rep_operator,
+    weyl_operator,
+)
 from magweyl.weyl import (
     QuantizerContext,
     ambiguity,
-    ambiguity_at,
     ambiguity_formula,
-    ambiguity_formula_at,
     ambiguity_overlap_quadrature,
     dequantize,
     materialize_quantizer,
@@ -31,11 +37,8 @@ from magweyl.weyl import (
     project_field,
     quantize,
     reconstruct,
-    rep_operator,
     reproducing_kernel,
-    square_rep_on_operators,
     symbol_ambiguity,
-    weyl_operator,
     wigner,
 )
 
@@ -446,35 +449,6 @@ class TestSymbolAmbiguity:
 
 
 class TestSquareRep:
-    def test_twisted_homomorphism(self):
-        ctx = grid_ctx(n=16)
-        spec = ctx.spec
-
-        def element(steps, kxi):
-            lifted = phase_space_lift(
-                spec.group,
-                ctx.potential,
-                [steps * spec.h],
-                [kxi * spec.xi_step],
-                spec.epsilon,
-            )
-            return exp_semidirect(
-                spec.group, ctx.space, lifted.phi, [Fraction(steps) * ctx.h_exact]
-            )
-
-        pair_p = (element(3, 2), element(-1, 5))
-        pair_q = (element(2, -3), element(4, 1))
-        rng = np.random.default_rng(101)
-        mat = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
-        op = HSOperator(spec, mat)
-        one_then_other = square_rep_on_operators(
-            ctx, pair_p, square_rep_on_operators(ctx, pair_q, op)
-        )
-        combined = square_rep_on_operators(
-            ctx, square_product(spec.group, pair_p, pair_q), op
-        )
-        assert max_abs(one_then_other.matrix - combined.matrix) < 1e-9
-
     def test_rep_operator_matches_apply_rep(self):
         # The plane case pins the operator index of the lattice kernel to
         # the plain cyclic shift of apply_rep.
@@ -611,6 +585,21 @@ class TestQuadratureRoutes:
         lhs = ambiguity_overlap_quadrature(spec, f1, w1, f2, w2)
         rhs = inner_product(spec, f1, f2) * inner_product(spec, w2, w1)
         assert abs(lhs - rhs) < 1e-3 * abs(rhs)
+
+    def test_overlap_blocks_match_single_block(self, monkeypatch):
+        # 216 nodes in blocks of 7 rows: 30 full blocks and a ragged one.
+        spec = quad_ctx(nodes=6).spec
+        f1 = gaussian_state(spec, center=[0.5, 0.0, -0.2], momentum=[0.3, -0.1, 0.0])
+        f2 = gaussian_state(spec, center=[-0.3, 0.4, 0.1])
+        w1 = gaussian_state(spec)
+        w2 = gaussian_state(spec, momentum=[0.2, 0.0, -0.3])
+        M = spec.gl_rule()[0].shape[0]
+        assert M == 216
+        monkeypatch.setattr(weyl_module, "OVERLAP_BLOCK", M * M)
+        whole = ambiguity_overlap_quadrature(spec, f1, w1, f2, w2)
+        monkeypatch.setattr(weyl_module, "OVERLAP_BLOCK", 7 * M)
+        blocked = ambiguity_overlap_quadrature(spec, f1, w1, f2, w2)
+        assert abs(blocked - whole) <= 1e-13 * abs(whole)
 
     def test_overlap_needs_quadrature(self):
         ctx = grid_ctx()
