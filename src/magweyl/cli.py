@@ -42,7 +42,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .modspace import INFINITY, as_exponent, mod_norm_vector
+from .modspace import as_exponent, mod_norm_vector
 from .nilpotent import (
     ClosureError,
     algebra,
@@ -53,7 +53,6 @@ from .magnetic import MagneticPotential
 from .poly import Polynomial
 from .repspace import GridSpec, csv_write, gaussian_state, tensor_write
 from .verify import (
-    CHECK_NAMES,
     run_suite,
     suite_passed,
     write_reports_jsonl,

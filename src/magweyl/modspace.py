@@ -17,7 +17,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .repspace import PhaseSpaceField
 from .weyl import SymbolAmbiguityField, ambiguity, symbol_ambiguity, wigner
 
 INFINITY = math.inf

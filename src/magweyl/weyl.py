@@ -34,6 +34,12 @@ lattice in one broadcast pass over per-axis power tables; the formula
 route's segment-average map and its inverse are joint polynomials the same
 way, one per algebra.  ``ambiguity_formula`` still applies its per-step
 substitution kernels in a loop (batched, they would hold N^(d+2) values).
+``symbol_ambiguity`` loops over the first lattice point only: the window
+shifted by (s1 + s2, s1) is one gather through the shift index,
+I[t2, I[t1, p]] on the rows and I[t1, q] on the columns, for every second
+point t2 at once, and its half-shift factors come from one (step,
+frequency) table exp(i eps s h/2 xi_k) over the steps -N..N-2 that s1 and
+s1 + s2 reach.
 
 Two independent computational routes exist for the ambiguity transform and
 are kept apart deliberately: the representation route (translation-averaged
@@ -146,6 +152,21 @@ class QuantizerContext:
 def _require_grid(spec, what):
     if spec.backend != "grid":
         raise ValueError("%s needs the grid backend" % what)
+
+
+# Largest complex output a dense transform may allocate: 1 GiB.
+MAX_OUTPUT_BYTES = 1 << 30
+
+
+def _check_output_bytes(what, shape):
+    """Raise before any work when a complex array of this shape would
+    exceed MAX_OUTPUT_BYTES."""
+    nbytes = math.prod(shape) * np.dtype(complex).itemsize
+    if nbytes > MAX_OUTPUT_BYTES:
+        raise ValueError(
+            "%s: output of shape %s needs %d bytes, over the limit of %d"
+            % (what, tuple(shape), nbytes, MAX_OUTPUT_BYTES)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +398,13 @@ def moyal_product(ctx, a, b):
 def materialize_quantizer(ctx):
     """Dense matrix of the quantization map in measure-normalized
     coordinates (symbol lattice values carrying the square root of the
-    dual-side weight, operator entries plain).  Unitary when |eps| = 1."""
+    dual-side weight, operator entries plain).  Unitary when |eps| = 1.
+    Holds N^(4d) complex values: ValueError past MAX_OUTPUT_BYTES."""
     spec = ctx.spec
     _require_grid(spec, "materialize_quantizer")
     d = spec.dim
     N = spec.n_axis
+    _check_output_bytes("materialize_quantizer", (N,) * (4 * d))
     # Entry ((p, q), (u, v)) quantizes the XiStar delta at (u, v); only step
     # j = I[q, p] reaches (p, q), so per axis it is E[j, u] times
     # sum_k conj(P[k, p] a[j, k]) E[k, v], with ift_symbol's kernel E.
@@ -425,7 +448,12 @@ def symbol_ambiguity(ctx, a, b):
     """(Op(a) | Pi(Z1+Z2) Op(b) Pi(Z1)^{-1})_HS over pairs of lattice
     points; the first point slides inside the pairing, the second offsets
     it.  The sum point is taken literally (its frequency part may leave the
-    lattice box)."""
+    lattice box).
+
+    One pass per first point t1 covers every second point t2 with two
+    batched DFT products.  Memory: the output holds N^4 complex values
+    (ValueError past MAX_OUTPUT_BYTES, before any work); temporaries hold
+    of order N^3."""
     spec = ctx.spec
     _require_grid(spec, "symbol_ambiguity")
     if spec.dim != 1:
@@ -433,35 +461,38 @@ def symbol_ambiguity(ctx, a, b):
             "operator-window ambiguity is implemented for one-dimensional groups"
         )
     N = spec.n_axis
-    eps = spec.epsilon
+    _check_output_bytes("symbol_ambiguity", (N,) * 4)
+    t = _tables(spec)
     T = quantize(ctx, a).matrix
-    W = quantize(ctx, b).matrix
-    P = _tables(spec).dft
-    Pplus = np.conj(P)
-    xi = spec.xi_axis
-    out = np.empty((N, N, N, N), dtype=complex)
-    if not ctx.potential.is_zero():
-        # Steps s1 and su = s1 + s2 in [-N, N - 2]; su may leave the box.
-        steps = np.arange(-N, N - 1)
+    Wc = np.conj(quantize(ctx, b).matrix)
+    # Per-call tables over the steps s in [-N, N - 2] that s1 and
+    # su = s1 + s2 reach (su may leave the box); row u holds step u - N.
+    steps = np.arange(-N, N - 1)
+    half = np.exp(1j * spec.epsilon * np.outer(steps * (spec.h / 2.0), spec.xi_axis))
+    if ctx.potential.is_zero():
+        mag_minus = np.ones((2 * N - 1, N))
+    else:
         mag_minus = _phase_factor(spec, ctx.joint_phase("rep"), -1, steps)
-        mag_plus = _phase_factor(spec, ctx.joint_phase("rep"), +1, steps)
+    # [u, p, q] = T[p, q] mag_minus[u, p]; [u, p, k1] = P[k1, p] half[u, k1];
+    # [u, k2, p] = half[u, k2] P[k2, p].
+    paired = T * mag_minus[:, :, None]
+    columns = t.dft.T * half[:, None, :]
+    rows = half[:, :, None] * t.dft
+    out = np.empty((N, N, N, N), dtype=complex)
     for t1 in range(N):
-        s1 = t1 - N // 2
-        for t2 in range(N):
-            s2 = t2 - N // 2
-            su = s1 + s2
-            Wr = np.roll(W, shift=(su, s1), axis=(0, 1))
-            C = T * np.conj(Wr)
-            if not ctx.potential.is_zero():
-                C = C * np.outer(mag_minus[su + N], mag_plus[s1 + N])
-            H = C @ Pplus.T
-            V1 = P.T * H
-            val = (P @ V1).T
-            Xu = su * spec.h
-            X1 = s1 * spec.h
-            val = val * np.exp(1j * eps * (Xu / 2.0) * (xi[:, None] + xi[None, :]))
-            val = val * np.exp(-1j * eps * (X1 / 2.0) * xi)[:, None]
-            out[t1, :, t2, :] = val
+        u1 = t1 - N // 2 + N
+        su = slice(u1 - N // 2, u1 - N // 2 + N)
+        # C[t2, p, q] = conj(W)[p - su, q - s1] T[p, q] mag_minus[su, p]:
+        # row index (p - s1 - s2) mod N = I[t2, I[t1, p]], column I[t1, q].
+        C = Wc[t.shift[:, t.shift[t1]][:, :, None], t.shift[t1]]
+        C *= paired[su]
+        # Column DFT q -> k1 with the conjugate magnetic phase at s1 on q
+        # and exp(-i eps s1 h/2 xi_k1).
+        first = np.conj(columns[u1] * mag_minus[u1][:, None])
+        H = (C.reshape(N * N, N) @ first).reshape(N, N, N)
+        H *= columns[su]
+        # Row DFT p -> k2; the product has axes (t2, k2, k1).
+        out[t1] = (rows[su] @ H).transpose(2, 0, 1)
     return SymbolAmbiguityField(spec, out)
 
 

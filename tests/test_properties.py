@@ -1,7 +1,8 @@
 """Property tests over random small magnetic configurations: grids
 abelian:1 N in {8, 16} and abelian:2 N = 8, eps in {1, -0.7}, and random
 potentials of degree <= 3 with coefficients k/8; the symbol transform pair
-on the same grids, and the exact group law of every registered algebra.
+on the same grids, and the exact group law and gauge invariance of the
+field on every registered algebra.
 
 Examples are derandomized (a fixed sequence per test) and bounded, so the
 suite stays deterministic and its wall time stays small."""
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magweyl.magnetic import MagneticPotential
+from magweyl.magnetic import MagneticPotential, exterior_derivative, gauge_shift
 from magweyl.nilpotent import algebra, bch_product, registry_names
 from magweyl.poly import Polynomial
 from magweyl.reference import ambiguity_at
@@ -140,3 +141,30 @@ def test_bch_product_is_associative(name, data):
     )
     X, Y, Z = (data.draw(coords) for _ in range(3))
     assert bch_product(alg, bch_product(alg, X, Y), Z) == bch_product(alg, X, bch_product(alg, Y, Z))
+
+
+def _polynomials(dim, max_degree):
+    """Sums of up to four monomials of total degree <= max_degree with
+    coefficients k/8, |k| <= 16."""
+    monomial = st.tuples(
+        st.lists(st.integers(0, dim - 1), max_size=max_degree),
+        st.fractions(min_value=-2, max_value=2, max_denominator=8),
+    )
+
+    def build(terms):
+        poly = Polynomial.zero(dim)
+        for variables, c in terms:
+            poly = poly + Polynomial(dim, {tuple(variables.count(i) for i in range(dim)): c})
+        return poly
+
+    return st.lists(monomial, max_size=4).map(build)
+
+
+@pytest.mark.parametrize("name", registry_names())
+@PROPERTY
+@given(st.data())
+def test_gauge_shift_keeps_field(name, data):
+    dim = algebra(name).dim
+    A = MagneticPotential([data.draw(_polynomials(dim, 2)) for _ in range(dim)])
+    chi = data.draw(_polynomials(dim, 3))
+    assert exterior_derivative(gauge_shift(A, chi)) == exterior_derivative(A)

@@ -404,24 +404,34 @@ class TestMaterialize:
 class TestSymbolAmbiguity:
     @pytest.mark.parametrize("potential", [None, linear_potential()])
     def test_matches_operator_pairing(self, potential):
-        ctx = grid_ctx(n=8, potential=potential)
-        spec = ctx.spec
-        a = random_symbol(spec, 91)
-        b = random_symbol(spec, 92)
-        field = symbol_ambiguity(ctx, a, b)
-        T = quantize(ctx, a)
-        W = quantize(ctx, b)
-        spots = [(0, 0, 0, 0), (3, 5, 6, 2), (7, 1, 2, 7), (4, 4, 5, 3)]
-        for t1, k1, t2, k2 in spots:
-            x1 = (t1 - 4) * spec.h
-            x2 = (t2 - 4) * spec.h
-            xi1 = spec.xi_axis[k1]
-            xi2 = spec.xi_axis[k2]
-            pu = weyl_operator(ctx, [x1 + x2], [xi1 + xi2])
-            p1 = weyl_operator(ctx, [x1], [xi1])
-            moved = pu.compose(W).compose(p1.adjoint())
-            direct = np.sum(T.matrix * np.conj(moved.matrix))
-            assert abs(field.values[t1, k1, t2, k2] - direct) < 1e-10
+        # Every entry (t1, k1, t2, k2) against the per-point oracle
+        # (T | Pi(Z1 + Z2) W Pi(Z1)^{-1})_HS.  Pi is built once per point
+        # of the doubled box: steps and frequency indices -n..n-2 cover
+        # every Z1 and every literal sum Z1 + Z2.
+        n = 8
+        for epsilon in (1.0, -0.7, 2.0):
+            ctx = grid_ctx(n=n, potential=potential, epsilon=epsilon)
+            spec = ctx.spec
+            a = random_symbol(spec, 91)
+            b = random_symbol(spec, 92)
+            field = symbol_ambiguity(ctx, a, b).values
+            T = quantize(ctx, a).matrix
+            W = quantize(ctx, b).matrix
+            doubled = np.arange(2 * n - 1) - n
+            pi = np.array(
+                [
+                    [weyl_operator(ctx, [s * spec.h], [k * spec.xi_step]).matrix
+                     for k in doubled]
+                    for s in doubled
+                ]
+            )
+            box = slice(n // 2, n // 2 + n)
+            first = pi[box, box].conj().swapaxes(-1, -2)
+            j = np.arange(n)
+            total = pi[(j[:, None] + j)[:, None, :, None], (j[:, None] + j)[None, :, None, :]]
+            moved = total @ W @ first[:, :, None, None]
+            direct = np.sum(T * np.conj(moved), axis=(-2, -1))
+            assert max_abs(field - direct) < 1e-10
 
     def test_wigner_pair_factorization(self):
         ctx = grid_ctx(n=8)
@@ -446,6 +456,32 @@ class TestSymbolAmbiguity:
         a = constant_symbol(ctx.spec)
         with pytest.raises(NotImplementedError):
             symbol_ambiguity(ctx, a, a)
+
+
+def _no_quantize(ctx, symbol):
+    raise AssertionError("quantized before the size check")
+
+
+class TestMemoryGuard:
+    def test_symbol_ambiguity_refuses_large_grid(self, monkeypatch):
+        ctx = grid_ctx(n=128)
+        a = constant_symbol(ctx.spec)
+        monkeypatch.setattr(weyl_module, "quantize", _no_quantize)
+        with pytest.raises(
+            ValueError,
+            match=r"symbol_ambiguity: output of shape \(128, 128, 128, 128\) "
+            r"needs 4294967296 bytes",
+        ):
+            symbol_ambiguity(ctx, a, a)
+
+    def test_materialize_quantizer_refuses_large_grid(self):
+        ctx = grid_ctx(n=16, group=ABEL2)
+        with pytest.raises(
+            ValueError,
+            match=r"materialize_quantizer: output of shape \(16, 16, 16, 16, 16, 16, 16, 16\) "
+            r"needs 68719476736 bytes",
+        ):
+            materialize_quantizer(ctx)
 
 
 class TestSquareRep:
