@@ -43,12 +43,7 @@ import numpy as np
 
 from . import __version__
 from .modspace import as_exponent, mod_norm_vector
-from .nilpotent import (
-    ClosureError,
-    algebra,
-    build_translate_span,
-    semidirect_nilpotency_check,
-)
+from .nilpotent import algebra, build_translate_span, semidirect_nilpotency_check
 from .magnetic import MagneticPotential
 from .poly import Polynomial
 from .repspace import GridSpec, csv_write, gaussian_state, tensor_write
@@ -469,7 +464,7 @@ def _cmd_group_info(name):
     try:
         span = build_translate_span(alg)
         structure, step, is_nil = semidirect_nilpotency_check(alg, span)
-    except (ClosureError, ValueError) as err:
+    except ValueError as err:
         print("translate span: failed (%s)" % err)
         return 1
     print("translate span dimension: %d" % span.dim)
@@ -583,7 +578,7 @@ def main(argv=None):
             build_grid=(args.command != "group-info"),
         )
         return dispatch(args.command, cfg)
-    except (ValueError, ClosureError, OSError) as err:
+    except (ValueError, OSError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

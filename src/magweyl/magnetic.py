@@ -174,7 +174,7 @@ def gauge_shift(A, chi):
     )
 
 
-def admissible_space(alg, A, cap_degree=None):
+def admissible_space(alg, A):
     """The runtime function space: the translation closure of the minimal
     span together with all potential pairings along basis directions.
     Certified translation-stable (the closure itself guarantees it; the
@@ -183,10 +183,9 @@ def admissible_space(alg, A, cap_degree=None):
     d = alg.dim
     basis_dirs = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]
     seeds = list(base.basis) + [pair_with_right_field(alg, A, e) for e in basis_dirs]
-    if cap_degree is None:
-        seed_deg = max(max(p.degree() for p in seeds), 1)
-        growth = max(1, alg.step - 1)
-        cap_degree = max(alg.step ** 2, seed_deg * growth)
+    seed_deg = max(max(p.degree() for p in seeds), 1)
+    growth = max(1, alg.step - 1)
+    cap_degree = max(alg.step ** 2, seed_deg * growth)
     F = close_under_translates(alg, seeds, cap_degree)
     semidirect_nilpotency_check(alg, F)  # raises ClosureError when unstable
     return F

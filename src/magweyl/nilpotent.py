@@ -9,6 +9,12 @@ coordinates.  Every operation below is therefore polynomial, and — with
 
 Contents:
 
+- one incremental exact echelon (a row space over Q kept in reduced row
+  echelon form), the only elimination code: it holds translate spans,
+  gives their coordinates and builds lower central series;
+- the bracket over a structure table, with the Jacobi and
+  lower-central-series checks shared by algebra specs and the semidirect
+  algebra;
 - structure-constant specs with exact validation (antisymmetry, Jacobi,
   nilpotency step), plus a small registry: ``abelian:n`` (n <= 3),
   ``heisenberg`` (dim 3), ``engel`` (dim 4);
@@ -17,13 +23,15 @@ Contents:
 - left translation of polynomial functions, the right-invariant vector
   field of an algebra direction, BCH segment averages and their unipotent
   inverses, and the pair substitutions built from them;
-- spans of translated coordinate functionals and the semidirect structure
-  (function space) x| (group), with nilpotency certification;
+- spans of translated coordinate functionals, held in echelon form, and
+  the semidirect structure (function space) x| (group), with nilpotency
+  certification;
 - the semidirect exponential.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+import bisect
 import itertools
 import math
 
@@ -31,64 +39,51 @@ from .poly import Polynomial, PolyVector, poly_compose, poly_integrate_param, po
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra helpers (Fractions end to end)
+# exact linear algebra, and brackets over a structure table
 # ---------------------------------------------------------------------------
 
 
-def rref(rows):
-    """Reduced row echelon form over Q.  Returns (rows, pivot_columns);
-    input rows are not modified, zero rows are dropped."""
-    work = [list(r) for r in rows]
-    ncols = len(work[0]) if work else 0
-    echelon = []
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot = None
-        for i in range(r, len(work)):
-            if work[i][col] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        inv = Fraction(1) / work[r][col]
-        work[r] = [inv * v for v in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                f = work[i][col]
-                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return [row for row in work[:r]], pivots
+class _Echelon:
+    """A row space over Q, held as its reduced row echelon form: Fraction
+    rows with pivot columns in increasing order.  The RREF of a space is
+    unique, so it does not depend on the order rows were added in."""
+
+    __slots__ = ("rows", "pivots")
+
+    def __init__(self):
+        self.rows = []
+        self.pivots = []
+
+    def reduce(self, row):
+        """row minus its part along the pivots (zero exactly on the span)."""
+        row = list(row)
+        for r, col in zip(self.rows, self.pivots):
+            f = row[col]
+            if f:
+                row = [a - f * b if b else a for a, b in zip(row, r)]
+        return row
+
+    def add(self, row):
+        """Adjoin row to the space; False, changing nothing, when it already
+        lies in it."""
+        row = self.reduce(row)
+        col = next((c for c, v in enumerate(row) if v), None)
+        if col is None:
+            return False
+        inv = Fraction(1) / row[col]
+        row = [inv * v if v else v for v in row]
+        for i, r in enumerate(self.rows):
+            f = r[col]
+            if f:
+                self.rows[i] = [a - f * b if b else a for a, b in zip(r, row)]
+        at = bisect.bisect(self.pivots, col)
+        self.rows.insert(at, row)
+        self.pivots.insert(at, col)
+        return True
 
 
-def exact_rank(rows):
-    if not rows:
-        return 0
-    return len(rref(rows)[0])
-
-
-def solve_exact(columns, target):
-    """Solve sum_j x_j * columns[j] = target exactly over Q.
-
-    Returns the coefficient list, or None when the target is outside the
-    span.  ``columns`` is a list of equal-length Fraction vectors.
-    """
-    n = len(columns)
-    if n == 0:
-        return [] if all(v == 0 for v in target) else None
-    m = len(columns[0])
-    aug = [[columns[j][i] for j in range(n)] + [target[i]] for i in range(m)]
-    ech, pivots = rref(aug)
-    if n in pivots:  # pivot in the augmented column: inconsistent
-        return None
-    x = [Fraction(0)] * n
-    for row, col in zip(ech, pivots):
-        x[col] = row[n]
-    return x
+def _units(n):
+    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
 def monomials_up_to(nvars, degree):
@@ -106,21 +101,71 @@ def monomials_up_to(nvars, degree):
     return out
 
 
-def poly_coeff_rows(polys, monos):
-    index = {m: i for i, m in enumerate(monos)}
-    rows = []
-    for p in polys:
-        row = [Fraction(0)] * len(monos)
-        for e, c in p.terms.items():
-            if e not in index:
-                raise ValueError("monomial %r outside the chosen degree cap" % (e,))
-            row[index[e]] = c
-        rows.append(row)
-    return rows
+_ZERO = Fraction(0)
 
 
-def _poly_from_row(nvars, monos, row):
-    return Polynomial(nvars, {m: c for m, c in zip(monos, row) if c != 0})
+def _bracket(structure, X, Y):
+    """[X, Y] under the constants structure[i][j][k], for vectors over any
+    ring containing the rationals (Fractions, floats, complexes,
+    Polynomials)."""
+    n = len(structure)
+    # each slot starts at its ring's zero (0 * x keeps a Polynomial's
+    # variable count); Fractions skip the costly multiplication
+    out = [_ZERO if isinstance(x, Fraction) else 0 * x for x in X]
+    for i in range(n):
+        xi = X[i]
+        if isinstance(xi, (int, float, complex, Fraction)) and xi == 0:
+            continue
+        for j in range(n):
+            yj = Y[j]
+            if isinstance(yj, (int, float, complex, Fraction)) and yj == 0:
+                continue
+            row = structure[i][j]
+            prod = None
+            for k in range(n):
+                c = row[k]
+                if c == 0:
+                    continue
+                if prod is None:
+                    prod = xi * yj
+                out[k] = out[k] + _scale(c, prod)
+    return out
+
+
+def _jacobi_violation(structure):
+    """The first (i, j, k) with i < j < k where the Jacobi identity fails
+    on basis vectors, or None.  For antisymmetric constants the cyclic sum
+    vanishes on repeated indices and is alternating in (i, j, k), so these
+    triples decide every other."""
+    e = _units(len(structure))
+    for i, j, k in itertools.combinations(range(len(structure)), 3):
+        terms = (
+            _bracket(structure, structure[i][j], e[k]),
+            _bracket(structure, structure[j][k], e[i]),
+            _bracket(structure, structure[k][i], e[j]),
+        )
+        if any(a + b + c != 0 for a, b, c in zip(*terms)):
+            return i, j, k
+    return None
+
+
+def _lower_central_series(structure):
+    """The nonzero layers g = m_1 > m_2 = [g, g] > m_3 = [g, m_2] > ...,
+    each as its RREF rows, and whether the series reached zero.  Each
+    layer of a nilpotent algebra is smaller than the last, so n + 1
+    brackets are more than enough in dimension n."""
+    n = len(structure)
+    basis = _units(n)
+    layers = [basis]
+    for _ in range(n + 1):
+        nxt = _Echelon()
+        for b in basis:
+            for v in layers[-1]:
+                nxt.add(_bracket(structure, b, v))
+        if not nxt.rows:
+            return layers, True
+        layers.append(nxt.rows)
+    return layers, False
 
 
 # ---------------------------------------------------------------------------
@@ -174,18 +219,15 @@ class LieAlgebraSpec:
                 for k in range(d):
                     if self.structure[i][j][k] != -self.structure[j][i][k]:
                         raise ValueError("structure constants not antisymmetric")
-        basis = [
-            [Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)
-        ]
-        for i in range(d):
-            for j in range(d):
-                for k in range(d):
-                    lhs = self.bracket(self.bracket(basis[i], basis[j]), basis[k])
-                    mid = self.bracket(self.bracket(basis[j], basis[k]), basis[i])
-                    rhs = self.bracket(self.bracket(basis[k], basis[i]), basis[j])
-                    if any(a + b + c != 0 for a, b, c in zip(lhs, mid, rhs)):
-                        raise ValueError("Jacobi identity fails at (%d,%d,%d)" % (i, j, k))
-        series = self.lower_central_series()
+        bad = _jacobi_violation(self.structure)
+        if bad is not None:
+            raise ValueError("Jacobi identity fails at (%d,%d,%d)" % bad)
+        series, terminated = _lower_central_series(self.structure)
+        if not terminated:
+            raise ValueError(
+                "structure constants do not define a nilpotent algebra "
+                "(lower central series stabilizes at a nonzero subspace)"
+            )
         if len(series) != self.step:
             raise ValueError(
                 "declared step %d but the lower central series has %d nonzero layers"
@@ -199,48 +241,7 @@ class LieAlgebraSpec:
         Y = list(Y)
         if len(X) != self.dim or len(Y) != self.dim:
             raise ValueError("bracket arguments must have length %d" % self.dim)
-        out = [0 * x for x in X] if X else []
-        for i in range(self.dim):
-            xi = X[i]
-            if isinstance(xi, (int, float, complex, Fraction)) and xi == 0:
-                continue
-            for j in range(self.dim):
-                yj = Y[j]
-                if isinstance(yj, (int, float, complex, Fraction)) and yj == 0:
-                    continue
-                row = self.structure[i][j]
-                prod = None
-                for k in range(self.dim):
-                    c = row[k]
-                    if c == 0:
-                        continue
-                    if prod is None:
-                        prod = xi * yj
-                    out[k] = out[k] + _scale(c, prod)
-        return out
-
-    def lower_central_series(self):
-        """[g, g], [g, [g, g]], ... as rref bases; returns the list of
-        nonzero layers g = m_1 > m_2 > ... (stops at the first zero)."""
-        d = self.dim
-        basis = [[Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)]
-        layers = [basis]
-        current = basis
-        while True:
-            nxt = []
-            for b in basis:
-                for v in current:
-                    nxt.append(self.bracket(b, v))
-            ech, _ = rref(nxt) if nxt else ([], [])
-            if not ech:
-                return layers
-            layers.append(ech)
-            current = ech
-            if len(layers) > d + 1:
-                raise ValueError(
-                    "structure constants do not define a nilpotent algebra "
-                    "(lower central series stabilizes at a nonzero subspace)"
-                )
+        return _bracket(self.structure, X, Y)
 
     def to_json_dict(self):
         return {
@@ -517,36 +518,61 @@ def substitution_maps(alg):
 
 class FunctionSpaceBasis:
     """A finite-dimensional space of polynomial functions on the group,
-    stored as an exact echelonized basis.  Instances are produced by
-    build_translate_span (the minimal translation-invariant space) or by
+    held exactly as the RREF of its coefficient rows over the monomials of
+    degree <= cap_degree (degree-lex order).  ``basis`` is that unique
+    echelon basis, whatever spanning set built it.  Instances are produced
+    by build_translate_span (the minimal translation-invariant space) or by
     closing a user-supplied seed set."""
 
     def __init__(self, alg, basis, cap_degree):
         self.alg = alg
-        self.basis = tuple(basis)
         self.cap_degree = int(cap_degree)
-        self._monos = monomials_up_to(alg.dim, cap_degree)
-        self._rows = poly_coeff_rows(self.basis, self._monos)
-        ech, pivots = rref(self._rows)
-        if len(ech) != len(self.basis):
-            raise ValueError("basis polynomials are linearly dependent")
-        self.contains_constants = self.in_span(Polynomial.const(alg.dim, 1)) is not None
+        self._monos = monomials_up_to(alg.dim, self.cap_degree)
+        self._index = {m: i for i, m in enumerate(self._monos)}
+        self._echelon = _Echelon()
+        for p in basis:
+            if p.nvars != alg.dim or p.degree() > self.cap_degree:
+                raise ValueError("%r is not a polynomial of degree <= %d on the group"
+                                 % (p, self.cap_degree))
+            if not self._add(p):
+                raise ValueError("basis polynomials are linearly dependent")
+
+    def _add(self, p):
+        """Enlarge the span by p (of degree <= cap); False when p is in it."""
+        return self._echelon.add(self._row(p))
+
+    def _row(self, p):
+        row = [Fraction(0)] * len(self._monos)
+        for e, c in p.terms.items():
+            row[self._index[e]] = c
+        return row
+
+    @property
+    def basis(self):
+        return tuple(
+            Polynomial(self.alg.dim, {self._monos[c]: v for c, v in enumerate(row) if v})
+            for row in self._echelon.rows
+        )
 
     @property
     def dim(self):
-        return len(self.basis)
+        return len(self._echelon.rows)
+
+    @property
+    def contains_constants(self):
+        return self.in_span(Polynomial.const(self.alg.dim, 1)) is not None
 
     def in_span(self, p):
-        """Exact coordinates of p in this basis, or None if outside."""
+        """Exact coordinates of p in this basis, or None if outside.  On an
+        echelon basis they are p's coefficients at the pivot monomials."""
         if p.nvars != self.alg.dim:
             raise ValueError("polynomial has %d variables, expected %d" % (p.nvars, self.alg.dim))
         if p.degree() > self.cap_degree:
             return None
-        target = [Fraction(0)] * len(self._monos)
-        index = {m: i for i, m in enumerate(self._monos)}
-        for e, c in p.terms.items():
-            target[index[e]] = c
-        return solve_exact(self._rows, target)
+        row = self._row(p)
+        if any(self._echelon.reduce(row)):
+            return None
+        return [row[c] for c in self._echelon.pivots]
 
 
 def close_under_translates(alg, seeds, cap_degree):
@@ -556,22 +582,10 @@ def close_under_translates(alg, seeds, cap_degree):
     what enlarges the span.  Degree growth is bounded (translation cannot
     raise degree past the cap for the spaces used here), so this stops."""
     d = alg.dim
-    monos = monomials_up_to(d, cap_degree)
-    index = {m: i for i, m in enumerate(monos)}
-
-    def vec_of(p):
-        row = [Fraction(0)] * len(monos)
-        for e, c in p.terms.items():
-            row[index[e]] = c
-        return row
-
-    span_rows = []
-    basis_polys = []
+    span = FunctionSpaceBasis(alg, (), cap_degree)
     queue = []
 
     def try_add(p):
-        if p.is_zero():
-            return False
         if p.degree() > cap_degree:
             # a needed translate escaped the cap: the closure is not
             # realizable at this degree, which callers must hear about
@@ -579,38 +593,27 @@ def close_under_translates(alg, seeds, cap_degree):
                 "translation closure produced degree %d above the cap %d"
                 % (p.degree(), cap_degree)
             )
-        candidate = span_rows + [vec_of(p)]
-        if exact_rank(candidate) > len(span_rows):
-            ech, _ = rref(candidate)
-            span_rows.clear()
-            span_rows.extend(ech)
-            basis_polys.append(p)
+        if span._add(p):
             queue.append(p)
-            return True
-        return False
 
     for p in seeds:
         try_add(p)
 
+    # y -> (-a e_i) * y for each direction i, with a the last variable
+    lifted_vars = [Polynomial.var(d + 1, i) for i in range(d)]
+    a = Polynomial.var(d + 1, d)
+    moves = []
+    for direction in range(d):
+        g_sym = [a if i == direction else Polynomial.zero(d + 1) for i in range(d)]
+        moves.append(PolyVector(bch_product(alg, [-c for c in g_sym], lifted_vars)))
+
     while queue:
         p = queue.pop()
-        lifted_vars = [Polynomial.var(d + 1, i) for i in range(d)]
-        for direction in range(d):
-            a = Polynomial.var(d + 1, d)
-            g_sym = [a if i == direction else Polynomial.zero(d + 1) for i in range(d)]
-            moved = poly_compose(
-                p,
-                PolyVector(
-                    bch_product(alg, [-c for c in g_sym], lifted_vars)
-                ),
-            )
-            for piece in _split_tail(moved, d).values():
+        for move in moves:
+            for piece in _split_tail(poly_compose(p, move), d).values():
                 try_add(piece)
 
-    # canonical echelon basis (degree-lex pivots): nicer to read and stable
-    ech, _ = rref(span_rows)
-    basis = [_poly_from_row(d, monos, row) for row in ech]
-    return FunctionSpaceBasis(alg, basis, cap_degree)
+    return span
 
 
 def _split_tail(p, k):
@@ -700,14 +703,13 @@ def semidirect_nilpotency_check(alg, F):
     d = alg.dim
     k = F.dim
     n = k + d
-    basis_dirs = [
-        [Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)
-    ]
+    basis_dirs = _units(d)
+    basis = F.basis
     # generator action on each function-space basis element, in F-coordinates
     action = []  # action[i][a] = coords of generator_i . phi_a
     for i in range(d):
         row = []
-        for a, phi in enumerate(F.basis):
+        for a, phi in enumerate(basis):
             moved = infinitesimal_translate(alg, basis_dirs[i], phi)
             coords = F.in_span(moved)
             if coords is None:
@@ -727,76 +729,13 @@ def semidirect_nilpotency_check(alg, F):
                 structure[a][k + i][b] = -action[i][a][b]
     for i in range(d):
         for j in range(d):
-            br = alg.bracket(basis_dirs[i], basis_dirs[j])
-            for m in range(d):
-                structure[k + i][k + j][k + m] = Fraction(br[m])
+            structure[k + i][k + j][k:] = alg.structure[i][j]
 
-    semi = _RawAlgebra(n, structure)
-    semi.check_jacobi()
-    series = semi.lower_central_series()
-    step = len(series)
-    is_nilpotent = semi.series_terminated
-    return structure, step, is_nilpotent
-
-
-class _RawAlgebra:
-    """Bracket/series helper for structure constants that have not been
-    certified nilpotent yet (LieAlgebraSpec insists on a verified step)."""
-
-    def __init__(self, dim, structure):
-        self.dim = dim
-        self.structure = structure
-        self.series_terminated = False
-
-    def bracket(self, X, Y):
-        out = [Fraction(0)] * self.dim
-        for i in range(self.dim):
-            if X[i] == 0:
-                continue
-            for j in range(self.dim):
-                if Y[j] == 0:
-                    continue
-                prod = X[i] * Y[j]
-                for m in range(self.dim):
-                    c = self.structure[i][j][m]
-                    if c != 0:
-                        out[m] += c * prod
-        return out
-
-    def check_jacobi(self):
-        d = self.dim
-        basis = [
-            [Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)
-        ]
-        for i in range(d):
-            for j in range(i + 1, d):
-                for m in range(j + 1, d):
-                    s1 = self.bracket(self.bracket(basis[i], basis[j]), basis[m])
-                    s2 = self.bracket(self.bracket(basis[j], basis[m]), basis[i])
-                    s3 = self.bracket(self.bracket(basis[m], basis[i]), basis[j])
-                    if any(a + b + c != 0 for a, b, c in zip(s1, s2, s3)):
-                        raise ValueError(
-                            "assembled semidirect algebra violates Jacobi at (%d,%d,%d)"
-                            % (i, j, m)
-                        )
-
-    def lower_central_series(self):
-        d = self.dim
-        basis = [
-            [Fraction(1) if i == j else Fraction(0) for j in range(d)] for i in range(d)
-        ]
-        layers = [basis]
-        current = basis
-        for _ in range(d + 1):
-            nxt = [self.bracket(b, v) for b in basis for v in current]
-            ech, _ = rref(nxt) if nxt else ([], [])
-            if not ech:
-                self.series_terminated = True
-                return layers
-            layers.append(ech)
-            current = ech
-        self.series_terminated = False
-        return layers
+    bad = _jacobi_violation(structure)
+    if bad is not None:
+        raise ValueError("assembled semidirect algebra violates Jacobi at (%d,%d,%d)" % bad)
+    series, is_nilpotent = _lower_central_series(structure)
+    return structure, len(series), is_nilpotent
 
 
 def exp_semidirect(alg, F, phi, X):

@@ -15,6 +15,7 @@ from magweyl.nilpotent import (
     bch_product,
     bch_symbolic,
     build_translate_span,
+    close_under_translates,
     exp_semidirect,
     group_inverse,
     infinitesimal_translate,
@@ -331,6 +332,26 @@ class TestTranslateSpan:
         F = build_translate_span(alg)
         for i in range(3):
             assert F.in_span(Polynomial.var(3, i)) is not None
+
+    @pytest.mark.parametrize("name", ALGS)
+    def test_dimension_and_extended_step_pinned(self, name):
+        # (span dimension, nilpotency step of span x| algebra)
+        pinned = {"abelian:1": (2, 2), "abelian:2": (3, 2), "abelian:3": (4, 2),
+                  "heisenberg": (4, 3), "engel": (7, 4)}
+        alg = algebra(name)
+        F = build_translate_span(alg)
+        _, step, ok = semidirect_nilpotency_check(alg, F)
+        assert (F.dim, step) == pinned[name] and ok
+
+    def test_heisenberg_canonical_basis(self):
+        x = [Polynomial.var(3, i) for i in range(3)]
+        F = build_translate_span(algebra("heisenberg"))
+        assert list(F.basis) == [Polynomial.const(3, 1), x[2], x[1], x[0]]
+
+    def test_seed_above_cap_rejected(self):
+        alg = algebra("heisenberg")
+        with pytest.raises(ClosureError, match="above the cap 2"):
+            close_under_translates(alg, [Polynomial.var(3, 0) ** 3], cap_degree=2)
 
     def test_dependent_basis_rejected(self):
         alg = algebra("abelian:1")

@@ -1,14 +1,15 @@
 """Property tests over random small magnetic configurations: grids
 abelian:1 N in {8, 16} and abelian:2 N = 8, eps in {1, -0.7}, and random
 potentials of degree <= 3 with coefficients k/8; the symbol transform pair
-on the same grids, and the exact group law and gauge invariance of the
-field on every registered algebra.
+on the same grids, and the exact group law, translate-span coordinates and
+gauge invariance of the field on every registered algebra.
 
 Examples are derandomized (a fixed sequence per test) and bounded, so the
 suite stays deterministic and its wall time stays small."""
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -16,8 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magweyl.magnetic import MagneticPotential, exterior_derivative, gauge_shift
-from magweyl.nilpotent import algebra, bch_product, registry_names
-from magweyl.poly import Polynomial
+from magweyl.nilpotent import (
+    algebra,
+    bch_product,
+    build_translate_span,
+    left_translation_map,
+    registry_names,
+)
+from magweyl.poly import Polynomial, poly_compose
 from magweyl.reference import ambiguity_at
 from magweyl.repspace import (
     SIDE_XI,
@@ -141,6 +148,39 @@ def test_bch_product_is_associative(name, data):
     )
     X, Y, Z = (data.draw(coords) for _ in range(3))
     assert bch_product(alg, bch_product(alg, X, Y), Z) == bch_product(alg, X, bch_product(alg, Y, Z))
+
+
+# A monomial within each translate span's degree cap but outside the span;
+# the abelian spans hold every polynomial of degree <= 1, their whole cap.
+OUTSIDE_SPAN = {"heisenberg": (2, 0, 0), "engel": (0, 2, 0, 0)}
+
+
+@lru_cache(maxsize=None)
+def _translate_span(name):
+    return build_translate_span(algebra(name))
+
+
+@pytest.mark.parametrize("name", registry_names())
+@PROPERTY
+@given(st.data())
+def test_in_span_coordinates_recombine(name, data):
+    alg = algebra(name)
+    span = _translate_span(name)
+    rational = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+    g = data.draw(st.lists(rational, min_size=alg.dim, max_size=alg.dim))
+    translate = left_translation_map(alg, g)
+    p = Polynomial.zero(alg.dim)
+    for b in span.basis:
+        p = p + data.draw(rational) * b + data.draw(rational) * poly_compose(b, translate)
+    coords = span.in_span(p)
+    assert coords is not None and len(coords) == span.dim
+    recombined = Polynomial.zero(alg.dim)
+    for c, b in zip(coords, span.basis):
+        recombined = recombined + c * b
+    assert recombined == p
+    if name in OUTSIDE_SPAN:
+        stray = Polynomial(alg.dim, {OUTSIDE_SPAN[name]: data.draw(rational.filter(bool))})
+        assert span.in_span(p + stray) is None
 
 
 def _polynomials(dim, max_degree):
