@@ -18,14 +18,16 @@ Contents:
 - structure-constant specs with exact validation (antisymmetry, Jacobi,
   nilpotency step), plus a small registry: ``abelian:n`` (n <= 3),
   ``heisenberg`` (dim 3), ``engel`` (dim 4);
-- the truncated Dynkin/BCH product, generic over the entry ring (Fractions,
-  floats, or Polynomial entries for symbolic work);
+- one group law: the truncated Dynkin/BCH series, expanded once per
+  algebra into an exact PolyVector; the product evaluates it at Fractions,
+  floats or Polynomial entries (a composition, for symbolic work);
 - left translation of polynomial functions, the right-invariant vector
-  field of an algebra direction, BCH segment averages and their unipotent
-  inverses, and the pair substitutions built from them;
-- spans of translated coordinate functionals, held in echelon form, and
-  the semidirect structure (function space) x| (group), with nilpotency
-  certification;
+  fields (derivatives of the law), BCH segment averages and their
+  unipotent inverses, and the pair substitutions built from them;
+- one generator action, -(grad p) . field, for the translation generators;
+- spans of translated coordinate functionals, closed under that action and
+  held in echelon form, and the semidirect structure (function space) x|
+  (group), with nilpotency certification;
 - the semidirect exponential.
 """
 
@@ -105,30 +107,29 @@ _ZERO = Fraction(0)
 
 
 def _bracket(structure, X, Y):
-    """[X, Y] under the constants structure[i][j][k], for vectors over any
-    ring containing the rationals (Fractions, floats, complexes,
-    Polynomials)."""
+    """[X, Y] under the constants structure[i][j][k], for vectors of
+    Fractions or of Polynomials."""
     n = len(structure)
     # each slot starts at its ring's zero (0 * x keeps a Polynomial's
     # variable count); Fractions skip the costly multiplication
     out = [_ZERO if isinstance(x, Fraction) else 0 * x for x in X]
     for i in range(n):
         xi = X[i]
-        if isinstance(xi, (int, float, complex, Fraction)) and xi == 0:
+        if not xi:
             continue
         for j in range(n):
             yj = Y[j]
-            if isinstance(yj, (int, float, complex, Fraction)) and yj == 0:
+            if not yj:
                 continue
             row = structure[i][j]
             prod = None
             for k in range(n):
                 c = row[k]
-                if c == 0:
+                if not c:
                     continue
                 if prod is None:
                     prod = xi * yj
-                out[k] = out[k] + _scale(c, prod)
+                out[k] = out[k] + c * prod
     return out
 
 
@@ -234,15 +235,6 @@ class LieAlgebraSpec:
                 % (self.step, len(series))
             )
 
-    def bracket(self, X, Y):
-        """[X, Y] for vectors over any ring containing the rationals
-        (Fractions, floats, complexes, Polynomials)."""
-        X = list(X)
-        Y = list(Y)
-        if len(X) != self.dim or len(Y) != self.dim:
-            raise ValueError("bracket arguments must have length %d" % self.dim)
-        return _bracket(self.structure, X, Y)
-
     def to_json_dict(self):
         return {
             "name": self.name,
@@ -253,13 +245,6 @@ class LieAlgebraSpec:
                 for plane in self.structure
             ],
         }
-
-
-def _scale(c, v):
-    """c * v with c rational; exact for exact rings, float otherwise."""
-    if isinstance(v, (Polynomial, Fraction, int)):
-        return c * v
-    return float(c) * v
 
 
 def _structure_from_brackets(dim, pairs):
@@ -294,7 +279,7 @@ def registry_names():
 
 
 # ---------------------------------------------------------------------------
-# BCH product (truncated Dynkin series)
+# the group law (truncated Dynkin series), expanded once per algebra
 # ---------------------------------------------------------------------------
 
 
@@ -325,40 +310,39 @@ def _dynkin_words(step):
     return tuple(out)
 
 
-def bch_product(alg, X, Y):
-    """The group product X * Y = log(exp X exp Y) via the Dynkin series,
-    truncated at the nilpotency step (exact: deeper brackets vanish).
+@lru_cache(maxsize=None)
+def bch_symbolic(alg):
+    """The group law (X, Y) -> X * Y = log(exp X exp Y) as an exact
+    PolyVector in 2*dim variables (x_0..x_{d-1}, y_0..y_{d-1}): the Dynkin
+    series, truncated at the nilpotency step (exact: deeper brackets
+    vanish).  The only place the series is expanded; every other group
+    operation evaluates, composes or differentiates this law."""
+    d = alg.dim
+    letters = ([Polynomial.var(2 * d, i) for i in range(d)],
+               [Polynomial.var(2 * d, d + i) for i in range(d)])
+    total = [Polynomial.zero(2 * d)] * d
+    for coeff, word in _dynkin_words(alg.step):
+        vec = letters[word[-1]]
+        for letter in reversed(word[:-1]):
+            vec = _bracket(alg.structure, letters[letter], vec)
+        total = [a + coeff * v for a, v in zip(total, vec)]
+    return PolyVector(total)
 
-    Entries may be Fractions (exact), floats, or Polynomials (symbolic).
-    """
+
+def bch_product(alg, X, Y):
+    """The group product X * Y, as a list: the law bch_symbolic(alg)
+    evaluated at (X, Y).  Entries may be Fractions or ints (exact), floats,
+    or Polynomials over one shared space (the law composed with them)."""
     X = list(X)
     Y = list(Y)
     if len(X) != alg.dim or len(Y) != alg.dim:
         raise ValueError("group points must have length %d" % alg.dim)
-    letters = {0: X, 1: Y}
-    total = None
-    for coeff, word in _dynkin_words(alg.step):
-        vec = letters[word[-1]]
-        for letter in reversed(word[:-1]):
-            vec = alg.bracket(letters[letter], vec)
-        scaled = [_scale(coeff, v) for v in vec]
-        total = scaled if total is None else [a + b for a, b in zip(total, scaled)]
-    return total
+    return bch_symbolic(alg).eval(X + Y)
 
 
 def group_inverse(alg, X):
     """Inverse in exponential coordinates is the negative: X * (-X) = 0."""
     return [-x for x in X]
-
-
-@lru_cache(maxsize=None)
-def bch_symbolic(alg):
-    """The group law as an exact PolyVector in 2*dim variables
-    (x_0..x_{d-1}, y_0..y_{d-1})."""
-    d = alg.dim
-    X = [Polynomial.var(2 * d, i) for i in range(d)]
-    Y = [Polynomial.var(2 * d, d + i) for i in range(d)]
-    return PolyVector(bch_product(alg, X, Y))
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +357,7 @@ def _direction_polys(d, X):
     Xc = list(X)
     if Xc and isinstance(Xc[0], Polynomial):
         return Xc, Xc[0].nvars
-    return [_as_poly_const(d, c) for c in Xc], d
+    return [Polynomial.const(d, c) for c in Xc], d
 
 
 def left_translation_map(alg, g):
@@ -392,6 +376,23 @@ def left_translate_poly(alg, g, p):
     return poly_compose(p, left_translation_map(alg, g))
 
 
+@lru_cache(maxsize=None)
+def _right_fields(alg):
+    """The right-invariant field of each basis direction e_i: d/dt|_0 of
+    (t e_i) * g, that is the law's x_i-derivative at x = 0, as a PolyVector
+    on the group."""
+    d = alg.dim
+    law = bch_symbolic(alg)
+    fields = []
+    for i in range(d):
+        comps = []
+        for comp in law:
+            dx = poly_partial(comp, i).terms
+            comps.append(Polynomial(d, {e[d:]: c for e, c in dx.items() if not any(e[:d])}))
+        fields.append(PolyVector(comps))
+    return tuple(fields)
+
+
 def right_invariant_field(alg, X):
     """The right-invariant vector field of the direction X: its value at g
     is d/dt|_0 of (exp(tX) * g), as an exact PolyVector on the group.
@@ -401,21 +402,21 @@ def right_invariant_field(alg, X):
     and the field lives in that space (linear in X)."""
     d = alg.dim
     Xp, n = _direction_polys(d, X)
-    # variables: g_0..g_{d-1}, any further variables of X, then t (last)
-    t = Polynomial.var(n + 1, n)
-    tX = [c.lift(n + 1) * t for c in Xp]
-    G = [Polynomial.var(n + 1, i) for i in range(d)]
-    curve = bch_product(alg, tX, G)
-    comps = []
-    for comp in curve:
-        dt = poly_partial(comp, n)
-        at0 = Polynomial(n, {e[:-1]: c for e, c in dt.terms.items() if e[-1] == 0})
-        comps.append(at0)
+    comps = [Polynomial.zero(n)] * d
+    for x_i, field in zip(Xp, _right_fields(alg)):
+        if x_i:
+            comps = [a + x_i * f.lift(n) for a, f in zip(comps, field)]
     return PolyVector(comps)
 
 
-def _as_poly_const(nvars, c):
-    return Polynomial.const(nvars, Fraction(c))
+def _along_field(field, p):
+    """The generator of the translation action along a right-invariant
+    field: d/dt|_0 of p((-tX) * y) = -sum_k d_k p * field_k."""
+    out = Polynomial.zero(p.nvars)
+    for k, f in enumerate(field):
+        if f:
+            out = out - poly_partial(p, k) * f
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -576,18 +577,20 @@ class FunctionSpaceBasis:
 
 
 def close_under_translates(alg, seeds, cap_degree):
-    """Smallest translation-stable span containing ``seeds``: repeatedly
-    translate by symbolic one-parameter subgroups along every basis
-    direction, split off the parameter-coefficient polynomials, and keep
-    what enlarges the span.  Degree growth is bounded (translation cannot
-    raise degree past the cap for the spaces used here), so this stops."""
-    d = alg.dim
+    """Smallest translation-stable span containing ``seeds``: apply the
+    translation generator of every basis direction to each new element and
+    keep what enlarges the span.  A finite-dimensional polynomial space is
+    stable under the translations exactly when it is stable under their
+    generators, and the echelon basis is unique, so this is the span of all
+    translates.  Every kept image enlarges a span of polynomials of degree
+    <= cap_degree, so this stops; an image above the cap raises
+    ClosureError."""
     span = FunctionSpaceBasis(alg, (), cap_degree)
     queue = []
 
     def try_add(p):
         if p.degree() > cap_degree:
-            # a needed translate escaped the cap: the closure is not
+            # a generator image escaped the cap: the closure is not
             # realizable at this degree, which callers must hear about
             raise ClosureError(
                 "translation closure produced degree %d above the cap %d"
@@ -598,21 +601,11 @@ def close_under_translates(alg, seeds, cap_degree):
 
     for p in seeds:
         try_add(p)
-
-    # y -> (-a e_i) * y for each direction i, with a the last variable
-    lifted_vars = [Polynomial.var(d + 1, i) for i in range(d)]
-    a = Polynomial.var(d + 1, d)
-    moves = []
-    for direction in range(d):
-        g_sym = [a if i == direction else Polynomial.zero(d + 1) for i in range(d)]
-        moves.append(PolyVector(bch_product(alg, [-c for c in g_sym], lifted_vars)))
-
+    fields = _right_fields(alg)
     while queue:
         p = queue.pop()
-        for move in moves:
-            for piece in _split_tail(poly_compose(p, move), d).values():
-                try_add(piece)
-
+        for field in fields:
+            try_add(_along_field(field, p))
     return span
 
 
@@ -679,13 +672,7 @@ def sd_inverse(alg, m):
 def infinitesimal_translate(alg, X, p):
     """d/dt at t=0 of (translate_{exp(tX)} p): the generator of the
     translation action on functions."""
-    d = alg.dim
-    t = Polynomial.var(d + 1, d)
-    g_sym = [t * _as_poly_const(d + 1, c) for c in X]
-    moved = poly_compose(
-        p, PolyVector(bch_product(alg, [-c for c in g_sym], [Polynomial.var(d + 1, i) for i in range(d)]))
-    )
-    return _split_tail(moved, d).get((1,), Polynomial.zero(d))
+    return _along_field(right_invariant_field(alg, X), p)
 
 
 class ClosureError(ValueError):
@@ -703,14 +690,13 @@ def semidirect_nilpotency_check(alg, F):
     d = alg.dim
     k = F.dim
     n = k + d
-    basis_dirs = _units(d)
     basis = F.basis
     # generator action on each function-space basis element, in F-coordinates
     action = []  # action[i][a] = coords of generator_i . phi_a
-    for i in range(d):
+    for i, field in enumerate(_right_fields(alg)):
         row = []
         for a, phi in enumerate(basis):
-            moved = infinitesimal_translate(alg, basis_dirs[i], phi)
+            moved = _along_field(field, phi)
             coords = F.in_span(moved)
             if coords is None:
                 raise ClosureError(

@@ -245,7 +245,8 @@ class PolyVector:
 def poly_eval(p, x):
     """Evaluate p at the point x (exact when x is exact).
 
-    Accepts Fractions, ints, floats or complex entries; powers of each
+    Accepts Fractions, ints, floats or complex entries, or Polynomials over
+    one shared space (which composes p with them); powers of each
     coordinate are computed once and reused (Horner-flavoured caching), and
     terms are visited in sorted order so float results are deterministic.
     """

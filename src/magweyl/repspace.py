@@ -38,6 +38,7 @@ give bit-identical outputs.
 
 import itertools
 import math
+import numbers
 import os
 import struct
 
@@ -61,8 +62,10 @@ class GridSpec:
             raise ValueError("box extent must be positive and finite, got %r" % extent)
         if epsilon == 0 or not math.isfinite(epsilon):
             raise ValueError("representation parameter epsilon must be finite and nonzero")
-        if not math.isfinite(quad_box):
-            raise ValueError("quad_box must be finite, got %r" % quad_box)
+        if not 0 < quad_box < math.inf:
+            raise ValueError("quad_box must be positive and finite, got %r" % quad_box)
+        if not (isinstance(quad_nodes, numbers.Integral) and quad_nodes >= 1):
+            raise ValueError("quad_nodes must be an integer >= 1, got %r" % (quad_nodes,))
         if backend not in ("grid", "quadrature"):
             raise ValueError("backend must be 'grid' or 'quadrature'")
         if backend == "grid":
@@ -118,16 +121,8 @@ class GridSpec:
         return TWO_PI / self.extent
 
     @property
-    def zeta_axis(self):
-        return (np.arange(self.n_axis) - self.n_axis // 2) * self.zeta_step
-
-    @property
     def z_step(self):
         return abs(self.epsilon) * self.h
-
-    @property
-    def z_axis(self):
-        return (np.arange(self.n_axis) - self.n_axis // 2) * self.z_step
 
     @property
     def state_shape(self):
@@ -384,9 +379,6 @@ class HSOperator:
     def hs_inner(self, other):
         """(S | T) in the Hilbert-Schmidt sense = plain Frobenius pairing."""
         return complex(np.sum(self.matrix * np.conj(other.matrix)))
-
-    def hs_norm(self):
-        return math.sqrt(abs(self.hs_inner(self)))
 
     def trace(self):
         return complex(np.trace(self.matrix))

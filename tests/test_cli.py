@@ -4,6 +4,7 @@ syntax, subcommand outputs, manifests, and exit codes."""
 import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,16 +327,16 @@ class TestEmission:
         out_dir = tmp_path / "empty"
         paths = emit_report([], str(out_dir))
         jsonl_path, csv_path = paths
-        assert open(jsonl_path, "r", encoding="utf-8").read() == ""
+        assert Path(jsonl_path).read_text(encoding="utf-8") == ""
         assert (
-            open(csv_path, "r", encoding="utf-8").read()
+            Path(csv_path).read_text(encoding="utf-8")
             == "check,passed,asserted,metric,threshold\n"
         )
 
     def test_report_roundtrip(self, tmp_path):
         report = CheckReport.from_metric("demo", 0.5, 1.0)
         paths = emit_report([report], str(tmp_path))
-        record = json.loads(open(paths[0], "r", encoding="utf-8").read())
+        record = json.loads(Path(paths[0]).read_text(encoding="utf-8"))
         assert record["name"] == "demo"
         assert record["passed"] is True
 

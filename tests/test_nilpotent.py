@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from magweyl.poly import Polynomial, PolyVector, poly_compose, poly_eval
+from magweyl.magnetic import MagneticPotential, admissible_space
+from magweyl.poly import Polynomial, PolyVector, poly_compose, poly_partial
 from magweyl.nilpotent import (
     ClosureError,
     FunctionSpaceBasis,
@@ -206,6 +207,24 @@ class TestRightInvariantField:
         # value at the identity point recovers the direction: injectivity
         assert fX.eval([Fraction(0)] * alg.dim) == X
 
+    @pytest.mark.parametrize("name", ALGS)
+    def test_matches_curve_derivative(self, name):
+        # oracle: d/dt|_0 of the product curve (tX) * G, t the last variable
+        alg = algebra(name)
+        d = alg.dim
+        directions = [(rand_vec(random.Random(47), d), d),
+                      ([Polynomial.var(2 * d, d + i) for i in range(d)], 2 * d)]
+        for X, n in directions:
+            t = Polynomial.var(n + 1, n)
+            tX = [t * (c.lift(n + 1) if isinstance(c, Polynomial) else c) for c in X]
+            G = [Polynomial.var(n + 1, i) for i in range(d)]
+            oracle = [
+                Polynomial(n, {e[:-1]: c for e, c in poly_partial(comp, n).terms.items()
+                               if e[-1] == 0})
+                for comp in bch_product(alg, tX, G)
+            ]
+            assert list(right_invariant_field(alg, X)) == oracle
+
     def test_symbolic_direction_specialises(self):
         # X as the last 3 of 6 variables: the field at a rational X is the
         # symbolic field with X substituted.
@@ -317,10 +336,19 @@ class TestTranslateSpan:
             assert F.in_span(Polynomial.var(4, i)) is not None
         assert F.dim >= 5
 
-    @pytest.mark.parametrize("name", ["abelian:2", "heisenberg", "engel"])
+    @pytest.mark.parametrize("name", ALGS + ["heisenberg+A"])
     def test_translation_invariance_exact(self, name):
-        alg = algebra(name)
-        F = build_translate_span(alg)
+        # full translates at rational points stay in the span closed under
+        # the generators; "+A" is the admissible space of a degree-2 potential
+        if name.endswith("+A"):
+            alg = algebra(name[:-2])
+            y = [Polynomial.var(3, i) for i in range(3)]
+            A = MagneticPotential([y[1] ** 2, Polynomial.zero(3), y[0] * y[2]])
+            F = admissible_space(alg, A)
+            assert F.dim > build_translate_span(alg).dim
+        else:
+            alg = algebra(name)
+            F = build_translate_span(alg)
         rng = random.Random(41)
         for _ in range(4):
             g = rand_vec(rng, alg.dim)
@@ -385,6 +413,20 @@ class TestSemidirect:
         F = FunctionSpaceBasis(alg, [Polynomial.var(3, 0)], cap_degree=2)
         with pytest.raises(ClosureError, match="basis element 0"):
             semidirect_nilpotency_check(alg, F)
+
+    @pytest.mark.parametrize("name", ALGS)
+    def test_generator_is_first_order_translate(self, name):
+        # oracle: the t^1 coefficient of translate_{exp(tX)} p, t the last
+        # variable of a symbolic direction tX
+        alg = algebra(name)
+        d = alg.dim
+        rng = random.Random(53)
+        t = Polynomial.var(d + 1, d)
+        for p in build_translate_span(alg).basis + (Polynomial.var(d, 0) ** 3,):
+            X = rand_vec(rng, d)
+            moved = left_translate_poly(alg, [c * t for c in X], p)
+            first = Polynomial(d, {e[:-1]: c for e, c in moved.terms.items() if e[-1] == 1})
+            assert infinitesimal_translate(alg, X, p) == first
 
     def test_generator_action_on_linear(self):
         # translation generator applied to a linear functional yields the

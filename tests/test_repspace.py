@@ -77,15 +77,21 @@ class TestGridSpec:
             dict(epsilon=math.inf),
             dict(epsilon=-math.inf),
             dict(quad_box=math.nan),
+            dict(quad_box=0.0),
+            dict(quad_box=-6.0),
+            dict(quad_nodes=0),
+            dict(quad_nodes=2.5),
         ],
     )
     def test_rejects_bad_parameters(self, kw):
         args = dict(n_axis=16, extent=8.0, backend="grid", epsilon=1.0)
         args.update(kw)
         ((key, value),) = kw.items()
-        # A non-finite value is rejected by name.
+        # A non-finite value, and any bad quadrature parameter, is rejected
+        # by name.
         finite = not isinstance(value, float) or math.isfinite(value)
-        with pytest.raises(ValueError, match=None if finite else key):
+        named = key.startswith("quad_") or not finite
+        with pytest.raises(ValueError, match=key if named else None):
             rs.GridSpec(ABEL1, **args)
 
     def test_grid_backend_needs_commutative_group(self):
@@ -308,7 +314,8 @@ class TestSymbolTransforms:
         X, XI = np.meshgrid(spec.x_axis, spec.xi_axis, indexing="ij")
         u = rs.PhaseSpaceField(spec, np.exp(-(X ** 2 + XI ** 2) / 2.0), rs.SIDE_XI)
         out = rs.ft_symbol(spec, u)
-        ZETA, Z = np.meshgrid(spec.zeta_axis, spec.z_axis, indexing="ij")
+        centred = np.arange(spec.n_axis) - spec.n_axis // 2
+        ZETA, Z = np.meshgrid(centred * spec.zeta_step, centred * spec.z_step, indexing="ij")
         ref = np.exp(-(ZETA ** 2 + Z ** 2) / 2.0)
         assert np.max(np.abs(out.values - ref)) <= 1e-9
 
@@ -361,7 +368,7 @@ class TestOperators:
         p = random_state(spec, rng)
         op = rs.HSOperator.rank_one(f, p)
         target = f.norm() * p.norm()
-        assert abs(op.hs_norm() - target) <= 1e-12 * target
+        assert abs(math.sqrt(op.hs_inner(op).real) - target) <= 1e-12 * target
         assert abs(op.operator_norm() - target) <= 1e-10 * target
         assert abs(op.trace_norm() - target) <= 1e-10 * target
 

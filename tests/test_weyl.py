@@ -260,7 +260,9 @@ class TestQuantize:
         jx, ks = {1: ((11,), (6,)), 2: ((6, 2), (5, 1))}[d]
         x0 = [(j - half) * spec.h for j in jx]
         xi0 = [spec.xi_axis[k] for k in ks]
-        mesh = np.meshgrid(*([spec.zeta_axis] * d + [spec.z_axis] * d), indexing="ij")
+        centred = np.arange(spec.n_axis) - half
+        zeta_axis, z_axis = centred * spec.zeta_step, centred * spec.z_step
+        mesh = np.meshgrid(*([zeta_axis] * d + [z_axis] * d), indexing="ij")
         vals = np.exp(-1j * sum(m * c for m, c in zip(mesh, x0 + xi0)))
         op = quantize(ctx, PhaseSpaceField(spec, vals, SIDE_XISTAR))
         ref = weyl_operator(ctx, x0, xi0)
