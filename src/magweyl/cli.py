@@ -53,7 +53,7 @@ from .verify import (
     write_reports_jsonl,
     write_summary_csv,
 )
-from .weyl import QuantizerContext, ambiguity, moyal_product, quantize, wigner
+from .weyl import QuantizerContext, _check_output_bytes, ambiguity, moyal_product, quantize, wigner
 
 
 # ---------------------------------------------------------------------------
@@ -414,6 +414,7 @@ def _configured_symbol(cfg, ctx, block):
 
 
 def _cmd_quantize(cfg):
+    _check_output_bytes("quantize", (cfg.spec.n_axis ** cfg.spec.dim,) * 2)
     started = time.perf_counter()
     ctx = cfg.context()
     op = quantize(ctx, _configured_symbol(cfg, ctx, "state"))
@@ -425,6 +426,7 @@ def _cmd_quantize(cfg):
 
 
 def _cmd_moyal(cfg):
+    _check_output_bytes("moyal_product", (cfg.spec.n_axis ** cfg.spec.dim,) * 2)
     started = time.perf_counter()
     ctx = cfg.context()
     a = _configured_symbol(cfg, ctx, "state")

@@ -275,7 +275,9 @@ def poly_compose(p, subs):
     """Exact composition p(subs_0, ..., subs_{n-1}).
 
     ``subs`` is a PolyVector (or sequence of Polynomials) with one component
-    per variable of p; the result lives in the subs' variable space.
+    per variable of p; the result lives in the subs' variable space.  It is
+    poly_eval at the Polynomial entries, lifted to a Polynomial when p has
+    no non-constant term.
     """
     comps = list(subs)
     if len(comps) != p.nvars:
@@ -284,27 +286,8 @@ def poly_compose(p, subs):
         )
     if p.nvars == 0:
         return Polynomial(0, dict(p.terms))
-    m = comps[0].nvars
-    # cache powers of each substituted component up to its max needed exponent
-    max_e = [0] * p.nvars
-    for e in p.terms:
-        for i, k in enumerate(e):
-            if k > max_e[i]:
-                max_e[i] = k
-    power_tab = []
-    for i, q in enumerate(comps):
-        tab = [Polynomial.const(m, 1)]
-        for _ in range(max_e[i]):
-            tab.append(tab[-1] * q)
-        power_tab.append(tab)
-    result = Polynomial.zero(m)
-    for e in sorted(p.terms):
-        term = Polynomial.const(m, p.terms[e])
-        for i, k in enumerate(e):
-            if k:
-                term = term * power_tab[i][k]
-        result = result + term
-    return result
+    total = poly_eval(p, comps)
+    return total if isinstance(total, Polynomial) else Polynomial.const(comps[0].nvars, total)
 
 
 def poly_integrate_param(p):

@@ -30,10 +30,12 @@ segment of X, so each route's phase is one exact polynomial in
 (y_0..y_{d-1}, X_0..X_{d-1}), built once per context on first use (only the
 polynomials are cached: a fresh context gains nothing from a float cache).
 ``_eval_joint`` evaluates such a joint polynomial on the whole (step, point)
-lattice in one broadcast pass over per-axis power tables; the formula
-route's segment-average map and its inverse are joint polynomials the same
-way, one per algebra.  ``ambiguity_formula`` still applies its per-step
-substitution kernels in a loop (batched, they would hold N^(d+2) values).
+lattice in one broadcast pass over per-axis power tables.  The formula
+route's segment-average map at -y is a joint polynomial too, one per
+algebra, and splits exactly into a_i(X_i) + b_i(y_i) per axis, so
+``ambiguity_formula`` makes one axis transform over all steps with a shared
+kernel exp(i eps xi_k b_i(x_p)), then multiplies by a (step, frequency)
+factor table exp(i eps xi_k a_i(s_j h)), both cached per grid.
 ``symbol_ambiguity`` loops over the first lattice point only: the window
 shifted by (s1 + s2, s1) is one gather through the shift index,
 I[t2, I[t1, p]] on the rows and I[t1, q] on the columns, for every second
@@ -302,65 +304,76 @@ def wigner(ctx, f, window=None):
 
 
 @lru_cache(maxsize=None)
-def _joint_average_maps(alg):
-    """The segment-average map at -y and the exact inverse of the map, as
-    joint PolyVectors in (y, X)."""
+def _split_average_map(alg):
+    """Per axis i, the terms (coefficient, power) of the X_i part a_i and
+    of the y_i part b_i of component i of the segment-average map at -y;
+    NotImplementedError names a monomial that is neither."""
     d = alg.dim
     coords = [Polynomial.var(2 * d, i) for i in range(2 * d)]
     at_neg_y = PolyVector([-c for c in coords[:d]] + coords[d:])
-    return bch_average_symbolic(alg).compose(at_neg_y), bch_average_inverse_symbolic(alg)
+    parts = []
+    for i, comp in enumerate(bch_average_symbolic(alg).compose(at_neg_y)):
+        a, b = [], []
+        for e, c in sorted(comp.terms.items()):
+            used = [v for v, k in enumerate(e) if k]
+            if not (set(used) <= {d + i} or used == [i]):
+                raise NotImplementedError(
+                    "segment-average map component %d does not split along axes: "
+                    "monomial %s" % (i, "*".join("%s%d^%d" % ("yX"[v // d], v % d, e[v]) for v in used))
+                )
+            (b if used == [i] else a).append((c, sum(e)))
+        parts.append((tuple(a), tuple(b)))
+    return tuple(parts)
 
 
-def _average_kernel_rows(spec):
-    """Per axis i, the i-th component of the segment-average map at -x_p
-    for every step, shaped (step, p_i): the formula substitutes through it,
-    so it must not depend on the other point axes.  Its exact inverse is
-    spot-checked on a few points, for every step in one batch."""
-    d, n = spec.dim, spec.n_axis
-    avg, inv = _joint_average_maps(spec.group)
-    Y = [_eval_joint(spec, comp) for comp in avg]
-    rows = []
-    for i, Yi in enumerate(Y):
-        # Yi at point index 0 on every point axis but i.
-        first = Yi[(Ellipsis,) + tuple(slice(None) if k == i else slice(0, 1)
-                                       for k in range(d))]
-        if not (Yi == first).all():
-            raise NotImplementedError("substitution kernel does not factor along axes")
-        rows.append(first.reshape(spec.state_shape + (n,)))
-    m = n ** d
-    sample = np.arange(m)[:: max(1, m // 3)][:4]
-
-    def sampled(arr):
-        return arr.reshape(m, m)[:, sample].reshape(-1)
-
-    coords = [sampled(_eval_joint(spec, Polynomial.var(2 * d, v))) for v in range(2 * d)]
-    at = np.stack([sampled(Yi) for Yi in Y] + coords[d:], axis=-1)
-    back = np.stack([NumPoly.from_exact(p).eval_batch(at).real for p in inv], axis=-1)
-    if np.max(np.abs(back + np.stack(coords[:d], axis=-1))) > 1e-9:
-        raise RuntimeError("segment-average map inverse failed its round trip")
-    return rows
+def _formula_tables(spec):
+    """Per axis i, the shared kernel K_i[k, p] = exp(i eps xi_k b_i(x_p))
+    and the (step, frequency) factor F_i[j, k] = exp(i eps xi_k a_i(s_j h)),
+    cached on the grid.  The exact inverse of the average map is
+    spot-checked on every step against a few points."""
+    if "formula" not in spec._cache:
+        d, n, eps, xi = spec.dim, spec.n_axis, spec.epsilon, spec.xi_axis
+        h = Fraction(spec.extent) / n
+        X = np.array([float(int(s) * h) for s in np.arange(n) - n // 2])
+        parts = [
+            tuple(sum((float(c) * axis ** k for c, k in terms), np.zeros(n))
+                  for terms, axis in zip(split, (X, spec.x_axis)))
+            for split in _split_average_map(spec.group)
+        ]
+        sample = np.arange(n)[:: max(1, n // 3)][:4]
+        idx = np.indices((n,) * d + (len(sample),) * d).reshape(2 * d, -1)
+        steps, points = idx[:d], sample[idx[d:]]
+        at = np.stack([a[j] + b[p] for (a, b), j, p in zip(parts, steps, points)]
+                      + [X[j] for j in steps], axis=-1)
+        inv = bch_average_inverse_symbolic(spec.group)
+        back = np.stack([NumPoly.from_exact(p).eval_batch(at).real for p in inv], axis=-1)
+        if np.max(np.abs(back + spec.x_axis[points].T)) > 1e-9:
+            raise RuntimeError("segment-average map inverse failed its round trip")
+        kernels = tuple(np.exp(1j * eps * np.outer(xi, b)) for a, b in parts)
+        factors = tuple(np.exp(1j * eps * np.outer(a, xi)) for a, b in parts)
+        spec._cache["formula"] = kernels, factors
+    return spec._cache["formula"]
 
 
 def ambiguity_formula(ctx, f, window=None):
     """Closed-formula route on the full lattice: integrate the window
     against the segment phase exponent, with the argument substituted
-    through the segment-average map.  Never touches the semidirect
-    exponential; agreement with `ambiguity` is a checked theorem, not a
-    code path."""
+    through the segment-average map (_formula_tables).  Never touches the
+    semidirect exponential; agreement with `ambiguity` is a checked
+    theorem, not a code path."""
     spec = ctx.spec
     _require_grid(spec, "ambiguity_formula")
     w = window if window is not None else ctx.window
-    eps = spec.epsilon
-    rows = _average_kernel_rows(spec)
+    kernels, factors = _formula_tables(spec)
     B = w.values[_tables(spec).moved]
     np.conj(B, out=B)
     B *= f.values * spec.state_weight
     if not ctx.potential.is_zero():
         B *= _phase_factor(spec, ctx.joint_phase("formula"), -1)
-    for jX in np.ndindex(spec.state_shape):
-        kernels = [np.exp(1j * eps * np.outer(spec.xi_axis, row[jX])) for row in rows]
-        B[jX] = axis_transform(B[jX], kernels)
-    return PhaseSpaceField(spec, B, SIDE_XI)
+    out = axis_transform(B, kernels, scratch=B)
+    for i, factor in enumerate(factors):
+        out *= _along(factor, (i, len(factors) + i), out.ndim)
+    return PhaseSpaceField(spec, out, SIDE_XI)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +386,7 @@ def quantize(ctx, symbol):
     and sum the weighted lattice Weyl system."""
     spec = ctx.spec
     _require_grid(spec, "quantize")
+    _check_output_bytes("quantize", (spec.n_axis ** spec.dim,) * 2)
     if symbol.side != SIDE_XISTAR:
         raise ValueError("quantize expects a symbol on side %s" % SIDE_XISTAR)
     D = _synthesize(ctx, ift_symbol(spec, symbol).values)
@@ -392,6 +406,7 @@ def dequantize(ctx, op):
 
 def moyal_product(ctx, a, b):
     """Symbol of the operator product: dequantize(quantize(a) quantize(b))."""
+    _check_output_bytes("moyal_product", (ctx.spec.n_axis ** ctx.spec.dim,) * 2)
     return dequantize(ctx, quantize(ctx, a).compose(quantize(ctx, b)))
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from magweyl import cli
 from magweyl.cli import (
     build_potential,
     emit_report,
@@ -300,6 +301,24 @@ class TestTransformCommands:
         out_dir = tmp_path / "résultats"
         assert run_cli(["ambiguity"] + self.flags(out_dir)) == 0
         assert (out_dir / "ambiguity.mwt").exists()
+
+
+def _not_reached(*args, **kwargs):
+    raise AssertionError("built the context or the symbol before the size check")
+
+
+class TestMemoryGuard:
+    @pytest.mark.parametrize("command,what", [("quantize", "quantize"),
+                                              ("moyal", "moyal_product")])
+    def test_large_operator_refused_before_work(self, command, what, tmp_path,
+                                                capsys, monkeypatch):
+        for name in ("QuantizerContext", "quantize", "wigner", "moyal_product"):
+            monkeypatch.setattr(cli, name, _not_reached)
+        code = run_cli([command, "--group", "abelian:2", "--n", "96", "--extent", "24",
+                        "--out", str(tmp_path / "big")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "%s: output of shape (9216, 9216) needs 1358954496 bytes" % what in err
 
 
 class TestModnormCommand:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from magweyl import weyl as weyl_module
 from magweyl.magnetic import MagneticPotential
 from magweyl.nilpotent import algebra, exp_semidirect, sd_product
-from magweyl.poly import Polynomial, PolyVector, poly_compose
+from magweyl.poly import Polynomial, PolyVector, poly_compose, poly_eval
 from magweyl.repspace import (
     SIDE_XI,
     SIDE_XISTAR,
@@ -198,6 +198,24 @@ class TestAmbiguity:
             xi = [ctx.spec.xi_axis[k]]
             val = ambiguity_formula_at(ctx, f, x, xi)
             assert abs(a1.values[jx, k] - val) < 1e-12
+
+    def test_formula_pointwise_plane(self):
+        # The batched formula route itself, pinned to the per-point oracle.
+        ctx = grid_ctx(n=8, group=ABEL2, potential=crossed_potential(), epsilon=-0.7)
+        spec = ctx.spec
+        f = random_state(spec, 26)
+        field = ambiguity_formula(ctx, f)
+        for jx, k in [((0, 0), (0, 0)), ((3, 7), (5, 1)), ((4, 4), (4, 4)),
+                      ((7, 2), (1, 6)), ((1, 5), (6, 3)), ((6, 0), (2, 7))]:
+            x = [(j - 4) * spec.h for j in jx]
+            xi = [spec.xi_axis[c] for c in k]
+            assert abs(field.values[jx + k] - ambiguity_formula_at(ctx, f, x, xi)) < 1e-12
+
+    def test_formula_split_refuses_heisenberg(self):
+        # Heisenberg's average map mixes y1 with X0: no per-axis factor table.
+        with pytest.raises(NotImplementedError,
+                           match=r"component 2 .* monomial y1\^1\*X0\^1"):
+            weyl_module._split_average_map(HEIS)
 
     def test_hermitian_symmetry_exact_on_dual_lattice(self):
         # With trivial wrap phases (frequency on the dual lattice, no
@@ -464,7 +482,37 @@ def _no_quantize(ctx, symbol):
     raise AssertionError("quantized before the size check")
 
 
+def _no_ift_symbol(spec, u):
+    raise AssertionError("transformed before the size check")
+
+
+def _unallocated_symbol(spec):
+    # A zero-stride view: the symbol of a grid too large to hold.
+    return PhaseSpaceField(
+        spec, np.broadcast_to(np.zeros((), complex), spec.field_shape), SIDE_XISTAR
+    )
+
+
 class TestMemoryGuard:
+    def test_quantize_refuses_large_operator(self, monkeypatch):
+        ctx = grid_ctx(n=96, extent=24.0, group=ABEL2)
+        monkeypatch.setattr(weyl_module, "ift_symbol", _no_ift_symbol)
+        with pytest.raises(
+            ValueError,
+            match=r"quantize: output of shape \(9216, 9216\) needs 1358954496 bytes",
+        ):
+            quantize(ctx, _unallocated_symbol(ctx.spec))
+
+    def test_moyal_product_refuses_large_operator(self, monkeypatch):
+        ctx = grid_ctx(n=96, extent=24.0, group=ABEL2)
+        a = _unallocated_symbol(ctx.spec)
+        monkeypatch.setattr(weyl_module, "quantize", _no_quantize)
+        with pytest.raises(
+            ValueError,
+            match=r"moyal_product: output of shape \(9216, 9216\) needs 1358954496 bytes",
+        ):
+            moyal_product(ctx, a, a)
+
     def test_symbol_ambiguity_refuses_large_grid(self, monkeypatch):
         ctx = grid_ctx(n=128)
         a = constant_symbol(ctx.spec)
@@ -676,3 +724,41 @@ class TestJointPhase:
     def test_zero_potential_has_none(self):
         ctx = grid_ctx(n=8)
         assert ctx.joint_phase("rep") is None and ctx.joint_phase("formula") is None
+
+    @pytest.mark.parametrize(
+        "group,components",
+        [
+            (ABEL1, [[((1,), 1)]]),
+            (ABEL1, [[((2,), Fraction(1, 3)), ((0,), 1)]]),
+            (ABEL1, [[((3,), 1), ((1,), -1)]]),
+            (ABEL2, [[], [((1, 0), 1)]]),
+            (ABEL2, [[((0, 2), Fraction(5, 8))], [((1, 1), Fraction(-1, 8))]]),
+            (ABEL2, [[((1, 2), Fraction(7, 8))],
+                     [((2, 1), Fraction(3, 8)), ((0, 1), Fraction(1, 2))]]),
+            (ABEL2, [[((0, 1), -1), ((2, 0), Fraction(1, 4))],
+                     [((1, 0), 1), ((0, 3), Fraction(-2, 3))]]),
+        ],
+        ids=["line-1", "line-2", "line-3", "plane-1", "plane-2", "plane-3", "plane-mixed"],
+    )
+    def test_matches_segment_quadrature(self, group, components):
+        # Independent oracle: on an abelian group the segment from y runs
+        # through y - sX and the right fields are the constants X, so both
+        # routes' joint phase at (y, X) is the integral over s in [0, 1] of
+        # sum_i A_i(y - sX) X_i, here by Gauss-Legendre (exact at degree 3).
+        d = group.dim
+        potential = MagneticPotential([Polynomial(d, dict(terms)) for terms in components])
+        ctx = QuantizerContext(GridSpec(group, 8, 8.0), potential=potential)
+        nodes, weights = np.polynomial.legendre.leggauss(4)
+        for y, X in [
+            ([Fraction(1, 3), Fraction(-2, 5)], [Fraction(3, 4), Fraction(5, 7)]),
+            ([Fraction(-7, 6), Fraction(1, 2)], [Fraction(-4, 3), Fraction(2, 9)]),
+        ]:
+            y, X = y[:d], X[:d]
+            expected = 0.0
+            for t, wt in zip((nodes + 1) / 2, weights / 2):
+                at = [float(yi) - t * float(Xi) for yi, Xi in zip(y, X)]
+                expected += wt * sum(float(poly_eval(a, at)) * float(Xi)
+                                     for a, Xi in zip(potential.components, X))
+            for route in ("rep", "formula"):
+                got = float(poly_eval(ctx.joint_phase(route), y + X))
+                assert abs(got - expected) < 1e-12
