@@ -49,14 +49,16 @@ phases out of the semidirect exponential) and the closed-formula route
 (segment phase exponent plus the unipotent average map and its inverse).
 Tests compare them (acceptance criterion 07 and the property tests);
 neither calls the other.  They share only the shift index and the axis
-transform.  The per-point oracles the tests check both routes against
-live in ``reference``.
+transform.  Only the representation route reads the context's admissible
+space, which is built and certified on that first read: the formula route
+never consults the semidirect exponential or its space.  The per-point
+oracles the tests check both routes against live in ``reference``.
 """
 
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -97,9 +99,12 @@ def averaged_phase(alg, space, potential, X):
 
 
 class QuantizerContext:
-    """Precomputed machinery for one (grid, potential) pair: the admissible
-    function space, the default window, and each route's magnetic phase as
-    one exact polynomial in (y, X), built on first use."""
+    """Precomputed machinery for one (grid, potential) pair: the default
+    window and, built on first use, the admissible function space and each
+    route's magnetic phase as one exact polynomial in (y, X).  The space is
+    read only on the representation route with a nonzero potential
+    (joint_phase("rep"), averaged_pairing, the ``reference`` oracles), where
+    a ClosureError then surfaces."""
 
     def __init__(self, spec, potential=None, window=None):
         d = spec.dim
@@ -111,10 +116,13 @@ class QuantizerContext:
             )
         self.spec = spec
         self.potential = potential
-        self.space = admissible_space(spec.group, potential)
         self.window = window if window is not None else gaussian_state(spec)
         self.h_exact = Fraction(spec.extent) / spec.n_axis
         self._joint_phase = {}
+
+    @cached_property
+    def space(self):
+        return admissible_space(self.spec.group, self.potential)
 
     def lattice_point(self, steps):
         return [Fraction(s) * self.h_exact for s in steps]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from magweyl import cli
+from magweyl import cli, weyl
 from magweyl.cli import (
     build_potential,
     emit_report,
@@ -19,6 +19,7 @@ from magweyl.cli import (
     parse_potential_entry,
 )
 from magweyl.modspace import INFINITY, mod_norm_vector
+from magweyl.nilpotent import ClosureError
 from magweyl.poly import Polynomial
 from magweyl.repspace import csv_read, tensor_read
 from magweyl.verify import CheckReport
@@ -197,6 +198,21 @@ class TestGroupInfo:
     def test_unknown_group(self, capsys):
         assert run_cli(["group-info", "nope"]) == 2
         assert "unknown algebra" in capsys.readouterr().err
+
+
+def test_closure_error_exits_two(tmp_path, capsys, monkeypatch):
+    # The admissible space is built at the first representation-route read,
+    # inside dispatch; its error still reaches the user as exit code 2.
+    def fail(*args):
+        raise ClosureError("injected closure failure")
+
+    monkeypatch.setattr(weyl, "admissible_space", fail)
+    pot = tmp_path / "plane.pot"
+    pot.write_text("A: [comp=2, exp=(1,0), coeff=1/1]\n", encoding="utf-8")
+    code = run_cli(["ambiguity", "--group", "abelian:2", "--n", "8", "--extent", "8",
+                    "--potential", str(pot), "--out", str(tmp_path / "amb")])
+    assert code == 2
+    assert "injected closure failure" in capsys.readouterr().err
 
 
 class TestVerifyCommand:

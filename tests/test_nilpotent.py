@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from magweyl import nilpotent
 from magweyl.magnetic import MagneticPotential, admissible_space
 from magweyl.poly import Polynomial, PolyVector, poly_compose, poly_partial
 from magweyl.nilpotent import (
@@ -29,6 +30,10 @@ from magweyl.nilpotent import (
     sd_product,
     semidirect_nilpotency_check,
     substitution_maps,
+    _along_field,
+    _jacobi_violation,
+    _lower_central_series,
+    _right_fields,
     _structure_from_brackets,
 )
 
@@ -435,6 +440,126 @@ class TestSemidirect:
         xi = Polynomial.var(2, 1)
         out = infinitesimal_translate(alg, [Fraction(3), Fraction(5)], xi)
         assert out == Polynomial.const(2, -5)
+
+
+def _potential(alg, monomials):
+    """Components from (component, exponents, coefficient) triples."""
+    comps = [Polynomial.zero(alg.dim) for _ in range(alg.dim)]
+    for comp, exps, coeff in monomials:
+        comps[comp] = comps[comp] + Polynomial(alg.dim, {exps: Fraction(coeff)})
+    return MagneticPotential(comps)
+
+
+# The magnetic-cold benchmark's three potential kinds on the plane and the
+# line (coefficients k/8), and degree <= 2 potentials on the step-2 and
+# step-3 groups.
+POTENTIALS = {
+    "plane-1": ("abelian:2", [(1, (1, 0), Fraction(3, 8))]),
+    "plane-2": ("abelian:2", [(0, (0, 2), Fraction(-5, 8)), (1, (1, 1), Fraction(1, 8))]),
+    "plane-3": ("abelian:2", [(0, (1, 2), Fraction(7, 8)), (1, (2, 1), Fraction(-3, 8))]),
+    "line-1": ("abelian:1", [(0, (1,), Fraction(5, 8))]),
+    "line-2": ("abelian:1", [(0, (2,), Fraction(-1, 8))]),
+    "line-3": ("abelian:1", [(0, (3,), Fraction(3, 8))]),
+    "heisenberg-1": ("heisenberg", [(0, (0, 1, 0), 1)]),
+    "heisenberg-2": ("heisenberg", [(0, (0, 2, 0), 1), (2, (1, 0, 1), Fraction(1, 2))]),
+    "engel-1": ("engel", [(0, (0, 1, 0, 0), 1), (3, (0, 0, 1, 0), -1)]),
+    "engel-2": ("engel", [(1, (2, 0, 0, 0), 1), (3, (1, 0, 0, 1), Fraction(2, 3))]),
+}
+
+
+def _block_case(case):
+    kind, name = case.split(":", 1)
+    if kind == "span":
+        alg = algebra(name)
+        return alg, build_translate_span(alg)
+    if kind == "empty":
+        alg = algebra(name)
+        return alg, FunctionSpaceBasis(alg, (), 0)
+    if kind == "constants":
+        alg = algebra(name)
+        return alg, FunctionSpaceBasis(alg, [Polynomial.const(alg.dim, 1)], 0)
+    group, monomials = POTENTIALS[name]
+    alg = algebra(group)
+    return alg, admissible_space(alg, _potential(alg, monomials))
+
+
+BLOCK_CASES = (
+    ["span:" + name for name in registry_names()]
+    + ["empty:heisenberg", "constants:heisenberg", "constants:engel"]
+    + ["potential:" + name for name in POTENTIALS]
+)
+
+
+def _assembled(alg, F, fields):
+    """The semidirect structure tensor straight from its definition, for
+    any fields: [gen_i, phi_a] is the field's generator image of phi_a."""
+    k, d = F.dim, alg.dim
+    n = k + d
+    out = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i, field in enumerate(fields):
+        for a, phi in enumerate(F.basis):
+            for b, c in enumerate(F.in_span(_along_field(field, phi))):
+                out[k + i][a][b] = c
+                out[a][k + i][b] = -c
+    for i in range(d):
+        for j in range(d):
+            out[k + i][k + j][k:] = alg.structure[i][j]
+    return out
+
+
+class TestBlockCertification:
+    """The block certification against the generic Jacobi and
+    lower-central-series checks run on the tensor it returns."""
+
+    @pytest.mark.parametrize("case", BLOCK_CASES)
+    def test_matches_generic_checks(self, case):
+        alg, F = _block_case(case)
+        structure, step, ok = semidirect_nilpotency_check(alg, F)
+        assert structure == _assembled(alg, F, _right_fields(alg))
+        assert _jacobi_violation(structure) is None
+        series, terminated = _lower_central_series(structure)
+        assert (step, ok) == (len(series), terminated)
+
+    def test_small_span_keeps_group_step(self):
+        # no nonzero layer of F past the first: the step is heisenberg's own
+        for case in ("empty:heisenberg", "constants:heisenberg"):
+            assert semidirect_nilpotency_check(*_block_case(case))[1:] == (2, True)
+
+    def test_jacobi_violation_names_first_triple(self, monkeypatch):
+        # doubling e_0's field keeps the span closed but breaks Jacobi
+        alg = algebra("heisenberg")
+        F = build_translate_span(alg)
+        fields = list(_right_fields(alg))
+        fields[0] = PolyVector([2 * c for c in fields[0]])
+        expected = _jacobi_violation(_assembled(alg, F, fields))
+        assert expected == (1, 4, 5)
+        monkeypatch.setattr(nilpotent, "_right_fields", lambda alg: tuple(fields))
+        with pytest.raises(ValueError, match=r"violates Jacobi at \(1,4,5\)"):
+            semidirect_nilpotency_check(alg, F)
+
+    def test_jacobi_violation_order_is_basis_first(self, monkeypatch):
+        # two violations, (phi_1, gen_1, gen_2) and (phi_3, gen_0, gen_1):
+        # the generic check meets the lower basis element first
+        alg = algebra("abelian:3")
+        x = [Polynomial.var(3, i) for i in range(3)]
+        F = FunctionSpaceBasis(alg, [Polynomial.const(3, 1)] + x, 1)
+        fields = [list(f) for f in _right_fields(alg)]
+        fields[0][0] = fields[0][0] + x[1]
+        fields[1][2] = fields[1][2] + x[2]
+        fields = tuple(PolyVector(f) for f in fields)
+        assert _jacobi_violation(_assembled(alg, F, fields)) == (1, 5, 6)
+        monkeypatch.setattr(nilpotent, "_right_fields", lambda alg: fields)
+        with pytest.raises(ValueError, match=r"violates Jacobi at \(1,5,6\)"):
+            semidirect_nilpotency_check(alg, F)
+
+    def test_span_over_another_algebra_rejected(self):
+        F = build_translate_span(algebra("heisenberg"))
+        for name in ("abelian:3", "abelian:2"):
+            alg = algebra(name)
+            with pytest.raises(ValueError, match=r"over .*'heisenberg'.*, not .*'%s'" % name):
+                semidirect_nilpotency_check(alg, F)
+            with pytest.raises(ValueError, match=r"over .*'heisenberg'.*, not .*'%s'" % name):
+                exp_semidirect(alg, F, Polynomial.var(alg.dim, 0), [1] * alg.dim)
 
 
 class TestSemidirectExponential:

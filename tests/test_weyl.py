@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from magweyl import weyl as weyl_module
 from magweyl.magnetic import MagneticPotential
-from magweyl.nilpotent import algebra, exp_semidirect, sd_product
+from magweyl.nilpotent import ClosureError, algebra, exp_semidirect, sd_product
 from magweyl.poly import Polynomial, PolyVector, poly_compose, poly_eval
 from magweyl.repspace import (
     SIDE_XI,
@@ -708,6 +708,50 @@ class TestContextValidation:
         )
         with pytest.raises(ValueError, match="Xi"):
             project_field(ctx, kern, bad)
+
+
+def _refuse_space(*args, **kwargs):
+    raise AssertionError("built the admissible space")
+
+
+class TestLazySpace:
+    """Only the representation route with a potential builds the space."""
+
+    def test_formula_route_never_builds(self, monkeypatch):
+        monkeypatch.setattr(weyl_module, "admissible_space", _refuse_space)
+        ctx = grid_ctx(n=8, group=ABEL2, potential=crossed_potential())
+        field = ambiguity_formula(ctx, gaussian_state(ctx.spec))
+        assert np.all(np.isfinite(field.values))
+
+    def test_zero_potential_never_builds(self, monkeypatch):
+        monkeypatch.setattr(weyl_module, "admissible_space", _refuse_space)
+        ctx = grid_ctx(n=8)
+        ambiguity(ctx, ctx.window)
+        quantize(ctx, wigner(ctx, ctx.window))
+
+    def test_rep_route_builds_once(self, monkeypatch):
+        calls = []
+        build = weyl_module.admissible_space
+
+        def counting(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(weyl_module, "admissible_space", counting)
+        ctx = grid_ctx(n=8, group=ABEL2, potential=crossed_potential())
+        assert calls == []
+        ambiguity(ctx, ctx.window)
+        quantize(ctx, wigner(ctx, ctx.window))
+        assert calls == [(ABEL2, ctx.potential)]
+
+    def test_closure_error_surfaces_at_first_read(self, monkeypatch):
+        def fail(*args):
+            raise ClosureError("injected closure failure")
+
+        monkeypatch.setattr(weyl_module, "admissible_space", fail)
+        ctx = grid_ctx(n=8, group=ABEL2, potential=crossed_potential())
+        with pytest.raises(ClosureError, match="injected"):
+            ambiguity(ctx, ctx.window)
 
 
 class TestJointPhase:
