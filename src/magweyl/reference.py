@@ -102,34 +102,16 @@ def lattice_shift_indices(spec, g):
     return tuple(steps)
 
 
-def _compose_exact(p, pmap):
-    """Substitute an exact PolyVector (one component per variable) into the
-    numeric polynomial p."""
-    comps = [NumPoly.from_exact(q) for q in pmap]
-    result = NumPoly(comps[0].nvars, {})
-    for e, c in p.terms.items():
-        term = NumPoly.const(comps[0].nvars, c)
-        for i, k in enumerate(e):
-            for _ in range(k):
-                term = term * comps[i]
-        result = result + term
-    return result
-
-
 def _translated_state(f, m):
     """Apply the representation element (phi, g) to a closed-form state:
     multiply by the phase exp(i eps phi) and substitute x -> (-g) * x."""
     spec = f.spec
-    pmap = left_translation_map(spec.group, [Fraction(c) for c in m.x])
+    pmap = [NumPoly.from_exact(q)
+            for q in left_translation_map(spec.group, [Fraction(c) for c in m.x])]
     phase = 1j * spec.epsilon * NumPoly.from_exact(m.phi)
     out = []
     for poly, expo in f.expr:
-        out.append(
-            (
-                _compose_exact(poly, pmap),
-                _compose_exact(expo, pmap) + phase,
-            )
-        )
+        out.append((poly.compose(pmap), expo.compose(pmap) + phase))
     return QuadratureState(spec, out)
 
 

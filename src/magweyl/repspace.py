@@ -217,6 +217,13 @@ def gaussian_state(spec, center=None, width=1.0, momentum=None, chirp=0.0):
     d = spec.dim
     center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     momentum = np.zeros(d) if momentum is None else np.asarray(momentum, dtype=float)
+    for name, vec in (("center", center), ("momentum", momentum)):
+        if vec.shape != (d,) or not np.all(np.isfinite(vec)):
+            raise ValueError("%s must have %d finite entries, got %r" % (name, d, vec))
+    if not 0 < width < math.inf:
+        raise ValueError("width must be positive and finite, got %r" % (width,))
+    if not math.isfinite(chirp):
+        raise ValueError("chirp must be finite, got %r" % (chirp,))
     if spec.backend == "quadrature":
         return QuadratureState.gaussian(spec, center, width, momentum, chirp)
     mesh = spec.mesh()
@@ -444,6 +451,34 @@ class NumPoly:
         return NumPoly(self.nvars, terms)
 
     __rmul__ = __mul__
+
+    def conj(self):
+        """The coefficient-wise conjugate: conj(p(x)) at every real x."""
+        return NumPoly(self.nvars, {e: c.conjugate() for e, c in self.terms.items()})
+
+    def compose(self, comps):
+        """p(comps_0, ..., comps_{n-1}) for NumPolys over one shared space;
+        each power comps_i^k is built once."""
+        comps = list(comps)
+        if len(comps) != self.nvars:
+            raise ValueError("substitution has %d components, expected %d"
+                             % (len(comps), self.nvars))
+        nvars = comps[0].nvars
+        powers = {}
+
+        def power(i, k):
+            if (i, k) not in powers:
+                powers[i, k] = comps[i] if k == 1 else power(i, k - 1) * comps[i]
+            return powers[i, k]
+
+        result = NumPoly(nvars, {})
+        for e, c in sorted(self.terms.items()):
+            term = NumPoly.const(nvars, c)
+            for i, k in enumerate(e):
+                if k:
+                    term = term * power(i, k)
+            result = result + term
+        return result
 
     def eval_batch(self, pts):
         """pts: (M, nvars) float array -> (M,) complex values.  Rows go in

@@ -81,6 +81,7 @@ from .repspace import (
     HSOperator,
     NumPoly,
     PhaseSpaceField,
+    QuadratureState,
     StateVector,
     axis_transform,
     ft_symbol,
@@ -589,8 +590,22 @@ def project_field(ctx, kernel, field):
 
 
 # (x, X) node pairs per block of ambiguity_overlap_quadrature: bounds its
-# temporaries to a few tens of MB at any node count.
+# temporaries to a few MB at any node count.
 OVERLAP_BLOCK = 1 << 18
+
+
+def _bilinear(q, nodes, d):
+    """Real tables (Ur, Ui, V) of q(u, v) = sum_ab C[a, b] u^a v^b over
+    the node pairs: q(nodes[m], nodes[n]) = (Ur @ V + i Ui @ V)[m, n]."""
+    terms = q.terms or {(0,) * (2 * d): 0j}
+    us = sorted({e[:d] for e in terms})
+    vs = sorted({e[d:] for e in terms})
+    C = np.zeros((len(us), len(vs)), dtype=complex)
+    for e, c in terms.items():
+        C[us.index(e[:d]), vs.index(e[d:])] = c
+    mono_u, mono_v = (np.prod(nodes[:, None, :] ** np.asarray(exps), axis=-1)
+                      for exps in (us, vs))
+    return mono_u @ C.real, mono_u @ C.imag, mono_v.T
 
 
 def ambiguity_overlap_quadrature(spec, f1, w1, f2, w2):
@@ -604,23 +619,50 @@ def ambiguity_overlap_quadrature(spec, f1, w1, f2, w2):
 
     which tensor Gauss-Legendre evaluates on the quadrature box.  The
     potential drops out exactly (both phases cancel at coinciding
-    arguments), so this is also the gauge-invariant form."""
+    arguments), so this is also the gauge-invariant form.
+
+    The window factor sums conj(P1) P2 exp(conj(E1) + E2) at (-X)*x over
+    the term pairs of w1 and w2.  Each amplitude and exponent is composed
+    once with the law L(u, v) = (-u)*v (outer u = X, inner v = x) and split
+    as a bilinear form over per-node monomial tables (_bilinear), so a
+    block of X rows costs a few real matmuls and one exp, cos and sin per
+    pair.  The exponent stays real until the exp: after a complex matmul,
+    OpenBLAS makes the next complex exp several times slower."""
     if spec.backend != "quadrature":
         raise ValueError("ambiguity_overlap_quadrature needs the quadrature backend")
     d = spec.dim
+    for name, state in (("f1", f1), ("w1", w1), ("f2", f2), ("w2", w2)):
+        if not isinstance(state, QuadratureState) or state.spec.dim != d:
+            raise ValueError("%s must be a QuadratureState of dimension %d" % (name, d))
     nodes, wts = spec.gl_rule()
     M = nodes.shape[0]
     inner = (wts * f1.eval_batch(nodes) * np.conj(f2.eval_batch(nodes)))
-    law = [NumPoly.from_exact(p) for p in bch_symbolic(spec.group)]
+    law = [NumPoly(2 * d, {e: c * (-1) ** sum(e[:d]) for e, c in p.terms.items()})
+           for p in bch_symbolic(spec.group)]
+    tables = [
+        (_bilinear((p1.conj() * p2).compose(law), nodes, d),
+         _bilinear((e1.conj() + e2).compose(law), nodes, d))
+        for p1, e1 in w1.expr for p2, e2 in w2.expr
+    ]
     block = max(1, OVERLAP_BLOCK // M)
+    real_buf = np.empty((2, block, M))
+    complex_buf = np.empty((3, block, M), dtype=complex)
     total = 0.0 + 0.0j
     for start in range(0, M, block):
         stop = min(M, start + block)
-        rows = stop - start
-        big = np.empty((rows * M, 2 * d))
-        big[:, :d] = -np.repeat(nodes[start:stop], M, axis=0)
-        big[:, d:] = np.tile(nodes, (rows, 1))
-        moved = np.stack([p.eval_batch(big).real for p in law], axis=-1)
-        G = (np.conj(w1.eval_batch(moved)) * w2.eval_batch(moved)).reshape(rows, M)
+        re_e, im_e = real_buf[:, : stop - start]
+        amp, g, G = complex_buf[:, : stop - start]
+        G[...] = 0.0
+        for (ar, ai, av), (er, ei, ev) in tables:
+            np.matmul(er[start:stop], ev, out=re_e)
+            np.matmul(ei[start:stop], ev, out=im_e)
+            np.exp(re_e, out=re_e)
+            np.cos(im_e, out=g.real)
+            np.sin(im_e, out=g.imag)
+            g *= re_e
+            np.matmul(ar[start:stop], av, out=amp.real)
+            np.matmul(ai[start:stop], av, out=amp.imag)
+            g *= amp
+            G += g
         total += wts[start:stop] @ (G @ inner)
     return complex(total) / (abs(spec.epsilon) ** d)

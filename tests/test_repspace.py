@@ -12,7 +12,7 @@ import pytest
 from magweyl import repspace as rs
 from magweyl.magnetic import MagneticPotential, admissible_space
 from magweyl.nilpotent import SemidirectElement, algebra, build_translate_span, sd_product
-from magweyl.poly import Polynomial
+from magweyl.poly import Polynomial, poly_compose
 from magweyl.reference import apply_rep, apply_rep_exp, phase_space_lift
 
 ABEL1 = algebra("abelian:1")
@@ -477,6 +477,61 @@ class TestQuadratureBackend:
         m = SemidirectElement(Polynomial.var(3, 2), [Fraction(1, 2), Fraction(1, 4), Fraction(0)])
         out = apply_rep(spec, None, m, f)
         assert abs(out.norm() - f.norm()) <= 5e-3
+
+
+class TestNumPoly:
+    def test_conj_conjugates_values_at_real_points(self):
+        p = rs.NumPoly(2, {(0, 0): 1 + 2j, (1, 0): -0.5j, (1, 2): 3.0})
+        assert p.conj().terms == {(0, 0): 1 - 2j, (1, 0): 0.5j, (1, 2): 3.0}
+        pts = np.array([[0.3, -1.2], [2.0, 0.5]])
+        assert np.array_equal(p.conj().eval_batch(pts), np.conj(p.eval_batch(pts)))
+
+    def test_compose_matches_exact_composition(self):
+        # dyadic coefficients: every float product and sum below is exact
+        p = Polynomial(2, {(0, 0): Fraction(1, 2), (2, 1): Fraction(-3, 4), (0, 3): 2})
+        subs = [
+            Polynomial(3, {(1, 0, 0): 1, (0, 1, 1): Fraction(1, 2)}),
+            Polynomial(3, {(0, 0, 1): -1, (0, 0, 0): Fraction(3, 8)}),
+        ]
+        got = rs.NumPoly.from_exact(p).compose([rs.NumPoly.from_exact(q) for q in subs])
+        assert got.nvars == 3
+        assert got.terms == rs.NumPoly.from_exact(poly_compose(p, subs)).terms
+
+    def test_compose_complex_pointwise(self):
+        p = rs.NumPoly(2, {(1, 1): 0.5 - 1j, (0, 2): 1j, (0, 0): 2.0})
+        comps = [rs.NumPoly(2, {(1, 0): 1.0, (0, 1): -1.0}),
+                 rs.NumPoly(2, {(1, 1): 0.5j, (0, 0): 1.0})]
+        pts = np.random.default_rng(3).uniform(-1.0, 1.0, (5, 2))
+        at = np.stack([c.eval_batch(pts) for c in comps], axis=-1)
+        direct = 2.0 + (0.5 - 1j) * at[:, 0] * at[:, 1] + 1j * at[:, 1] ** 2
+        assert np.max(np.abs(p.compose(comps).eval_batch(pts) - direct)) <= 1e-14
+
+    def test_compose_needs_one_component_per_variable(self):
+        p = rs.NumPoly(2, {(1, 0): 1.0})
+        with pytest.raises(ValueError, match="components"):
+            p.compose([rs.NumPoly(2, {(0, 1): 1.0})])
+
+
+GAUSSIAN_BAD = {
+    "nan-center": ("center", lambda d: dict(center=[math.nan] + [0.0] * (d - 1))),
+    "inf-momentum": ("momentum", lambda d: dict(momentum=[0.0] * (d - 1) + [math.inf])),
+    "long-center": ("center", lambda d: dict(center=[0.0] * (d + 1))),
+    "short-momentum": ("momentum", lambda d: dict(momentum=[0.0] * (d - 1))),
+    "zero-width": ("width", lambda d: dict(width=0.0)),
+    "negative-width": ("width", lambda d: dict(width=-1.0)),
+    "inf-width": ("width", lambda d: dict(width=math.inf)),
+    "nan-width": ("width", lambda d: dict(width=math.nan)),
+    "inf-chirp": ("chirp", lambda d: dict(chirp=math.inf)),
+}
+
+
+class TestGaussianStateBounds:
+    @pytest.mark.parametrize("case", sorted(GAUSSIAN_BAD))
+    @pytest.mark.parametrize("spec", [default_spec(), quad_spec(4)], ids=["grid", "quadrature"])
+    def test_rejects_bad_parameter(self, spec, case):
+        name, kwargs = GAUSSIAN_BAD[case]
+        with pytest.raises(ValueError, match=name):
+            rs.gaussian_state(spec, **kwargs(spec.dim))
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,21 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from magweyl import weyl as weyl_module
 from magweyl.magnetic import MagneticPotential
-from magweyl.nilpotent import ClosureError, algebra, exp_semidirect, sd_product
+from magweyl.nilpotent import ClosureError, algebra, bch_symbolic, exp_semidirect, sd_product
 from magweyl.poly import Polynomial, PolyVector, poly_compose, poly_eval
 from magweyl.repspace import (
     SIDE_XI,
     SIDE_XISTAR,
     GridSpec,
     HSOperator,
+    NumPoly,
     PhaseSpaceField,
+    QuadratureState,
     StateVector,
     field_inner,
     ft_symbol,
@@ -692,6 +697,142 @@ class TestQuadratureRoutes:
         f = gaussian_state(ctx.spec)
         with pytest.raises(ValueError, match="quadrature"):
             ambiguity_overlap_quadrature(ctx.spec, f, f, f, f)
+
+    @pytest.mark.parametrize("position", ["f1", "w1", "f2", "w2"])
+    def test_overlap_rejects_grid_state(self, position):
+        spec = quad_ctx(nodes=4).spec
+        states = dict.fromkeys(("f1", "w1", "f2", "w2"), gaussian_state(spec))
+        states[position] = gaussian_state(grid_ctx().spec)
+        with pytest.raises(ValueError, match=position):
+            ambiguity_overlap_quadrature(spec, **states)
+
+    @pytest.mark.parametrize("position", ["f1", "w1", "f2", "w2"])
+    def test_overlap_rejects_other_dimension(self, position):
+        spec = quad_ctx(nodes=4).spec
+        engel = GridSpec(algebra("engel"), 8, 12.0, backend="quadrature", quad_nodes=4)
+        states = dict.fromkeys(("f1", "w1", "f2", "w2"), gaussian_state(spec))
+        states[position] = gaussian_state(engel)
+        with pytest.raises(ValueError, match=position):
+            ambiguity_overlap_quadrature(spec, **states)
+
+
+def _overlap_oracle(spec, f1, w1, f2, w2):
+    """The quadrature overlap pair by pair: the group law evaluated at every
+    (-X, x) node pair, then both windows at the moved points.  Returns the
+    value and the weighted sum of the absolute integrand, the scale of its
+    rounding error."""
+    nodes, wts = spec.gl_rule()
+    M = nodes.shape[0]
+    pairs = np.concatenate([-np.repeat(nodes, M, axis=0), np.tile(nodes, (M, 1))], axis=1)
+    moved = np.stack(
+        [NumPoly.from_exact(p).eval_batch(pairs).real for p in bch_symbolic(spec.group)],
+        axis=-1,
+    )
+    G = (np.conj(w1.eval_batch(moved)) * w2.eval_batch(moved)).reshape(M, M)
+    inner = wts * f1.eval_batch(nodes) * np.conj(f2.eval_batch(nodes))
+    norm = abs(spec.epsilon) ** spec.dim
+    return complex(wts @ (G @ inner)) / norm, wts @ (np.abs(G) @ np.abs(inner)) / norm
+
+
+def _quad_spec(group, nodes, box=6.0):
+    return GridSpec(algebra(group), 8, 12.0, backend="quadrature", quad_nodes=nodes,
+                    quad_box=box)
+
+
+def _chirped(spec, k):
+    d = spec.dim
+    return gaussian_state(
+        spec,
+        center=[0.4 - 0.3 * k + 0.1 * i for i in range(d)],
+        width=0.9 + 0.1 * k,
+        momentum=[0.3 * (-1) ** (i + k) for i in range(d)],
+        chirp=0.15 * (k - 1),
+    )
+
+
+def _with_amplitude(state, amplitude):
+    return QuadratureState(state.spec, [(p * amplitude, e) for p, e in state.expr])
+
+
+class TestOverlapOracle:
+    """The bilinear-form overlap against the pair-by-pair oracle."""
+
+    def test_chirped_heisenberg(self):
+        spec = _quad_spec("heisenberg", 6)
+        f1, w1, f2, w2 = (_chirped(spec, k) for k in range(4))
+        got = ambiguity_overlap_quadrature(spec, f1, w1, f2, w2)
+        ref, _ = _overlap_oracle(spec, f1, w1, f2, w2)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    def test_two_term_windows(self):
+        spec = _quad_spec("heisenberg", 6)
+        f1, w1, f2, w2, v1, v2 = (_chirped(spec, k) for k in range(6))
+        w1 = QuadratureState(spec, w1.expr + v1.scaled(0.5j).expr)
+        w2 = QuadratureState(spec, w2.expr + v2.expr)
+        got = ambiguity_overlap_quadrature(spec, f1, w1, f2, w2)
+        ref, _ = _overlap_oracle(spec, f1, w1, f2, w2)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    def test_polynomial_amplitude(self):
+        spec = _quad_spec("heisenberg", 6)
+        f1, w1, f2, w2 = (_chirped(spec, k) for k in range(4))
+        x0 = NumPoly(3, {(0, 0, 0): 1.0, (1, 0, 0): 0.3})
+        x2 = NumPoly(3, {(0, 0, 0): 0.5, (0, 0, 1): -0.2j, (0, 1, 1): 0.1})
+        w1, w2 = _with_amplitude(w1, x0), _with_amplitude(w2, x2)
+        got = ambiguity_overlap_quadrature(spec, f1, w1, f2, w2)
+        ref, _ = _overlap_oracle(spec, f1, w1, f2, w2)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    def test_cancelling_exponents(self):
+        # conj(E1) + E2 = 0: the composed exponent has no terms at all
+        spec = _quad_spec("heisenberg", 5)
+        f1, f2 = _chirped(spec, 0), _chirped(spec, 1)
+        wave = QuadratureState(spec, [(NumPoly(3, {(0, 0, 0): 1.0, (0, 1, 0): 0.2}),
+                                       NumPoly(3, {(1, 0, 0): 0.3j}))])
+        got = ambiguity_overlap_quadrature(spec, f1, wave, f2, wave)
+        ref, _ = _overlap_oracle(spec, f1, wave, f2, wave)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    def test_off_center_rule(self, monkeypatch):
+        # X -> -X maps the symmetric Gauss-Legendre rule onto itself, so
+        # there the outer sum cannot tell (-X)*x from X*x; a shifted rule can.
+        spec = _quad_spec("heisenberg", 5)
+        nodes, wts = spec.gl_rule()
+        shifted = (nodes + np.array([0.7, -0.4, 0.5]), wts)
+        monkeypatch.setattr(GridSpec, "gl_rule", lambda self: shifted)
+        f1, w1, f2, w2 = (_chirped(spec, k) for k in range(4))
+        got = ambiguity_overlap_quadrature(spec, f1, w1, f2, w2)
+        ref, _ = _overlap_oracle(spec, f1, w1, f2, w2)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    @pytest.mark.parametrize("group, nodes", [("engel", 3), ("engel", 4), ("abelian:2", 8)])
+    def test_other_algebras(self, group, nodes):
+        spec = _quad_spec(group, nodes, box=3.0)
+        f1, w1, f2, w2 = (_chirped(spec, k) for k in range(4))
+        w1 = _with_amplitude(w1, NumPoly(spec.dim, {(1,) + (0,) * (spec.dim - 1): 0.3,
+                                                    (0,) * spec.dim: 1.0}))
+        got = ambiguity_overlap_quadrature(spec, f1, w1, f2, w2)
+        ref, scale = _overlap_oracle(spec, f1, w1, f2, w2)
+        assert abs(ref) > 1e-3 * scale
+        assert abs(got - ref) <= 1e-13 * scale
+
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(st.lists(
+        st.tuples(
+            st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+            st.floats(0.6, 1.5),
+            st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+            st.floats(-0.3, 0.3),
+        ),
+        min_size=4, max_size=4,
+    ))
+    def test_gaussian_property(self, params):
+        spec = _quad_spec("heisenberg", 4)
+        states = [gaussian_state(spec, center=c, width=w, momentum=m, chirp=ch)
+                  for c, w, m, ch in params]
+        got = ambiguity_overlap_quadrature(spec, *states)
+        ref, scale = _overlap_oracle(spec, *states)
+        assert abs(got - ref) <= 1e-13 * scale
 
 
 class TestContextValidation:
