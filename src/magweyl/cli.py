@@ -25,9 +25,15 @@ own lines, one monomial each::
 monomial, ``coeff`` an exact rational.  The same lines may live in a
 separate file passed with ``--potential``.
 
-Every computing subcommand writes its arrays twice (binary tensor + CSV),
-a manifest with versions and seed, byte-identical across reruns, and a
-``run.json`` sidecar with the output directory and wall-clock timings.
+Every computing subcommand writes a manifest with versions and seed,
+byte-identical across reruns, and a ``run.json`` sidecar with the output
+directory and wall-clock timings.  ``ambiguity``, ``wigner``, ``quantize``
+and ``moyal`` write their array twice: a binary tensor (``.mwt``) and a
+CSV mirror with header ``i0,...,i{r-1},re,im`` and one row per entry in C
+order, indices in ``%d`` and values in ``%.17g``, so ``csv_read`` returns
+the tensor's values exactly.  Their ``run.json`` times the stages (the
+command's own key for the compute, ``write_mwt``, ``write_csv``) and
+records the array's shape and the bytes of both files under ``arrays``.
 """
 
 import argparse
@@ -143,6 +149,9 @@ def _parse_float(raw, key):
         return float(Fraction(raw[key]))
     except (ValueError, ZeroDivisionError):
         raise ValueError("configuration key %r: %r is not a number" % (key, raw[key]))
+    except OverflowError:
+        raise ValueError("configuration key %r: %r is out of the float range"
+                         % (key, raw[key])) from None
 
 
 def _parse_vector(raw, key, dim):
@@ -155,6 +164,9 @@ def _parse_vector(raw, key, dim):
         values = [float(Fraction(p)) for p in parts]
     except (ValueError, ZeroDivisionError):
         raise ValueError("configuration key %r: %r is not a number list" % (key, raw[key]))
+    except OverflowError:
+        raise ValueError("configuration key %r: %r holds a number out of the float range"
+                         % (key, raw[key])) from None
     if len(values) != dim:
         raise ValueError(
             "configuration key %r needs %d component(s), got %d" % (key, dim, len(values))
@@ -165,8 +177,9 @@ def _parse_vector(raw, key, dim):
 def _parse_exponent(raw, key):
     try:
         return as_exponent(raw[key])
-    except (ValueError, ZeroDivisionError):
-        raise ValueError("configuration key %r: %r is not a valid exponent" % (key, raw[key]))
+    except (ValueError, ZeroDivisionError) as err:
+        raise ValueError("configuration key %r: %r is not a valid exponent: %s"
+                         % (key, raw[key], err)) from None
 
 
 def parse_potential_entry(body, dim):
@@ -198,6 +211,12 @@ def parse_potential_entry(body, dim):
         raise ValueError(
             "potential coefficient %r is not a rational number" % coeff_text
         )
+    try:
+        float(coeff)
+    except OverflowError:
+        raise ValueError(
+            "potential coefficient %r is out of the float range" % coeff_text
+        ) from None
     return comp, exps, coeff
 
 
@@ -330,7 +349,7 @@ def emit_report(reports, out_dir):
     return [jsonl_path, csv_path]
 
 
-def _write_manifest(cfg, command, out_dir, outputs, timings):
+def _write_manifest(cfg, command, out_dir, outputs, timings, arrays=None):
     manifest = {
         "command": command,
         "config": {key: value for key, value in cfg.raw.items() if key != "out"},
@@ -347,20 +366,41 @@ def _write_manifest(cfg, command, out_dir, outputs, timings):
         "out": cfg.raw["out"],
         "timings": {name: round(value, 6) for name, value in timings.items()},
     }
+    if arrays:
+        run["arrays"] = arrays
     for name, record in (("manifest.json", manifest), ("run.json", run)):
         with open(os.path.join(out_dir, name), "w", encoding="utf-8", newline="\n") as handle:
             json.dump(record, handle, indent=2, sort_keys=True)
             handle.write("\n")
 
 
-def _write_array(out_dir, stem, array):
-    """Write one array as binary tensor + CSV; return both paths."""
+def _write_array(out_dir, stem, array, timings):
+    """Write one array as binary tensor + CSV, adding the ``write_mwt`` and
+    ``write_csv`` seconds to ``timings``; return both paths and the
+    run.json ``arrays`` record of the stem."""
     os.makedirs(out_dir, exist_ok=True)
     tensor_path = os.path.join(out_dir, stem + ".mwt")
     csv_path = os.path.join(out_dir, stem + ".csv")
+    started = time.perf_counter()
     tensor_write(tensor_path, array)
+    written = time.perf_counter()
     csv_write(csv_path, array)
-    return [tensor_path, csv_path]
+    timings["write_mwt"] = written - started
+    timings["write_csv"] = time.perf_counter() - written
+    record = {stem: {
+        "shape": list(np.shape(array)),
+        "mwt_bytes": os.path.getsize(tensor_path),
+        "csv_bytes": os.path.getsize(csv_path),
+    }}
+    return [tensor_path, csv_path], record
+
+
+def _emit_array(cfg, command, stem, array, elapsed):
+    """Write a subcommand's array and its manifest; ``elapsed`` is the
+    compute time, recorded under the command's name."""
+    timings = {command: elapsed}
+    outputs, arrays = _write_array(cfg.out_dir, stem, array, timings)
+    _write_manifest(cfg, command, cfg.out_dir, outputs, timings, arrays)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +431,7 @@ def _field_command(cfg, command):
         field = ambiguity(ctx, state)
     else:
         field = wigner(ctx, state, cfg.state("state2"))
-    elapsed = time.perf_counter() - started
-    outputs = _write_array(cfg.out_dir, command, field.values)
-    _write_manifest(cfg, command, cfg.out_dir, outputs, {command: elapsed})
+    _emit_array(cfg, command, command, field.values, time.perf_counter() - started)
     print("%s table %r on side %s -> %s"
           % (command, field.values.shape, field.side, cfg.out_dir))
     return 0
@@ -418,9 +456,7 @@ def _cmd_quantize(cfg):
     started = time.perf_counter()
     ctx = cfg.context()
     op = quantize(ctx, _configured_symbol(cfg, ctx, "state"))
-    elapsed = time.perf_counter() - started
-    outputs = _write_array(cfg.out_dir, "operator", op.matrix)
-    _write_manifest(cfg, "quantize", cfg.out_dir, outputs, {"quantize": elapsed})
+    _emit_array(cfg, "quantize", "operator", op.matrix, time.perf_counter() - started)
     print("operator matrix %r -> %s" % (op.matrix.shape, cfg.out_dir))
     return 0
 
@@ -432,9 +468,7 @@ def _cmd_moyal(cfg):
     a = _configured_symbol(cfg, ctx, "state")
     b = _configured_symbol(cfg, ctx, "state2")
     product = moyal_product(ctx, a, b)
-    elapsed = time.perf_counter() - started
-    outputs = _write_array(cfg.out_dir, "moyal", product.values)
-    _write_manifest(cfg, "moyal", cfg.out_dir, outputs, {"moyal": elapsed})
+    _emit_array(cfg, "moyal", "moyal", product.values, time.perf_counter() - started)
     print("twisted product %r on side %s -> %s"
           % (product.values.shape, product.side, cfg.out_dir))
     return 0

@@ -34,6 +34,11 @@ def as_exponent(value):
     e = Fraction(value)
     if e < 1:
         raise ValueError("exponent %s is below 1" % e)
+    try:
+        float(e)
+    except OverflowError:
+        raise ValueError("exponent is larger than any float (about 1.8e308); "
+                         "use 'inf' for the infinite exponent") from None
     return e
 
 

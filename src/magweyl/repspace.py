@@ -548,13 +548,14 @@ TENSOR_MAGIC = b"MWTN"
 
 def tensor_write(path, array):
     """Binary layout: magic 'MWTN', uint32 rank, rank x uint64 dims,
-    then C-order little-endian complex128 payload."""
+    then C-order little-endian complex128 payload (written from the
+    array's own buffer, not a copy)."""
     array = np.ascontiguousarray(array, dtype="<c16")
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<I", array.ndim))
         fh.write(struct.pack("<%dQ" % array.ndim, *array.shape))
-        fh.write(array.tobytes())
+        fh.write(array)
 
 
 def tensor_read(path):
@@ -577,17 +578,51 @@ def tensor_read(path):
     return flat.reshape(dims).astype(complex)
 
 
+# Most rows csv_write formats at once; each block's Python temporaries
+# (labels, floats, its text) stay below about 1 MB.
+CSV_BLOCK = 4096
+_CSV_VALUES = "%.17g,%.17g\n"
+
+
 def csv_write(path, array):
-    """index columns (one per axis), then re, im; rows in C order."""
+    """Header ``i0,...,i{r-1},re,im``, then one row per entry in C order:
+    the indices in ``%d``, the values in ``%.17g`` (so csv_read returns
+    them exactly).
+
+    Rows go out in blocks of at most CSV_BLOCK: whole trailing axes, or a
+    chunk of the axis they do not fit in, under one index prefix of the
+    axes before it.  One ``%`` formats a whole block."""
     array = np.asarray(array, dtype=complex)
+    shape = array.shape
+    # The axes after ``cut`` fit a block whole, ``inner`` rows; axis ``cut``
+    # is split into chunks of ``step`` indices (cut < 0: one block).
+    cut, inner = len(shape) - 1, 1
+    while cut >= 0 and inner * shape[cut] <= CSV_BLOCK:
+        inner *= shape[cut]
+        cut -= 1
+    tails = [""]
+    for n in shape[cut + 1:]:
+        tails = [a + b for a in tails for b in map("%d,".__mod__, range(n))]
     with open(path, "w", encoding="utf-8") as fh:
-        cols = ["i%d" % k for k in range(array.ndim)] + ["re", "im"]
-        fh.write(",".join(cols) + "\n")
-        for idx in np.ndindex(*array.shape):
-            v = array[idx]
-            prefix = ",".join(str(k) for k in idx)
-            fh.write(prefix + "," if prefix else "")
-            fh.write("%.17g,%.17g\n" % (v.real, v.imag))
+        fh.write(",".join(["i%d" % k for k in range(len(shape))] + ["re", "im"]) + "\n")
+        if cut < 0:
+            _csv_block(fh, "", tails, array)
+            return
+        step = CSV_BLOCK // inner
+        for idx in np.ndindex(*shape[:cut]):
+            prefix = "%d," * cut % idx
+            for start in range(0, shape[cut], step):
+                stop = min(start + step, shape[cut])
+                rows = [a + b for a in map("%d,".__mod__, range(start, stop)) for b in tails]
+                _csv_block(fh, prefix, rows, array[idx + (slice(start, stop),)])
+
+
+def _csv_block(fh, prefix, rows, part):
+    """Write ``part`` in C order, one row per entry, labelled
+    ``prefix + rows[k]``."""
+    if rows:
+        fmt = prefix + (_CSV_VALUES + prefix).join(rows) + _CSV_VALUES
+        fh.write(fmt % tuple(part.ravel().view(float).tolist()))
 
 
 def csv_read(path):

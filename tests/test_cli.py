@@ -157,6 +157,10 @@ class TestPotentialEntries:
         with pytest.raises(ValueError, match="rational"):
             parse_potential_entry("[comp=1, exp=(0), coeff=pi]", 1)
 
+    def test_coefficient_beyond_float_range_rejected(self):
+        with pytest.raises(ValueError, match="'1e400' is out of the float range"):
+            parse_potential_entry("[comp=1, exp=(0), coeff=1e400]", 1)
+
     def test_component_range_checked(self):
         with pytest.raises(ValueError, match="outside"):
             parse_potential_entry("[comp=3, exp=(0,0), coeff=1]", 2)
@@ -313,6 +317,22 @@ class TestTransformCommands:
         assert table.shape == (16, 16)
         assert np.all(np.isfinite(table))
 
+    def test_run_json_records_stages_and_arrays(self, tmp_path):
+        out_dir = tmp_path / "op"
+        assert run_cli(["quantize"] + self.flags(out_dir)) == 0
+        run = json.loads((out_dir / "run.json").read_text(encoding="utf-8"))
+        assert sorted(run["timings"]) == ["quantize", "write_csv", "write_mwt"]
+        assert all(value >= 0 for value in run["timings"].values())
+        assert run["arrays"] == {"operator": {
+            "shape": [16, 16],
+            "mwt_bytes": (out_dir / "operator.mwt").stat().st_size,
+            "csv_bytes": (out_dir / "operator.csv").stat().st_size,
+        }}
+        # header: magic, rank, two dims; then 256 complex128 entries
+        assert run["arrays"]["operator"]["mwt_bytes"] == 4 + 4 + 2 * 8 + 256 * 16
+        manifest = json.loads((out_dir / "manifest.json").read_text(encoding="utf-8"))
+        assert "arrays" not in manifest and "timings" not in manifest
+
     def test_unicode_output_directory(self, tmp_path):
         out_dir = tmp_path / "résultats"
         assert run_cli(["ambiguity"] + self.flags(out_dir)) == 0
@@ -335,6 +355,29 @@ class TestMemoryGuard:
         assert code == 2
         err = capsys.readouterr().err
         assert "%s: output of shape (9216, 9216) needs 1358954496 bytes" % what in err
+
+
+class TestOutOfRangeNumbers:
+    """A number beyond the float range ends in exit 2 and a message naming
+    its key, not an OverflowError traceback."""
+
+    @pytest.mark.parametrize("command,setting,key", [
+        ("ambiguity", ["--extent", "1e400"], "grid.extent"),
+        ("ambiguity", ["--epsilon=-1e400"], "epsilon"),
+        ("ambiguity", "window.width = 1e400", "window.width"),
+        ("ambiguity", "state.center = 1e400", "state.center"),
+        ("modnorm", ["--r", "1e400"], "exponents.r"),
+    ])
+    def test_exits_two_naming_the_key(self, command, setting, key, tmp_path, capsys):
+        args = [command, "--n", "8", "--out", str(tmp_path / "out")]
+        if isinstance(setting, str):
+            path = tmp_path / "range.cfg"
+            path.write_text(setting + "\n", encoding="utf-8")
+            setting = ["--config", str(path)]
+        assert run_cli(args + setting) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestModnormCommand:

@@ -61,6 +61,11 @@ class TestExponents:
         with pytest.raises(ValueError, match="below 1"):
             as_exponent("1/2")
 
+    def test_exponent_beyond_float_range_suggests_inf(self):
+        with pytest.raises(ValueError, match="use 'inf'"):
+            as_exponent("1e400")
+        assert as_exponent("1e300") == Fraction(10) ** 300
+
     def test_op_bound_textbook_case(self):
         quad = ExponentQuad(1, "inf", 2, 2, 2, 2)
         ok, reason = exponent_check(quad, "op_bound")

@@ -4,10 +4,15 @@ quadrature backend, and serialization."""
 
 import math
 import struct
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from magweyl import repspace as rs
 from magweyl.magnetic import MagneticPotential, admissible_space
@@ -631,3 +636,112 @@ class TestSerialization:
         path = tmp_path / "wéll_テスト.csv"
         rs.csv_write(path, arr)
         assert np.array_equal(rs.csv_read(path), arr)
+
+    def test_tensor_writes_the_c_order_little_endian_payload(self, tmp_path):
+        rng = np.random.default_rng(54)
+        path = tmp_path / "layout.mwt"
+        for arr in (np.zeros((3, 0)), np.arange(12).reshape(3, 4),
+                    (rng.standard_normal((4, 5)) + 1j).T.astype(">c16")):
+            rs.tensor_write(path, arr)
+            payload = np.ascontiguousarray(arr, dtype="<c16").tobytes()
+            header = (rs.TENSOR_MAGIC + struct.pack("<I", arr.ndim)
+                      + struct.pack("<%dQ" % arr.ndim, *arr.shape))
+            assert path.read_bytes() == header + payload
+
+
+def _csv_oracle(path, array):
+    """csv_write one entry at a time: the writer the blocked csv_write
+    replaced, kept as its byte-for-byte reference."""
+    array = np.asarray(array, dtype=complex)
+    with open(path, "w", encoding="utf-8") as fh:
+        cols = ["i%d" % k for k in range(array.ndim)] + ["re", "im"]
+        fh.write(",".join(cols) + "\n")
+        for idx in np.ndindex(*array.shape):
+            v = array[idx]
+            prefix = ",".join(str(k) for k in idx)
+            fh.write(prefix + "," if prefix else "")
+            fh.write("%.17g,%.17g\n" % (v.real, v.imag))
+
+
+_SPECIALS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e300, -1e300, 1.0, 0.1]
+_EXTREMES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300, 1.0, 0.1]
+
+
+def _grid_of(parts):
+    """Every (re, im) pair of ``parts`` as a square complex array."""
+    out = np.empty((len(parts), len(parts)), dtype=complex)
+    out.real = np.array(parts)[:, None]
+    out.imag = np.array(parts)[None, :]
+    return out
+
+
+# Each case takes ``noise(*shape)``, a seeded complex normal array; sizes
+# read CSV_BLOCK when called, so they follow a monkeypatched block.
+_CSV_CASES = {
+    "rank-0": lambda noise: np.array(1.5 - 2.25j),
+    "5": lambda noise: noise(5),
+    "3x4": lambda noise: noise(3, 4),
+    "2x3x4": lambda noise: noise(2, 3, 4),
+    "3x2x2x3": lambda noise: noise(3, 2, 2, 3),
+    "cli-256x256": lambda noise: noise(256, 256),
+    "cli-16^4": lambda noise: noise(16, 16, 16, 16),
+    "empty-3x0": lambda noise: np.zeros((3, 0), dtype=complex),
+    "long-1d": lambda noise: noise(3 * rs.CSV_BLOCK + 7),
+    "wide-2d": lambda noise: noise(2, rs.CSV_BLOCK + 3),
+    "transposed": lambda noise: noise(5, 4, 6).transpose(2, 0, 1),
+    "strided-1d": lambda noise: noise(2 * rs.CSV_BLOCK + 10)[::2],
+    "fortran": lambda noise: np.asfortranarray(noise(5, 6, 7)),
+    "float": lambda noise: noise(4, 9).real,
+    "int": lambda noise: np.arange(-30, 30).reshape(3, 4, 5),
+    "specials": lambda noise: _grid_of(_SPECIALS),
+    "extremes": lambda noise: _grid_of(_EXTREMES),
+}
+
+
+def _assert_csv_matches_oracle(folder, array):
+    got, want = Path(folder) / "got.csv", Path(folder) / "want.csv"
+    rs.csv_write(got, array)
+    _csv_oracle(want, array)
+    assert got.read_bytes() == want.read_bytes()
+    values = np.asarray(array, dtype=complex)
+    if values.size and np.isfinite(values).all():
+        back = rs.csv_read(got)
+        assert back.shape == values.shape
+        assert back.tobytes() == np.ascontiguousarray(values).tobytes()
+
+
+class TestCsvWriterOracle:
+    """csv_write against the entry-by-entry oracle, byte for byte; the
+    finite inputs also come back exactly from csv_read."""
+
+    @pytest.mark.parametrize("block", [None, 7], ids=["default-block", "block-7"])
+    @pytest.mark.parametrize("name", list(_CSV_CASES))
+    def test_bytes_match_oracle(self, name, block, tmp_path, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(rs, "CSV_BLOCK", block)
+        rng = np.random.default_rng(sum(map(ord, name)))
+
+        def noise(*shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        _assert_csv_matches_oracle(tmp_path, _CSV_CASES[name](noise))
+
+    def test_block_cuts_the_long_axis(self, tmp_path, monkeypatch):
+        # Rows that fill one block exactly, then one row more.
+        monkeypatch.setattr(rs, "CSV_BLOCK", 4)
+        for n in (3, 4, 5, 8, 9):
+            _assert_csv_matches_oracle(tmp_path, np.arange(n) + 0.5j)
+            _assert_csv_matches_oracle(tmp_path, np.ones((2, n, 2)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(hnp.arrays(
+        np.complex128,
+        hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=6),
+        elements=st.complex_numbers(allow_nan=True, allow_infinity=True),
+    ))
+    def test_property(self, array):
+        with tempfile.TemporaryDirectory() as folder:
+            _assert_csv_matches_oracle(folder, array)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(rs, "CSV_BLOCK", 5)
+                _assert_csv_matches_oracle(folder, array)
