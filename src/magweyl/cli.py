@@ -16,7 +16,10 @@ flags.  The merged raw key/value map less ``out`` is copied verbatim into
 every ``manifest.json`` so an output directory records what produced it.
 
 Config keys use dotted sections (``grid.n``, ``window.width``,
-``exponents.r`` ...).  Magnetic potential components are given on their
+``exponents.r`` ...); an unknown key is an error.  Every subcommand but
+``group-info`` runs on the cubic lattice, so it takes a commutative group
+of dimension at most 2; the quadrature discretization is reached from
+the library only.  Magnetic potential components are given on their
 own lines, one monomial each::
 
     A: [comp=1, exp=(0,1), coeff=1/1]     # x2 dx1 on a 2-d group
@@ -70,14 +73,10 @@ _DEFAULTS = {
     "group": "abelian:1",
     "grid.n": "64",
     "grid.extent": "16",
-    "grid.backend": "grid",
-    "grid.quad_nodes": "12",
-    "grid.quad_box": "6",
     "epsilon": "1",
     "seed": "0",
     "out": "magweyl-out",
     "only": "",
-    "symbol.kind": "wigner",
     "window.center": "",
     "window.width": "1",
     "window.momentum": "",
@@ -249,7 +248,7 @@ class RunConfig:
 
     __slots__ = (
         "raw", "potential_entries", "group", "spec", "potential",
-        "seed", "out_dir", "only", "symbol_kind", "gaussians", "exponents",
+        "seed", "out_dir", "only", "gaussians", "exponents",
     )
 
     def __init__(self, raw, potential_entries, build_grid=True):
@@ -262,13 +261,6 @@ class RunConfig:
         self.out_dir = self.raw["out"]
         only = [s.strip() for s in self.raw["only"].split(",") if s.strip()]
         self.only = only or None
-
-        kind = self.raw["symbol.kind"]
-        if kind not in ("wigner", "random"):
-            raise ValueError(
-                "configuration key 'symbol.kind': %r is not 'wigner' or 'random'" % kind
-            )
-        self.symbol_kind = kind
 
         self.exponents = {}
         for name in ("r", "s"):
@@ -286,15 +278,11 @@ class RunConfig:
         self.potential = build_potential(self.potential_entries, dim)
 
         if build_grid:
-            backend = self.raw["grid.backend"]
             self.spec = GridSpec(
                 self.group,
                 _parse_int(self.raw, "grid.n"),
                 _parse_float(self.raw, "grid.extent"),
-                backend=backend,
                 epsilon=_parse_float(self.raw, "epsilon"),
-                quad_nodes=_parse_int(self.raw, "grid.quad_nodes"),
-                quad_box=_parse_float(self.raw, "grid.quad_box"),
             )
         else:
             self.spec = None
@@ -437,25 +425,11 @@ def _field_command(cfg, command):
     return 0
 
 
-def _configured_symbol(cfg, ctx, block):
-    """The symbol a subcommand quantizes or multiplies.
-
-    ``wigner`` (default): cross-Wigner of the block's state against the
-    window.  ``random``: seeded random symbol, for quick stress runs.
-    """
-    if cfg.symbol_kind == "random":
-        from .verify import random_symbol
-
-        rng = np.random.default_rng([cfg.seed, _GAUSSIAN_BLOCKS.index(block)])
-        return random_symbol(ctx, rng)
-    return wigner(ctx, cfg.state(block), ctx.window)
-
-
 def _cmd_quantize(cfg):
     _check_output_bytes("quantize", (cfg.spec.n_axis ** cfg.spec.dim,) * 2)
     started = time.perf_counter()
     ctx = cfg.context()
-    op = quantize(ctx, _configured_symbol(cfg, ctx, "state"))
+    op = quantize(ctx, wigner(ctx, cfg.state("state"), ctx.window))
     _emit_array(cfg, "quantize", "operator", op.matrix, time.perf_counter() - started)
     print("operator matrix %r -> %s" % (op.matrix.shape, cfg.out_dir))
     return 0
@@ -465,8 +439,8 @@ def _cmd_moyal(cfg):
     _check_output_bytes("moyal_product", (cfg.spec.n_axis ** cfg.spec.dim,) * 2)
     started = time.perf_counter()
     ctx = cfg.context()
-    a = _configured_symbol(cfg, ctx, "state")
-    b = _configured_symbol(cfg, ctx, "state2")
+    a = wigner(ctx, cfg.state("state"), ctx.window)
+    b = wigner(ctx, cfg.state("state2"), ctx.window)
     product = moyal_product(ctx, a, b)
     _emit_array(cfg, "moyal", "moyal", product.values, time.perf_counter() - started)
     print("twisted product %r on side %s -> %s"
@@ -536,7 +510,6 @@ _FLAG_KEYS = (
     ("group", "group"),
     ("n", "grid.n"),
     ("extent", "grid.extent"),
-    ("backend", "grid.backend"),
     ("epsilon", "epsilon"),
     ("seed", "seed"),
     ("out", "out"),
@@ -560,7 +533,6 @@ def build_parser():
     common.add_argument("--group", help="group name (abelian:n, heisenberg, engel)")
     common.add_argument("--n", help="lattice points per axis")
     common.add_argument("--extent", help="box side length")
-    common.add_argument("--backend", help="grid or quadrature")
     common.add_argument("--epsilon", help="representation parameter")
     common.add_argument("--seed", help="random seed")
     common.add_argument("--out", help="output directory")

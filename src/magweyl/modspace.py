@@ -1,8 +1,8 @@
 """Mixed-norm functionals on phase-space fields and modulation norms.
 
-A mixed norm splits the field's axes into an inner and an outer block,
-takes a weighted power sum with exponent r over the inner block, then one
-with exponent s over the outer block.  Infinite exponents are exact grid
+A mixed norm takes a weighted power sum with exponent r over the leading
+half of the field's axes (the inner block), then one with exponent s over
+the trailing half (the outer block).  Infinite exponents are exact grid
 maxima, never large-p approximations.
 
 Axis weights are per-axis measure factors: h/sqrt(2*pi) on group axes and
@@ -104,30 +104,6 @@ def exponent_check(quad, mode):
     raise ValueError("unknown exponent mode %r" % mode)
 
 
-class Decomposition:
-    """A partition of a field's axes into the inner block and the outer
-    block of the mixed norm.  Must be disjoint and exhaustive."""
-
-    __slots__ = ("inner_axes", "outer_axes")
-
-    def __init__(self, inner_axes, outer_axes, total):
-        inner = tuple(int(a) for a in inner_axes)
-        outer = tuple(int(a) for a in outer_axes)
-        if sorted(inner + outer) != list(range(total)):
-            raise ValueError(
-                "axis blocks %r / %r do not partition %d axes" % (inner, outer, total)
-            )
-        self.inner_axes = inner
-        self.outer_axes = outer
-
-
-def _default_decomposition(field):
-    d = field.spec.dim
-    if isinstance(field, SymbolAmbiguityField):
-        return Decomposition(range(2 * d), range(2 * d, 4 * d), 4 * d)
-    return Decomposition(range(d), range(d, 2 * d), 2 * d)
-
-
 def _axis_weights(field):
     """Per-axis measure factors, by axis kind."""
     spec = field.spec
@@ -138,49 +114,47 @@ def _axis_weights(field):
     return ([group_w] * d + [dual_w] * d) * copies
 
 
-def mixed_power_norm(values, r, s, dec, axis_weights):
-    """Weighted nested power sum over explicit axis blocks.  ``values`` is
-    any complex/real array, ``axis_weights`` one scalar per axis."""
+def mixed_power_norm(values, r, s, axis_weights):
+    """Weighted nested power sum: exponent r over the leading half of the
+    axes, then s over the trailing half.  ``values`` is any complex/real
+    array, ``axis_weights`` one scalar per axis."""
     r = as_exponent(r)
     s = as_exponent(s)
     mags = np.abs(np.asarray(values))
-    order = dec.inner_axes + dec.outer_axes
-    p_in = int(np.prod([mags.shape[a] for a in dec.inner_axes], dtype=np.int64))
-    flat = np.transpose(mags, order).reshape(p_in, -1)
+    half = mags.ndim // 2
+    p_in = int(np.prod(mags.shape[:half], dtype=np.int64))
+    flat = mags.reshape(p_in, -1)
     if r == INFINITY:
         inner = flat.max(axis=0)
     else:
-        w_in = float(np.prod([axis_weights[a] for a in dec.inner_axes]))
+        w_in = float(np.prod(axis_weights[:half]))
         inner = (np.sum(flat ** float(r), axis=0) * w_in) ** (1.0 / float(r))
     if s == INFINITY:
         return float(inner.max())
-    w_out = float(np.prod([axis_weights[a] for a in dec.outer_axes]))
+    w_out = float(np.prod(axis_weights[half:]))
     return float((np.sum(inner ** float(s)) * w_out) ** (1.0 / float(s)))
 
 
-def mixed_norm(field, r, s, dec=None):
+def mixed_norm(field, r, s):
     """Mixed L^{r,s} norm of a phase-space field (or an operator-window
-    ambiguity field), inner block first.  Default split: group axes inside,
-    frequency axes outside; for operator fields, first point inside,
-    second point outside."""
-    if dec is None:
-        dec = _default_decomposition(field)
-    return mixed_power_norm(field.values, r, s, dec, _axis_weights(field))
+    ambiguity field): group axes inside, frequency axes outside; for
+    operator fields, first point inside, second point outside."""
+    return mixed_power_norm(field.values, r, s, _axis_weights(field))
 
 
-def mod_norm_vector(ctx, f, window, r, s, dec=None):
+def mod_norm_vector(ctx, f, window, r, s):
     """Modulation norm of a state: the mixed norm of its ambiguity field
     against the given window."""
     if not np.any(window.values):
         raise ValueError("modulation norm needs a nonzero window")
-    return mixed_norm(ambiguity(ctx, f, window), r, s, dec)
+    return mixed_norm(ambiguity(ctx, f, window), r, s)
 
 
-def mod_norm_symbol(ctx, a, window1, window2, r, s, dec=None):
+def mod_norm_symbol(ctx, a, window1, window2, r, s):
     """Modulation norm of a symbol: the mixed norm of its operator-window
     ambiguity against the quantized cross-distribution of the two windows,
     first phase-space point inside, second outside."""
     if not np.any(window1.values) or not np.any(window2.values):
         raise ValueError("modulation norm needs nonzero windows")
     b = wigner(ctx, window1, window2)
-    return mixed_norm(symbol_ambiguity(ctx, a, b), r, s, dec)
+    return mixed_norm(symbol_ambiguity(ctx, a, b), r, s)

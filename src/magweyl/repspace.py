@@ -550,7 +550,7 @@ def tensor_write(path, array):
     """Binary layout: magic 'MWTN', uint32 rank, rank x uint64 dims,
     then C-order little-endian complex128 payload (written from the
     array's own buffer, not a copy)."""
-    array = np.ascontiguousarray(array, dtype="<c16")
+    array = np.asarray(array, dtype="<c16", order="C")
     with open(path, "wb") as fh:
         fh.write(TENSOR_MAGIC)
         fh.write(struct.pack("<I", array.ndim))

@@ -419,9 +419,7 @@ def check_op_bounds(ctx, quad=None, trials=100, norm="operator", seed=0,
                                    extra_ok=extra_ok)
 
 
-def check_gauge_covariance(ctx_base, ctx_gauged, chi, trials=3, seed=0,
-                           threshold=1e-3, states_box=0.4,
-                           width_range=(0.7, 0.9), momentum_box=0.5):
+def check_gauge_covariance(ctx_base, ctx_gauged, chi, trials=3, seed=0):
     """Shifting the potential by an exact gradient conjugates quantization
     by the corresponding unimodular multiplier and leaves the twisted
     product untouched (the product depends on the potential only through
@@ -433,8 +431,8 @@ def check_gauge_covariance(ctx_base, ctx_gauged, chi, trials=3, seed=0,
 
     The identity is exact except on matrix entries whose translation wraps
     around the box, so the test symbols must keep their mass away from
-    separations of half the box: the defaults assume an extent of at least
-    ~16 for unit-width states.
+    separations of half the box: the states, of width 0.7 to 0.9 near the
+    origin, assume an extent of at least ~16.
     """
     spec = ctx_base.spec
     other = ctx_gauged.spec
@@ -464,9 +462,9 @@ def check_gauge_covariance(ctx_base, ctx_gauged, chi, trials=3, seed=0,
     ).ravel()
     rng = np.random.default_rng(seed)
     ranges = {
-        "center_box": states_box,
-        "width_range": width_range,
-        "momentum_box": momentum_box,
+        "center_box": 0.4,
+        "width_range": (0.7, 0.9),
+        "momentum_box": 0.5,
         "chirp_box": 0.0,
     }
     worst_twirl = 0.0
@@ -498,8 +496,7 @@ def check_gauge_covariance(ctx_base, ctx_gauged, chi, trials=3, seed=0,
         "conjugation_defect": worst_twirl,
         "product_defect": worst_product,
     }
-    return CheckReport.from_metric("gauge-field", metric, threshold,
-                                   context=context)
+    return CheckReport.from_metric("gauge-field", metric, 1e-3, context=context)
 
 
 def _grid_context(spec):
@@ -521,7 +518,7 @@ def _grid_context(spec):
 # ---------------------------------------------------------------------------
 
 
-def _run_orthogonality(seed_seq, thresholds):
+def _run_orthogonality(seed_seq):
     spec = GridSpec(algebra("abelian:1"), 64, 16.0)
     ctx = QuantizerContext(spec)
     rng = np.random.default_rng(seed_seq)
@@ -535,35 +532,32 @@ def _run_orthogonality(seed_seq, thresholds):
         rhs = inner_product(spec, f1, f2) * inner_product(spec, w2, w1)
         scale = f1.norm() * f2.norm() * w1.norm() * w2.norm()
         worst = max(worst, abs(lhs - rhs) / scale)
-    threshold = thresholds.get("orthogonality", 1e-6)
     context = {
         "grid": _grid_context(spec),
         "seed": list(seed_seq),
         "quadruples": 20,
     }
-    return [CheckReport.from_metric("orthogonality", worst, threshold,
-                                    context=context)]
+    return [CheckReport.from_metric("orthogonality", worst, 1e-6, context=context)]
 
 
-def _run_unitarity(seed_seq, thresholds):
+def _run_unitarity(seed_seq):
     spec = GridSpec(algebra("abelian:1"), 16, 8.0)
     ctx = QuantizerContext(spec)
     q = materialize_quantizer(ctx)
     gram = q.conj().T @ q
     defect = float(np.max(np.abs(gram - np.eye(gram.shape[0]))))
     rank = int(np.linalg.matrix_rank(q))
-    threshold = thresholds.get("unitarity", 1e-6)
     context = {
         "grid": _grid_context(spec),
         "matrix_rank": rank,
         "full_rank": rank == q.shape[0],
         "size": list(q.shape),
     }
-    return [CheckReport.from_metric("unitarity", defect, threshold,
+    return [CheckReport.from_metric("unitarity", defect, 1e-6,
                                     context=context, extra_ok=rank == q.shape[0])]
 
 
-def _run_rank_one(seed_seq, thresholds):
+def _run_rank_one(seed_seq):
     spec = GridSpec(algebra("abelian:1"), 32, 16.0)
     ctx = QuantizerContext(spec)
     rng = np.random.default_rng(seed_seq)
@@ -577,12 +571,11 @@ def _run_rank_one(seed_seq, thresholds):
             worst,
             float(np.linalg.norm(op.matrix - ref.matrix) / np.linalg.norm(ref.matrix)),
         )
-    threshold = thresholds.get("rank-one", 1e-6)
     context = {"grid": _grid_context(spec), "seed": list(seed_seq), "pairs": 4}
-    return [CheckReport.from_metric("rank-one", worst, threshold, context=context)]
+    return [CheckReport.from_metric("rank-one", worst, 1e-6, context=context)]
 
 
-def _run_reconstruction(seed_seq, thresholds):
+def _run_reconstruction(seed_seq):
     spec = GridSpec(algebra("abelian:1"), 32, 16.0)
     ctx = QuantizerContext(spec)
     rng = np.random.default_rng(seed_seq)
@@ -598,18 +591,16 @@ def _run_reconstruction(seed_seq, thresholds):
         np.linalg.norm(via_other.values - f.values) / np.linalg.norm(f.values)
     )
     metric = max(err_same, err_other)
-    threshold = thresholds.get("reconstruction", 1e-6)
     context = {
         "grid": _grid_context(spec),
         "seed": list(seed_seq),
         "same_window_error": err_same,
         "other_window_error": err_other,
     }
-    return [CheckReport.from_metric("reconstruction", metric, threshold,
-                                    context=context)]
+    return [CheckReport.from_metric("reconstruction", metric, 1e-6, context=context)]
 
 
-def _run_reproducing_kernel(seed_seq, thresholds):
+def _run_reproducing_kernel(seed_seq):
     spec = GridSpec(algebra("abelian:1"), 16, 8.0)
     window = _normalized(gaussian_state(spec))
     ctx = QuantizerContext(spec, window=window)
@@ -626,7 +617,6 @@ def _run_reproducing_kernel(seed_seq, thresholds):
         np.max(np.abs(twice.values - once.values)) / np.max(np.abs(once.values))
     )
     metric = max(diag_defect, fixed, idem)
-    threshold = thresholds.get("reproducing-kernel", 1e-6)
     context = {
         "grid": _grid_context(spec),
         "seed": list(seed_seq),
@@ -634,11 +624,11 @@ def _run_reproducing_kernel(seed_seq, thresholds):
         "fixed_point_defect": fixed,
         "idempotent_defect": idem,
     }
-    return [CheckReport.from_metric("reproducing-kernel", metric, threshold,
+    return [CheckReport.from_metric("reproducing-kernel", metric, 1e-6,
                                     context=context)]
 
 
-def _run_ambiguity_factorization(seed_seq, thresholds):
+def _run_ambiguity_factorization(seed_seq):
     """Full-field check that the symbol-plane transform of a Wigner-pair
     symbol splits into a shifted ambiguity times a conjugated one."""
     spec = GridSpec(algebra("abelian:1"), 16, 8.0)
@@ -672,13 +662,12 @@ def _run_ambiguity_factorization(seed_seq, thresholds):
     ref = first[su[:, :, None, None], sv[None, None, :, :]]
     ref = np.transpose(ref, (0, 2, 1, 3)) * np.conj(second)[:, :, None, None]
     metric = float(np.max(np.abs(field.values - ref)) / np.max(np.abs(ref)))
-    threshold = thresholds.get("ambiguity-factorization", 1e-6)
     context = {"grid": _grid_context(spec), "seed": list(seed_seq)}
-    return [CheckReport.from_metric("ambiguity-factorization", metric, threshold,
+    return [CheckReport.from_metric("ambiguity-factorization", metric, 1e-6,
                                     context=context)]
 
 
-def _run_wigner_bound(seed_seq, thresholds):
+def _run_wigner_bound(seed_seq):
     spec = GridSpec(algebra("abelian:1"), 16, 8.0)
     ctx = QuantizerContext(spec)
     rng = np.random.default_rng(seed_seq)
@@ -688,7 +677,7 @@ def _run_wigner_bound(seed_seq, thresholds):
         ExponentQuad(2, 2, 2, 2, 2, 2),
         trials=50,
         seed=sub_seeds[0],
-        equality_band=thresholds.get("wigner-bound-equality", 1e-4),
+        equality_band=1e-4,
     )
     sharp = check_wigner_bound(
         ctx,
@@ -699,7 +688,7 @@ def _run_wigner_bound(seed_seq, thresholds):
     return [equal, sharp]
 
 
-def _run_operator_bound(seed_seq, thresholds):
+def _run_operator_bound(seed_seq):
     spec = GridSpec(algebra("abelian:1"), 16, 8.0)
     ctx = QuantizerContext(spec)
     rng = np.random.default_rng(seed_seq)
@@ -707,7 +696,7 @@ def _run_operator_bound(seed_seq, thresholds):
     return [check_op_bounds(ctx, trials=100, norm="operator", seed=sub_seed)]
 
 
-def _run_trace_bound(seed_seq, thresholds):
+def _run_trace_bound(seed_seq):
     spec = GridSpec(algebra("abelian:1"), 16, 8.0)
     ctx = QuantizerContext(spec)
     rng = np.random.default_rng(seed_seq)
@@ -715,8 +704,7 @@ def _run_trace_bound(seed_seq, thresholds):
     return [check_op_bounds(ctx, trials=100, norm="trace", seed=sub_seed)]
 
 
-def _run_gauge_field(seed_seq, thresholds):
-    threshold = thresholds.get("gauge-field", 1e-3)
+def _run_gauge_field(seed_seq):
     rng = np.random.default_rng(seed_seq)
     sub_seeds = [int(s) for s in rng.integers(0, 2 ** 31, 2)]
 
@@ -727,9 +715,8 @@ def _run_gauge_field(seed_seq, thresholds):
     chi = Polynomial.var(2, 0) * Polynomial.var(2, 1)
     base = QuantizerContext(spec2, potential=a_pot)
     gauged = QuantizerContext(spec2, potential=gauge_shift(a_pot, chi))
-    plane_report = check_gauge_covariance(
-        base, gauged, chi, trials=3, seed=sub_seeds[0], threshold=threshold
-    )
+    plane_report = check_gauge_covariance(base, gauged, chi, trials=3,
+                                          seed=sub_seeds[0])
 
     # line: a pure-gradient potential acts exactly like no potential
     line = algebra("abelian:1")
@@ -738,15 +725,14 @@ def _run_gauge_field(seed_seq, thresholds):
     chi1 = Polynomial.var(1, 0) * Polynomial.var(1, 0) * Fraction(-1, 4)
     base1 = QuantizerContext(spec1, potential=line_pot)
     gauged1 = QuantizerContext(spec1)
-    line_report = check_gauge_covariance(
-        base1, gauged1, chi1, trials=3, seed=sub_seeds[1], threshold=threshold
-    )
+    line_report = check_gauge_covariance(base1, gauged1, chi1, trials=3,
+                                         seed=sub_seeds[1])
     plane_report.context["configuration"] = "plane, transverse potential"
     line_report.context["configuration"] = "line, gradient potential vs none"
     return [plane_report, line_report]
 
 
-def _run_symbolic_exactness(seed_seq, thresholds):
+def _run_symbolic_exactness(seed_seq):
     """Exact rational identities: associativity of the group product, the
     translation action composing as a homomorphism, the two pair
     substitutions inverting each other, Jacobi plus nilpotency of the
@@ -810,10 +796,9 @@ def _run_symbolic_exactness(seed_seq, thresholds):
             failures.extend(_joint_phase_failures(alg, joint_rng, rand_vec))
         details[name] = entry
 
-    threshold = thresholds.get("symbolic-exactness", 0.0)
     context = {"seed": list(seed_seq), "algebras": details, "failures": failures}
     return [CheckReport.from_metric("symbolic-exactness", float(len(failures)),
-                                    threshold, context=context)]
+                                    0.0, context=context)]
 
 
 def _joint_phase_failures(alg, rng, rand_vec):
@@ -844,7 +829,7 @@ def _joint_phase_failures(alg, rng, rand_vec):
     return failures
 
 
-def _run_quadrature_orthogonality(seed_seq, thresholds):
+def _run_quadrature_orthogonality(seed_seq):
     spec = GridSpec(
         algebra("heisenberg"), 8, 12.0, backend="quadrature", quad_nodes=12,
         quad_box=6.0
@@ -866,14 +851,13 @@ def _run_quadrature_orthogonality(seed_seq, thresholds):
         scale = f1.norm() * f2.norm() * w1.norm() * w2.norm()
         worst = max(worst, abs(lhs - rhs) / scale)
     span_dim = admissible_space(spec.group, MagneticPotential.zero(3)).dim
-    threshold = thresholds.get("quadrature-orthogonality", 0.05)
     context = {
         "grid": _grid_context(spec),
         "seed": list(seed_seq),
         "quadruples": 2,
         "span_dim": span_dim,
     }
-    return [CheckReport.from_metric("quadrature-orthogonality", worst, threshold,
+    return [CheckReport.from_metric("quadrature-orthogonality", worst, 0.05,
                                     context=context, extra_ok=span_dim == 4)]
 
 
@@ -899,27 +883,15 @@ REGISTRY = (
 
 CHECK_NAMES = tuple(name for name, _ in REGISTRY)
 
-# threshold keys that do not coincide with a registry name
-_EXTRA_THRESHOLD_KEYS = ("wigner-bound-equality",)
 
-
-def run_suite(seed=0, only=None, thresholds=None):
+def run_suite(seed=0, only=None):
     """Run the registered checks in their fixed order.
 
-    ``only`` restricts to a subset of check names; ``thresholds`` overrides
-    named default thresholds.  Returns (reports, timings) where timings maps
-    check names to wall seconds.  Randomness is derived from (seed, registry
-    position), so a filtered run reproduces exactly the reports of the full
-    run.
+    ``only`` restricts to a subset of check names.  Returns (reports,
+    timings) where timings maps check names to wall seconds.  Randomness is
+    derived from (seed, registry position), so a filtered run reproduces
+    exactly the reports of the full run.
     """
-    thresholds = dict(thresholds or {})
-    known = set(CHECK_NAMES) | set(_EXTRA_THRESHOLD_KEYS)
-    bad = sorted(set(thresholds) - known)
-    if bad:
-        raise ValueError(
-            "unknown threshold name(s) %s; known: %s"
-            % (", ".join(bad), ", ".join(sorted(known)))
-        )
     if only is not None:
         only = list(only)
         unknown = [n for n in only if n not in CHECK_NAMES]
@@ -937,6 +909,6 @@ def run_suite(seed=0, only=None, thresholds=None):
         if name not in wanted:
             continue
         start = time.perf_counter()
-        reports.extend(runner([int(seed), index], thresholds))
+        reports.extend(runner([int(seed), index]))
         timings[name] = time.perf_counter() - start
     return reports, timings

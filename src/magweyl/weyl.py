@@ -294,6 +294,7 @@ def ambiguity(ctx, f, window=None):
     kernel; tests pin it pointwise to reference.apply_rep_exp."""
     spec = ctx.spec
     _require_grid(spec, "ambiguity")
+    _check_output_bytes("ambiguity", spec.field_shape)
     w = window if window is not None else ctx.window
     B = w.values[_tables(spec).moved]
     np.conj(B, out=B)
@@ -372,6 +373,7 @@ def ambiguity_formula(ctx, f, window=None):
     theorem, not a code path."""
     spec = ctx.spec
     _require_grid(spec, "ambiguity_formula")
+    _check_output_bytes("ambiguity_formula", spec.field_shape)
     w = window if window is not None else ctx.window
     kernels, factors = _formula_tables(spec)
     B = w.values[_tables(spec).moved]

@@ -76,6 +76,17 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="unknown configuration key"):
             parse_config(overrides=[("exponents.r1", "2")])
 
+    @pytest.mark.parametrize("key,value", [
+        ("grid.backend", "quadrature"),
+        ("grid.quad_nodes", "6"),
+        ("grid.quad_box", "6"),
+        ("symbol.kind", "random"),
+    ])
+    def test_removed_grid_and_symbol_keys_rejected(self, key, value):
+        with pytest.raises(ValueError, match="unknown configuration key %r" % key):
+            parse_config(overrides=[(key, value)])
+        assert key not in parse_config().raw
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="malformed configuration line"):
             parse_config_text("group abelian:1\n")
@@ -97,18 +108,6 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="quadrature"):
             parse_config(overrides=[("group", "heisenberg")])
 
-    def test_heisenberg_quadrature_accepted(self):
-        cfg = parse_config(
-            overrides=[
-                ("group", "heisenberg"),
-                ("grid.backend", "quadrature"),
-                ("grid.n", "8"),
-                ("grid.quad_nodes", "6"),
-            ]
-        )
-        assert cfg.spec.backend == "quadrature"
-        assert cfg.group.step == 2
-
     def test_center_arity_checked(self):
         with pytest.raises(ValueError, match="component"):
             parse_config(overrides=[("window.center", "1,2")])
@@ -117,10 +116,6 @@ class TestParseConfig:
         cfg = parse_config(overrides=[("group", "heisenberg")], build_grid=False)
         assert cfg.spec is None
         assert cfg.group.dim == 3
-
-    def test_bad_symbol_kind(self):
-        with pytest.raises(ValueError, match="symbol.kind"):
-            parse_config(overrides=[("symbol.kind", "fourier")])
 
 
 class TestPotentialEntries:
@@ -357,6 +352,17 @@ class TestMemoryGuard:
         assert "%s: output of shape (9216, 9216) needs 1358954496 bytes" % what in err
 
 
+class TestFieldMemoryGuard:
+    @pytest.mark.parametrize("command", ["ambiguity", "wigner", "modnorm"])
+    def test_large_field_exits_two(self, command, tmp_path, capsys):
+        code = run_cli([command, "--group", "abelian:2", "--n", "96", "--extent", "24",
+                        "--out", str(tmp_path / "big")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ambiguity: output of shape (96, 96, 96, 96) needs 1358954496 bytes" in err
+        assert not (tmp_path / "big").exists()
+
+
 class TestOutOfRangeNumbers:
     """A number beyond the float range ends in exit 2 and a message naming
     its key, not an OverflowError traceback."""
@@ -429,6 +435,14 @@ class TestArgparseSurface:
             main(["modnorm", "--r1", "2", "--out", str(tmp_path / "o")])
         assert excinfo.value.code == 2
         assert "--r1" in capsys.readouterr().err
+
+    def test_removed_backend_flag_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["modnorm", "--group", "heisenberg", "--backend", "quadrature",
+                  "--out", str(tmp_path / "o")])
+        assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

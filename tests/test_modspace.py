@@ -6,7 +6,6 @@ import pytest
 
 from magweyl.magnetic import MagneticPotential
 from magweyl.modspace import (
-    Decomposition,
     ExponentQuad,
     INFINITY,
     as_exponent,
@@ -119,9 +118,14 @@ class TestMixedNorm:
         assert abs(mixed_norm(u, 2, 2) - u.norm()) < 1e-12 * u.norm()
 
     def test_unit_weight_hand_value(self):
-        dec = Decomposition((0,), (1,), 2)
-        val = mixed_power_norm(np.ones((2, 2)), 1, "inf", dec, [1.0, 1.0])
+        val = mixed_power_norm(np.ones((2, 2)), 1, "inf", [1.0, 1.0])
         assert val == 2.0
+
+    def test_leading_half_is_inner(self):
+        values = np.ones((2, 3, 4, 5))
+        weights = [1.0, 1.0, 0.5, 0.5]
+        assert mixed_power_norm(values, 1, "inf", weights) == 6.0
+        assert mixed_power_norm(values, "inf", 1, weights) == 5.0
 
     def test_homogeneity(self):
         ctx = grid_ctx()
@@ -157,7 +161,9 @@ class TestMixedNorm:
         ctx = grid_ctx()
         u = random_field(ctx.spec, 11)
         plain = mixed_norm(u, 3, 3)
-        swapped = mixed_norm(u, 3, 3, Decomposition((1,), (0,), 2))
+        weights = [ctx.spec.h / math.sqrt(2.0 * math.pi),
+                   ctx.spec.zeta_step / math.sqrt(2.0 * math.pi)]
+        swapped = mixed_power_norm(u.values.T, 3, 3, weights[::-1])
         assert abs(plain - swapped) < 1e-12 * plain
 
     def test_infinite_exponents_are_max(self):
@@ -170,10 +176,6 @@ class TestMixedNorm:
         u = random_field(ctx.spec, 13)
         with pytest.raises(ValueError, match="below 1"):
             mixed_norm(u, 0.5, 2)
-
-    def test_bad_partition(self):
-        with pytest.raises(ValueError, match="partition"):
-            Decomposition((0,), (0, 1), 2)
 
 
 class TestModulationNorms:

@@ -554,6 +554,13 @@ class TestSerialization:
         assert back.shape == (4, 3, 5)
         assert np.array_equal(back, arr)
 
+    def test_tensor_scalar_keeps_rank_zero(self, tmp_path):
+        path = tmp_path / "scalar.mwt"
+        rs.tensor_write(path, np.array(1.5 - 2.25j))
+        back = rs.tensor_read(path)
+        assert back.shape == ()
+        assert back == 1.5 - 2.25j
+
     def test_tensor_bad_magic(self, tmp_path):
         path = tmp_path / "junk.mwt"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -640,7 +647,7 @@ class TestSerialization:
     def test_tensor_writes_the_c_order_little_endian_payload(self, tmp_path):
         rng = np.random.default_rng(54)
         path = tmp_path / "layout.mwt"
-        for arr in (np.zeros((3, 0)), np.arange(12).reshape(3, 4),
+        for arr in (np.array(2.5), np.zeros((3, 0)), np.arange(12).reshape(3, 4),
                     (rng.standard_normal((4, 5)) + 1j).T.astype(">c16")):
             rs.tensor_write(path, arr)
             payload = np.ascontiguousarray(arr, dtype="<c16").tobytes()

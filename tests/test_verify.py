@@ -227,14 +227,21 @@ class TestRunSuite:
         with pytest.raises(ValueError, match="unknown check"):
             run_suite(only=["unitarity", "no-such-check"])
 
-    def test_unknown_threshold_name(self):
-        with pytest.raises(ValueError, match="unknown threshold"):
-            run_suite(only=["unitarity"], thresholds={"no-such-check": 1.0})
+    def test_removed_thresholds_argument(self):
+        with pytest.raises(TypeError, match="thresholds"):
+            run_suite(only=["unitarity"], thresholds={"unitarity": 1.0})
 
-    def test_tampered_threshold_fails(self):
-        reports, _ = run_suite(seed=0, only=["unitarity"],
-                               thresholds={"unitarity": 0.0})
+    def test_tampered_threshold_fails(self, monkeypatch):
+        # A check fails once its threshold sits below the measured defect.
+        original = CheckReport.from_metric.__func__
+
+        def zero_threshold(cls, name, metric, threshold, **kwargs):
+            return original(cls, name, metric, 0.0, **kwargs)
+
+        monkeypatch.setattr(CheckReport, "from_metric", classmethod(zero_threshold))
+        reports, _ = run_suite(seed=0, only=["unitarity"])
         assert not suite_passed(reports)
+        assert reports[0].threshold == 0.0
         assert reports[0].metric > 0.0
 
     def test_registry_names_are_stable(self):

@@ -529,6 +529,22 @@ class TestMemoryGuard:
         ):
             symbol_ambiguity(ctx, a, a)
 
+    @pytest.mark.parametrize("route", [ambiguity, ambiguity_formula, wigner])
+    def test_ambiguity_refuses_large_field(self, route, monkeypatch):
+        ctx = grid_ctx(n=96, extent=24.0, group=ABEL2)
+        f = gaussian_state(ctx.spec)
+
+        def not_reached(spec):
+            raise AssertionError("built the tables before the size check")
+
+        monkeypatch.setattr(weyl_module, "_tables", not_reached)
+        name = "ambiguity_formula" if route is ambiguity_formula else "ambiguity"
+        with pytest.raises(
+            ValueError,
+            match=r"%s: output of shape \(96, 96, 96, 96\) needs 1358954496 bytes" % name,
+        ):
+            route(ctx, f)
+
     def test_materialize_quantizer_refuses_large_grid(self):
         ctx = grid_ctx(n=16, group=ABEL2)
         with pytest.raises(
