@@ -278,6 +278,12 @@ class RunConfig:
         self.potential = build_potential(self.potential_entries, dim)
 
         if build_grid:
+            if self.group.step != 1 or dim > 2:
+                raise ValueError(
+                    "group %r: the lattice subcommands take abelian:1 or "
+                    "abelian:2 (a commutative group of dimension <= 2)"
+                    % self.raw["group"]
+                )
             self.spec = GridSpec(
                 self.group,
                 _parse_int(self.raw, "grid.n"),

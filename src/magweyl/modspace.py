@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .weyl import SymbolAmbiguityField, ambiguity, symbol_ambiguity, wigner
+from .weyl import ambiguity, symbol_ambiguity
 
 INFINITY = math.inf
 
@@ -104,14 +104,12 @@ def exponent_check(quad, mode):
     raise ValueError("unknown exponent mode %r" % mode)
 
 
-def _axis_weights(field):
-    """Per-axis measure factors, by axis kind."""
-    spec = field.spec
+def _axis_weights(spec):
+    """Per-axis measure factors of a phase-space field: group axes, then
+    frequency axes."""
     group_w = spec.h / math.sqrt(2.0 * math.pi)
     dual_w = spec.zeta_step / math.sqrt(2.0 * math.pi)
-    d = spec.dim
-    copies = 2 if isinstance(field, SymbolAmbiguityField) else 1
-    return ([group_w] * d + [dual_w] * d) * copies
+    return [group_w] * spec.dim + [dual_w] * spec.dim
 
 
 def mixed_power_norm(values, r, s, axis_weights):
@@ -136,10 +134,9 @@ def mixed_power_norm(values, r, s, axis_weights):
 
 
 def mixed_norm(field, r, s):
-    """Mixed L^{r,s} norm of a phase-space field (or an operator-window
-    ambiguity field): group axes inside, frequency axes outside; for
-    operator fields, first point inside, second point outside."""
-    return mixed_power_norm(field.values, r, s, _axis_weights(field))
+    """Mixed L^{r,s} norm of a phase-space field: group axes inside,
+    frequency axes outside."""
+    return mixed_power_norm(field.values, r, s, _axis_weights(field.spec))
 
 
 def mod_norm_vector(ctx, f, window, r, s):
@@ -152,9 +149,12 @@ def mod_norm_vector(ctx, f, window, r, s):
 
 def mod_norm_symbol(ctx, a, window1, window2, r, s):
     """Modulation norm of a symbol: the mixed norm of its operator-window
-    ambiguity against the quantized cross-distribution of the two windows,
-    first phase-space point inside, second outside."""
+    ambiguity ``symbol_ambiguity(ctx, a, window1, window2)``, first
+    phase-space point inside, second outside.  The operator window is
+    Op(wigner(w1, w2)) = |eps|^(-d) w1 (x) conj(w2), the rank-one rule that
+    verify's rank-one check covers, so the entries are the vector pairings
+    |eps|^(-d) (Op(a) Pi(Z1) w2 | Pi(Z1 + Z2) w1), in any dimension."""
     if not np.any(window1.values) or not np.any(window2.values):
         raise ValueError("modulation norm needs nonzero windows")
-    b = wigner(ctx, window1, window2)
-    return mixed_norm(symbol_ambiguity(ctx, a, b), r, s)
+    return mixed_power_norm(symbol_ambiguity(ctx, a, window1, window2), r, s,
+                            2 * _axis_weights(ctx.spec))

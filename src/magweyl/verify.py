@@ -642,7 +642,7 @@ def _run_ambiguity_factorization(seed_seq):
         return StateVector(spec, vals)
 
     f1, f2, p1, p2 = draw(), draw(), draw(), draw()
-    field = symbol_ambiguity(ctx, wigner(ctx, f1, f2), wigner(ctx, p1, p2))
+    field = symbol_ambiguity(ctx, wigner(ctx, f1, f2), p1, p2)
 
     # first factor on the doubled index ranges (true sums, wrapped shifts)
     x = spec.x_axis
@@ -661,7 +661,7 @@ def _run_ambiguity_factorization(seed_seq):
     sv = np.add.outer(np.arange(n), np.arange(n))
     ref = first[su[:, :, None, None], sv[None, None, :, :]]
     ref = np.transpose(ref, (0, 2, 1, 3)) * np.conj(second)[:, :, None, None]
-    metric = float(np.max(np.abs(field.values - ref)) / np.max(np.abs(ref)))
+    metric = float(np.max(np.abs(field - ref)) / np.max(np.abs(ref)))
     context = {"grid": _grid_context(spec), "seed": list(seed_seq)}
     return [CheckReport.from_metric("ambiguity-factorization", metric, 1e-6,
                                     context=context)]
@@ -737,8 +737,7 @@ def _run_symbolic_exactness(seed_seq):
     translation action composing as a homomorphism, the two pair
     substitutions inverting each other, Jacobi plus nilpotency of the
     extended algebra built on the translate span, and each route's joint
-    magnetic phase in (y, X) specialising to its per-step phase (engel left
-    out there: its admissible span with a potential takes seconds)."""
+    magnetic phase in (y, X) specialising to its per-step phase."""
     rng = np.random.default_rng(seed_seq)
     # The joint-phase draws come from their own stream, so the draws above
     # stay those of a suite without them.
@@ -792,8 +791,7 @@ def _run_symbolic_exactness(seed_seq):
             if not is_nilpotent:
                 failures.append("%s: extended algebra is not nilpotent" % name)
 
-        if name != "engel":
-            failures.extend(_joint_phase_failures(alg, joint_rng, rand_vec))
+        failures.extend(_joint_phase_failures(alg, joint_rng, rand_vec))
         details[name] = entry
 
     context = {"seed": list(seed_seq), "algebras": details, "failures": failures}

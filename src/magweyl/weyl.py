@@ -36,12 +36,16 @@ algebra, and splits exactly into a_i(X_i) + b_i(y_i) per axis, so
 ``ambiguity_formula`` makes one axis transform over all steps with a shared
 kernel exp(i eps xi_k b_i(x_p)), then multiplies by a (step, frequency)
 factor table exp(i eps xi_k a_i(s_j h)), both cached per grid.
-``symbol_ambiguity`` loops over the first lattice point only: the window
-shifted by (s1 + s2, s1) is one gather through the shift index,
-I[t2, I[t1, p]] on the rows and I[t1, q] on the columns, for every second
-point t2 at once, and its half-shift factors come from one (step,
-frequency) table exp(i eps s h/2 xi_k) over the steps -N..N-2 that s1 and
-s1 + s2 reach.
+``symbol_ambiguity`` pairs an operator with the rank-one operator window
+Op(wigner(w1, w2)) = |eps|^(-d) w1 (x) conj(w2) (the rank-one rule, which
+verify's rank-one check covers), so each entry is the vector pairing
+|eps|^(-d) (Op(a) Pi(Z1) w2 | Pi(Z1 + Z2) w1) and the route is the same in
+every dimension: Op(a) applied to the coherent family of w2 once, then one
+pass per first step s1 in which conj(w1) moved by s1 + s2 is one gather
+through the shift index, I[t2, I[t1, p]] per axis, for every second step
+at once, followed by one DFT product over the points and the half-shift
+factors from a (step, frequency) table exp(i eps s h/2 xi_k) over the
+steps -N..N-2 that s1 + s2 reaches.
 
 Two independent computational routes exist for the ambiguity transform and
 are kept apart deliberately: the representation route (translation-averaged
@@ -58,7 +62,7 @@ oracles the tests check both routes against live in ``reference``.
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -457,69 +461,53 @@ def materialize_quantizer(ctx):
 # ---------------------------------------------------------------------------
 
 
-class SymbolAmbiguityField:
-    """Matrix coefficient of an operator against a translated operator
-    window, indexed by a pair of phase-space lattice points: axes are
-    (first point: group then frequency, second point: group then
-    frequency)."""
-
-    __slots__ = ("spec", "values")
-
-    def __init__(self, spec, values):
-        self.spec = spec
-        self.values = values
-
-
-def symbol_ambiguity(ctx, a, b):
-    """(Op(a) | Pi(Z1+Z2) Op(b) Pi(Z1)^{-1})_HS over pairs of lattice
-    points; the first point slides inside the pairing, the second offsets
-    it.  The sum point is taken literally (its frequency part may leave the
-    lattice box).
-
-    One pass per first point t1 covers every second point t2 with two
-    batched DFT products.  Memory: the output holds N^4 complex values
-    (ValueError past MAX_OUTPUT_BYTES, before any work); temporaries hold
-    of order N^3."""
+def symbol_ambiguity(ctx, a, window1, window2):
+    """(Op(a) | Pi(Z1+Z2) Op(wigner(w1, w2)) Pi(Z1)^{-1})_HS over pairs of
+    lattice points, as an array with axes (t1, k1, t2, k2) of d axes each:
+    the first point slides inside the pairing, the second offsets it, and
+    the sum point is taken literally (its frequency part may leave the
+    lattice box).  Computed as the rank-one vector pairing of the module
+    docstring.  Memory: the output holds N^(4d) complex values (ValueError
+    past MAX_OUTPUT_BYTES, before any work); temporaries hold of order
+    N^(3d)."""
     spec = ctx.spec
     _require_grid(spec, "symbol_ambiguity")
-    if spec.dim != 1:
-        raise NotImplementedError(
-            "operator-window ambiguity is implemented for one-dimensional groups"
-        )
-    N = spec.n_axis
-    _check_output_bytes("symbol_ambiguity", (N,) * 4)
+    d, N = spec.dim, spec.n_axis
+    _check_output_bytes("symbol_ambiguity", (N,) * (4 * d))
+    n = N ** d
     t = _tables(spec)
-    T = quantize(ctx, a).matrix
-    Wc = np.conj(quantize(ctx, b).matrix)
-    # Per-call tables over the steps s in [-N, N - 2] that s1 and
-    # su = s1 + s2 reach (su may leave the box); row u holds step u - N.
+    dft = reduce(np.kron, [t.dft] * d)
+    # H[j, p, k1] = |eps|^(-d) h^d (Op(a) Pi(Z1) w2)[p] exp(-i eps xi_k1 x_p)
+    # at Z1 = (s_j, xi_k1); h^d is the weight of the state inner product.
+    H = (quantize(ctx, a).matrix @ coherent_family(ctx, window2)).reshape(n, n, n)
+    H = H.transpose(1, 0, 2) * (dft.T * (spec.state_weight / abs(spec.epsilon) ** d))
+    # Tables over the steps s in [-N, N - 2] that s1 + s2 reaches; row u
+    # holds step u - N, so s1 + s2 = t1 + t2 - N sits in row t1 + t2.
     steps = np.arange(-N, N - 1)
     half = np.exp(1j * spec.epsilon * np.outer(steps * (spec.h / 2.0), spec.xi_axis))
     if ctx.potential.is_zero():
-        mag_minus = np.ones((2 * N - 1, N))
+        mag_minus = np.ones((2 * N - 1,) * d + spec.state_shape)
     else:
         mag_minus = _phase_factor(spec, ctx.joint_phase("rep"), -1, steps)
-    # [u, p, q] = T[p, q] mag_minus[u, p]; [u, p, k1] = P[k1, p] half[u, k1];
-    # [u, k2, p] = half[u, k2] P[k2, p].
-    paired = T * mag_minus[:, :, None]
-    columns = t.dft.T * half[:, None, :]
-    rows = half[:, :, None] * t.dft
-    out = np.empty((N, N, N, N), dtype=complex)
-    for t1 in range(N):
-        u1 = t1 - N // 2 + N
-        su = slice(u1 - N // 2, u1 - N // 2 + N)
-        # C[t2, p, q] = conj(W)[p - su, q - s1] T[p, q] mag_minus[su, p]:
-        # row index (p - s1 - s2) mod N = I[t2, I[t1, p]], column I[t1, q].
-        C = Wc[t.shift[:, t.shift[t1]][:, :, None], t.shift[t1]]
-        C *= paired[su]
-        # Column DFT q -> k1 with the conjugate magnetic phase at s1 on q
-        # and exp(-i eps s1 h/2 xi_k1).
-        first = np.conj(columns[u1] * mag_minus[u1][:, None])
-        H = (C.reshape(N * N, N) @ first).reshape(N, N, N)
-        H *= columns[su]
-        # Row DFT p -> k2; the product has axes (t2, k2, k1).
-        out[t1] = (rows[su] @ H).transpose(2, 0, 1)
-    return SymbolAmbiguityField(spec, out)
+    w1c = np.conj(window1.values)
+    out = np.empty((n, n, n, n), dtype=complex)
+    for flat, t1 in enumerate(np.ndindex(spec.state_shape)):
+        rows = tuple(slice(j, j + N) for j in t1)
+        # W[t2, p] = conj(w1)[p - s1 - s2] exp(-i eps phase(x_p, (s1 + s2) h)),
+        # the row index (p - s1 - s2) mod N being I[t2, I[t1, p]] per axis.
+        W = w1c[tuple(_along(t.shift[:, t.shift[j]], (i, d + i), 2 * d)
+                      for i, j in enumerate(t1))]
+        W *= mag_minus[rows]
+        # halves[t2, k] = exp(i eps (s1 + s2) h/2 xi_k), a product over axes.
+        halves = reduce(np.multiply, [_along(half[r], (i, d + i), 2 * d)
+                                      for i, r in enumerate(rows)]).reshape(n, n)
+        # DFT p -> k2 of W H over the points, then the half-shift factors at
+        # k2 and k1; axes (t2, k2, k1).
+        block = dft @ (W.reshape(n, n, 1) * H[flat])
+        block *= halves[:, :, None]
+        block *= halves[:, None, :]
+        out[flat] = block.transpose(2, 0, 1)
+    return out.reshape((N,) * (4 * d))
 
 
 # ---------------------------------------------------------------------------

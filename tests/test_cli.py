@@ -105,7 +105,8 @@ class TestParseConfig:
         assert cfg.exponents["s"] == Fraction(2)
 
     def test_heisenberg_grid_rejected(self):
-        with pytest.raises(ValueError, match="quadrature"):
+        with pytest.raises(ValueError, match="'heisenberg': the lattice subcommands "
+                                             "take abelian:1 or abelian:2"):
             parse_config(overrides=[("group", "heisenberg")])
 
     def test_center_arity_checked(self):
@@ -197,6 +198,15 @@ class TestGroupInfo:
     def test_unknown_group(self, capsys):
         assert run_cli(["group-info", "nope"]) == 2
         assert "unknown algebra" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["abelian:3", "heisenberg"])
+    def test_lattice_commands_refuse_group(self, name, tmp_path, capsys):
+        assert run_cli(["group-info", name]) == 0
+        capsys.readouterr()
+        assert run_cli(["ambiguity", "--group", name, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "group %r: the lattice subcommands take abelian:1 or abelian:2" % name in err
+        assert not (tmp_path / "out").exists()
 
 
 def test_closure_error_exits_two(tmp_path, capsys, monkeypatch):

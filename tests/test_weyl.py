@@ -102,6 +102,12 @@ def crossed_potential():
     return MagneticPotential([Polynomial.zero(2), Polynomial.var(2, 0)])
 
 
+def curved_potential():
+    # -x2 dx1 + (x1 + x1^2/2) dx2 on the plane (field 2 + x1)
+    x1, x2 = Polynomial.var(2, 0), Polynomial.var(2, 1)
+    return MagneticPotential([-x2, x1 + x1 * x1 * Fraction(1, 2)])
+
+
 def heis_potential():
     # x2 dx1 on the Heisenberg group coordinates
     return MagneticPotential(
@@ -438,10 +444,11 @@ class TestSymbolAmbiguity:
             ctx = grid_ctx(n=n, potential=potential, epsilon=epsilon)
             spec = ctx.spec
             a = random_symbol(spec, 91)
-            b = random_symbol(spec, 92)
-            field = symbol_ambiguity(ctx, a, b).values
+            w1 = random_state(spec, 92)
+            w2 = random_state(spec, 97)
+            field = symbol_ambiguity(ctx, a, w1, w2)
             T = quantize(ctx, a).matrix
-            W = quantize(ctx, b).matrix
+            W = quantize(ctx, wigner(ctx, w1, w2)).matrix
             doubled = np.arange(2 * n - 1) - n
             pi = np.array(
                 [
@@ -465,22 +472,50 @@ class TestSymbolAmbiguity:
         f2 = random_state(spec, 94)
         p1 = random_state(spec, 95)
         p2 = random_state(spec, 96)
-        field = symbol_ambiguity(
-            ctx, wigner(ctx, f1, f2), wigner(ctx, p1, p2)
-        )
+        field = symbol_ambiguity(ctx, wigner(ctx, f1, f2), p1, p2)
         amb2 = ambiguity(ctx, f2, p2)
         for t1, k1, t2, k2 in [(1, 2, 3, 4), (6, 0, 2, 5), (4, 7, 7, 1)]:
             xsum = (t1 + t2 - 8) * spec.h
             xisum = spec.xi_axis[k1] + spec.xi_axis[k2]
             first = ambiguity_at(ctx, f1, [xsum], [xisum], window=p1)
             expected = first * np.conj(amb2.values[t1, k1])
-            assert abs(field.values[t1, k1, t2, k2] - expected) < 1e-9
+            assert abs(field[t1, k1, t2, k2] - expected) < 1e-9
 
-    def test_plane_not_implemented(self):
-        ctx = grid_ctx(n=8, group=ABEL2)
-        a = constant_symbol(ctx.spec)
-        with pytest.raises(NotImplementedError):
-            symbol_ambiguity(ctx, a, a)
+    @pytest.mark.parametrize(
+        "potential,epsilon",
+        [(crossed_potential(), 1.0), (curved_potential(), -0.7)],
+        ids=["crossed", "curved"],
+    )
+    def test_plane_matches_operator_pairing(self, potential, epsilon):
+        # Sampled entries (t1, k1, t2, k2), two indices each, against
+        # (T | Pi(Z1 + Z2) W Pi(Z1)^{-1})_HS with Pi from the per-point
+        # oracle at the literal sum point.
+        n = 8
+        ctx = grid_ctx(n=n, potential=potential, epsilon=epsilon, group=ABEL2)
+        spec = ctx.spec
+        a = random_symbol(spec, 101)
+        w1 = random_state(spec, 102)
+        w2 = random_state(spec, 103)
+        field = symbol_ambiguity(ctx, a, w1, w2)
+        assert field.shape == (n,) * 8
+        bound = 1e-12 * max(max_abs(part) for part in field)  # by block: 268 MB
+        T = quantize(ctx, a).matrix
+        W = quantize(ctx, wigner(ctx, w1, w2)).matrix
+
+        def pi(steps, freqs):
+            return weyl_operator(ctx, [s * spec.h for s in steps],
+                                 [k * spec.xi_step for k in freqs]).matrix
+
+        for t1, k1, t2, k2 in [((1, 6), (2, 0), (7, 3), (4, 5)),
+                               ((0, 3), (7, 7), (2, 7), (0, 1)),
+                               ((5, 4), (1, 6), (6, 0), (3, 2)),
+                               ((7, 7), (0, 0), (7, 7), (7, 0))]:
+            first = pi([j - n // 2 for j in t1], [k - n // 2 for k in k1])
+            total = pi([i + j - n for i, j in zip(t1, t2)],
+                       [k + m - n for k, m in zip(k1, k2)])
+            moved = total @ W @ first.conj().T
+            direct = np.sum(T * np.conj(moved))
+            assert abs(field[t1 + k1 + t2 + k2] - direct) < bound
 
 
 def _no_quantize(ctx, symbol):
@@ -521,13 +556,14 @@ class TestMemoryGuard:
     def test_symbol_ambiguity_refuses_large_grid(self, monkeypatch):
         ctx = grid_ctx(n=128)
         a = constant_symbol(ctx.spec)
+        w = gaussian_state(ctx.spec)
         monkeypatch.setattr(weyl_module, "quantize", _no_quantize)
         with pytest.raises(
             ValueError,
             match=r"symbol_ambiguity: output of shape \(128, 128, 128, 128\) "
             r"needs 4294967296 bytes",
         ):
-            symbol_ambiguity(ctx, a, a)
+            symbol_ambiguity(ctx, a, w, w)
 
     @pytest.mark.parametrize("route", [ambiguity, ambiguity_formula, wigner])
     def test_ambiguity_refuses_large_field(self, route, monkeypatch):
