@@ -13,14 +13,17 @@ Subcommands
 Configuration comes from three layers merged in order: built-in defaults,
 an optional ``key = value`` config file (``--config``), then command-line
 flags.  The merged raw key/value map less ``out`` is copied verbatim into
-every ``manifest.json`` so an output directory records what produced it.
+every ``manifest.json`` so an output directory records what produced it;
+``verify`` records only ``seed`` and ``only``, the keys its suite reads.
 
 Config keys use dotted sections (``grid.n``, ``window.width``,
 ``exponents.r`` ...); an unknown key is an error.  Every subcommand but
-``group-info`` runs on the cubic lattice, so it takes a commutative group
-of dimension at most 2; the quadrature discretization is reached from
-the library only.  Magnetic potential components are given on their
-own lines, one monomial each::
+``verify`` and ``group-info`` runs on the cubic lattice, so it takes a
+commutative group of dimension at most 2; ``verify``'s checks build their
+own fixed grids, so it takes any registered group and does not read the
+other grid keys.  The quadrature discretization is reached from the
+library only.  Magnetic potential components are given on their own
+lines, one monomial each::
 
     A: [comp=1, exp=(0,1), coeff=1/1]     # x2 dx1 on a 2-d group
 
@@ -343,10 +346,19 @@ def emit_report(reports, out_dir):
     return [jsonl_path, csv_path]
 
 
+# The only configuration keys ``run_suite`` reads: every check builds its own
+# fixed grid, so verify's manifest records these and nothing else.
+_VERIFY_KEYS = ("seed", "only")
+
+
 def _write_manifest(cfg, command, out_dir, outputs, timings, arrays=None):
+    if command == "verify":
+        config = {key: cfg.raw[key] for key in _VERIFY_KEYS}
+    else:
+        config = {key: value for key, value in cfg.raw.items() if key != "out"}
     manifest = {
         "command": command,
-        "config": {key: value for key, value in cfg.raw.items() if key != "out"},
+        "config": config,
         "potential": cfg.potential_entries,
         "versions": {
             "magweyl": __version__,
@@ -589,7 +601,7 @@ def main(argv=None):
             path=args.config,
             overrides=_overrides_from_args(args),
             potential_path=args.potential,
-            build_grid=(args.command != "group-info"),
+            build_grid=(args.command not in ("group-info", "verify")),
         )
         return dispatch(args.command, cfg)
     except (ValueError, OSError) as err:

@@ -40,12 +40,18 @@ factor table exp(i eps xi_k a_i(s_j h)), both cached per grid.
 Op(wigner(w1, w2)) = |eps|^(-d) w1 (x) conj(w2) (the rank-one rule, which
 verify's rank-one check covers), so each entry is the vector pairing
 |eps|^(-d) (Op(a) Pi(Z1) w2 | Pi(Z1 + Z2) w1) and the route is the same in
-every dimension: Op(a) applied to the coherent family of w2 once, then one
-pass per first step s1 in which conj(w1) moved by s1 + s2 is one gather
-through the shift index, I[t2, I[t1, p]] per axis, for every second step
-at once, followed by one DFT product over the points and the half-shift
-factors from a (step, frequency) table exp(i eps s h/2 xi_k) over the
-steps -N..N-2 that s1 + s2 reaches.
+every dimension.  Op(a) is applied to the coherent family of w2 once.  The
+factors that see the two steps only through their sum s1 + s2 (conj(w1)
+moved by it, the magnetic phase at it, the k2 half-shift and the DFT over
+the points) form one (t1 + t2, k2, p) table over the (2N - 1)^d sums, built
+once per call.  Then each first step t1 costs one GEMM, (k1, p) times the
+table's rows t1 .. t1 + N - 1 as (p, t2 k2), which lands in the output
+layout.  The k1 half-shift at the sum splits as P[t1, k1] P[t2, k1] with
+the lattice prefactor P: the first factor is folded into Op(a)'s side, and
+``symbol_ambiguity`` multiplies the second in as it stores each pass in
+its N^(4d) output.  ``mod_norm_symbol`` drops it, since it is unimodular,
+and folds each pass into an N^(2d) accumulator, so its temporaries stay
+of order N^(3d).
 
 Two independent computational routes exist for the ambiguity transform and
 are kept apart deliberately: the representation route (translation-averaged
@@ -173,14 +179,14 @@ def _require_grid(spec, what):
 MAX_OUTPUT_BYTES = 1 << 30
 
 
-def _check_output_bytes(what, shape):
+def _check_output_bytes(what, shape, kind="output"):
     """Raise before any work when a complex array of this shape would
     exceed MAX_OUTPUT_BYTES."""
     nbytes = math.prod(shape) * np.dtype(complex).itemsize
     if nbytes > MAX_OUTPUT_BYTES:
         raise ValueError(
-            "%s: output of shape %s needs %d bytes, over the limit of %d"
-            % (what, tuple(shape), nbytes, MAX_OUTPUT_BYTES)
+            "%s: %s of shape %s needs %d bytes, over the limit of %d"
+            % (what, kind, tuple(shape), nbytes, MAX_OUTPUT_BYTES)
         )
 
 
@@ -192,8 +198,8 @@ def _check_output_bytes(what, shape):
 def _along(table, axes, ndim):
     """table shaped to broadcast over the given increasing axes of ndim."""
     shape = [1] * ndim
-    for axis in axes:
-        shape[axis] = table.shape[0]
+    for axis, size in zip(axes, table.shape):
+        shape[axis] = size
     return table.reshape(shape)
 
 
@@ -461,52 +467,83 @@ def materialize_quantizer(ctx):
 # ---------------------------------------------------------------------------
 
 
+def _axis_product(table, d):
+    """prod_i table[a_i, b_i] over d axis pairs: shape
+    (table.shape[0],) * d + (table.shape[1],) * d."""
+    return reduce(np.multiply, [_along(table, (i, d + i), 2 * d) for i in range(d)])
+
+
+def _symbol_passes(what, ctx, a, window1, window2):
+    """The operator-window ambiguity one first step t1 at a time, in C
+    order: an iterator over B of shape (N^d, N^(2d)), axes (k1, t2 k2), one
+    reused buffer, with field[t1, k1, t2, k2] = B[k1, t2, k2] P[t2, k1] for
+    the unimodular lattice prefactor P[j, k] = exp(i eps s_j h/2 xi_k).
+    The tables are built on the call, which raises a ValueError naming
+    ``what`` first when the (t1 + t2) table would pass MAX_OUTPUT_BYTES."""
+    spec = ctx.spec
+    _require_grid(spec, what)
+    d, N = spec.dim, spec.n_axis
+    n = N ** d
+    # Rows u of the table hold the step u - N in [-N, N - 2], so that
+    # s1 + s2 = t1 + t2 - N sits in row t1 + t2.
+    sums = (2 * N - 1,) * d
+    _check_output_bytes(what, sums + (n, n), "table")
+    t = _tables(spec)
+    dft = reduce(np.kron, [t.dft] * d)
+    # H[p, j, k1] = |eps|^(-d) h^d (Op(a) Pi(Z1) w2)[p] exp(-i eps xi_k1 x_p)
+    # times P[j, k1], at Z1 = (s_j, xi_k1): h^d is the weight of the state
+    # inner product, and P[t1, k1] the first factor of the k1 half-shift
+    # P[t1, k1] P[t2, k1] at s1 + s2.
+    H = (quantize(ctx, a).matrix @ coherent_family(ctx, window2)).reshape(n, n, n)
+    H *= dft.T[:, None, :]
+    H *= _axis_product(t.prefactor, d).reshape(n, n) * (
+        spec.state_weight / abs(spec.epsilon) ** d)
+    # G[u, k2, p] = exp(i eps (s1 + s2) h/2 xi_k2) dft[k2, p]
+    # conj(w1)[p - s1 - s2] exp(-i eps phase(x_p, (s1 + s2) h)): every
+    # factor that sees the two steps only through their sum.  The row index
+    # of conj(w1) is (p - u) mod N per axis.
+    steps = np.arange(-N, N - 1)
+    half = np.exp(1j * spec.epsilon * np.outer(steps * (spec.h / 2.0), spec.xi_axis))
+    W = np.conj(window1.values)[tuple(
+        _along((np.arange(N)[None, :] - np.arange(2 * N - 1)[:, None]) % N,
+               (i, d + i), 2 * d) for i in range(d))]
+    if not ctx.potential.is_zero():
+        W *= _phase_factor(spec, ctx.joint_phase("rep"), -1, steps)
+    G = _axis_product(half, d).reshape(sums + (n, 1)) * dft
+    G *= W.reshape(sums + (1, n))
+    block = np.empty((n, n * n), dtype=complex)
+
+    def passes():
+        for flat, t1 in enumerate(np.ndindex(spec.state_shape)):
+            # One GEMM over the points, (k1, p) @ (p, t2 k2).
+            rows = tuple(slice(j, j + N) for j in t1)
+            np.matmul(H[:, flat, :].T, G[rows].reshape(n * n, n).T, out=block)
+            yield block
+
+    return passes()
+
+
 def symbol_ambiguity(ctx, a, window1, window2):
     """(Op(a) | Pi(Z1+Z2) Op(wigner(w1, w2)) Pi(Z1)^{-1})_HS over pairs of
     lattice points, as an array with axes (t1, k1, t2, k2) of d axes each:
     the first point slides inside the pairing, the second offsets it, and
     the sum point is taken literally (its frequency part may leave the
     lattice box).  Computed as the rank-one vector pairing of the module
-    docstring.  Memory: the output holds N^(4d) complex values (ValueError
-    past MAX_OUTPUT_BYTES, before any work); temporaries hold of order
+    docstring, one GEMM per first step over the (t1 + t2) table.  Memory:
+    the output holds N^(4d) complex values (ValueError past
+    MAX_OUTPUT_BYTES, before any work); temporaries hold of order
     N^(3d)."""
     spec = ctx.spec
     _require_grid(spec, "symbol_ambiguity")
     d, N = spec.dim, spec.n_axis
     _check_output_bytes("symbol_ambiguity", (N,) * (4 * d))
     n = N ** d
-    t = _tables(spec)
-    dft = reduce(np.kron, [t.dft] * d)
-    # H[j, p, k1] = |eps|^(-d) h^d (Op(a) Pi(Z1) w2)[p] exp(-i eps xi_k1 x_p)
-    # at Z1 = (s_j, xi_k1); h^d is the weight of the state inner product.
-    H = (quantize(ctx, a).matrix @ coherent_family(ctx, window2)).reshape(n, n, n)
-    H = H.transpose(1, 0, 2) * (dft.T * (spec.state_weight / abs(spec.epsilon) ** d))
-    # Tables over the steps s in [-N, N - 2] that s1 + s2 reaches; row u
-    # holds step u - N, so s1 + s2 = t1 + t2 - N sits in row t1 + t2.
-    steps = np.arange(-N, N - 1)
-    half = np.exp(1j * spec.epsilon * np.outer(steps * (spec.h / 2.0), spec.xi_axis))
-    if ctx.potential.is_zero():
-        mag_minus = np.ones((2 * N - 1,) * d + spec.state_shape)
-    else:
-        mag_minus = _phase_factor(spec, ctx.joint_phase("rep"), -1, steps)
-    w1c = np.conj(window1.values)
+    # The passes' prefactor P[t2, k1], on axes (k1, t2, k2).
+    prefactor = _axis_product(_tables(spec).prefactor, d).reshape(n, n).T[:, :, None]
     out = np.empty((n, n, n, n), dtype=complex)
-    for flat, t1 in enumerate(np.ndindex(spec.state_shape)):
-        rows = tuple(slice(j, j + N) for j in t1)
-        # W[t2, p] = conj(w1)[p - s1 - s2] exp(-i eps phase(x_p, (s1 + s2) h)),
-        # the row index (p - s1 - s2) mod N being I[t2, I[t1, p]] per axis.
-        W = w1c[tuple(_along(t.shift[:, t.shift[j]], (i, d + i), 2 * d)
-                      for i, j in enumerate(t1))]
-        W *= mag_minus[rows]
-        # halves[t2, k] = exp(i eps (s1 + s2) h/2 xi_k), a product over axes.
-        halves = reduce(np.multiply, [_along(half[r], (i, d + i), 2 * d)
-                                      for i, r in enumerate(rows)]).reshape(n, n)
-        # DFT p -> k2 of W H over the points, then the half-shift factors at
-        # k2 and k1; axes (t2, k2, k1).
-        block = dft @ (W.reshape(n, n, 1) * H[flat])
-        block *= halves[:, :, None]
-        block *= halves[:, None, :]
-        out[flat] = block.transpose(2, 0, 1)
+    passes = _symbol_passes("symbol_ambiguity", ctx, a, window1, window2)
+    for flat, block in enumerate(passes):
+        np.multiply(block.reshape(n, n, n), prefactor, out=out[flat])
     return out.reshape((N,) * (4 * d))
 
 

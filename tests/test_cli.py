@@ -259,6 +259,22 @@ class TestVerifyCommand:
         assert (dir1 / "reports.jsonl").read_bytes() == (dir2 / "reports.jsonl").read_bytes()
         assert (dir1 / "summary.csv").read_bytes() == (dir2 / "summary.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "flags", [["--n", "7"], ["--group", "engel"], ["--n", "64"]],
+        ids=["odd-n", "engel", "n-64"],
+    )
+    def test_grid_keys_ignored(self, flags, tmp_path):
+        # Each check builds its own grid: grid keys neither fail the run
+        # nor reach the manifest.
+        plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+        assert run_cli(["verify", "--only", "orthogonality", "--out", str(plain)]) == 0
+        assert run_cli(["verify", "--only", "orthogonality", "--out", str(flagged)]
+                       + flags) == 0
+        for name in ("manifest.json", "reports.jsonl"):
+            assert (plain / name).read_bytes() == (flagged / name).read_bytes()
+        manifest = json.loads((flagged / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["config"] == {"only": "orthogonality", "seed": "0"}
+
     def test_unknown_check_name(self, tmp_path, capsys):
         code = run_cli(["verify", "--only", "nope", "--out", str(tmp_path / "r")])
         assert code == 2

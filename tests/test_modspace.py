@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from magweyl import modspace
 from magweyl.magnetic import MagneticPotential
 from magweyl.modspace import (
     ExponentQuad,
     INFINITY,
+    _axis_weights,
     as_exponent,
     exponent_check,
     mixed_norm,
@@ -25,13 +27,18 @@ from magweyl.repspace import (
     StateVector,
     field_inner,
 )
-from magweyl.weyl import QuantizerContext, wigner
+from magweyl.weyl import QuantizerContext, symbol_ambiguity, wigner
 
 ABEL1 = algebra("abelian:1")
+ABEL2 = algebra("abelian:2")
+
+# The exponent pairs (inner, outer) that the verify bound checks reach,
+# plus the Hilbert-Schmidt pair.
+STREAM_QUADS = [(1, INFINITY), (INFINITY, 1), (1, 1), (2, 2)]
 
 
-def grid_ctx(n=16, extent=8.0, epsilon=1.0, potential=None):
-    spec = GridSpec(ABEL1, n, extent, epsilon=epsilon)
+def grid_ctx(n=16, extent=8.0, epsilon=1.0, potential=None, group=ABEL1):
+    spec = GridSpec(group, n, extent, epsilon=epsilon)
     return QuantizerContext(spec, potential=potential)
 
 
@@ -166,6 +173,15 @@ class TestMixedNorm:
         swapped = mixed_power_norm(u.values.T, 3, 3, weights[::-1])
         assert abs(plain - swapped) < 1e-12 * plain
 
+    @pytest.mark.parametrize("r,s", STREAM_QUADS + [("3/2", 3)])
+    def test_blocked_fold_matches_one_block(self, r, s, monkeypatch):
+        ctx = grid_ctx()
+        u = random_field(ctx.spec, 14)
+        weights = _axis_weights(ctx.spec)
+        whole = mixed_power_norm(u.values, r, s, weights)
+        monkeypatch.setattr(modspace, "FOLD_BLOCK", 5 * ctx.spec.n_axis)
+        assert abs(mixed_power_norm(u.values, r, s, weights) - whole) <= 1e-14 * whole
+
     def test_infinite_exponents_are_max(self):
         ctx = grid_ctx(n=8)
         u = random_field(ctx.spec, 12)
@@ -253,3 +269,52 @@ class TestModulationNorms:
         zero = StateVector(ctx.spec, np.zeros(ctx.spec.state_shape, dtype=complex))
         with pytest.raises(ValueError, match="window"):
             mod_norm_symbol(ctx, a, w, zero, 2, 2)
+
+
+def _streamed_case(ctx, seed):
+    spec = ctx.spec
+    rng = np.random.default_rng(seed)
+    vals = rng.standard_normal(spec.field_shape) + 1j * rng.standard_normal(
+        spec.field_shape
+    )
+    a = PhaseSpaceField(spec, vals, SIDE_XISTAR)
+    return a, random_state(spec, seed + 1), random_state(spec, seed + 2)
+
+
+@pytest.fixture(scope="module")
+def plane_norms():
+    """abelian:2 at N=8 with x1 dx2: a symbol, two windows and the four
+    mixed norms of the full (8,)*8 field (268 MB, freed on return)."""
+    ctx = grid_ctx(n=8, potential=MagneticPotential(
+        [Polynomial.zero(2), Polynomial.var(2, 0)]), group=ABEL2)
+    a, w1, w2 = _streamed_case(ctx, 61)
+    field = symbol_ambiguity(ctx, a, w1, w2)
+    weights = 2 * _axis_weights(ctx.spec)
+    full = {quad: mixed_power_norm(field, *quad, weights) for quad in STREAM_QUADS}
+    return ctx, a, w1, w2, full
+
+
+class TestStreamedSymbolNorm:
+    """mod_norm_symbol folds the field pass by pass; the full field reduced
+    by mixed_power_norm is the reference."""
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("epsilon", [1.0, -0.7])
+    @pytest.mark.parametrize("quadratic", [False, True], ids=["free", "quadratic"])
+    def test_line_matches_full_field(self, n, epsilon, quadratic):
+        x = Polynomial.var(1, 0)
+        potential = MagneticPotential([x * Fraction(1, 2) + x * x * Fraction(1, 3)])
+        ctx = grid_ctx(n=n, epsilon=epsilon, potential=potential if quadratic else None)
+        a, w1, w2 = _streamed_case(ctx, 51)
+        field = symbol_ambiguity(ctx, a, w1, w2)
+        weights = 2 * _axis_weights(ctx.spec)
+        for r, s in STREAM_QUADS:
+            full = mixed_power_norm(field, r, s, weights)
+            streamed = mod_norm_symbol(ctx, a, w1, w2, r, s)
+            assert abs(streamed - full) <= 1e-12 * full, (r, s)
+
+    @pytest.mark.parametrize("quad", STREAM_QUADS, ids=["1-inf", "inf-1", "1-1", "2-2"])
+    def test_plane_matches_full_field(self, plane_norms, quad):
+        ctx, a, w1, w2, full = plane_norms
+        streamed = mod_norm_symbol(ctx, a, w1, w2, *quad)
+        assert abs(streamed - full[quad]) <= 1e-12 * full[quad]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from magweyl import weyl as weyl_module
 from magweyl.magnetic import MagneticPotential
+from magweyl.modspace import mod_norm_symbol
 from magweyl.nilpotent import ClosureError, algebra, bch_symbolic, exp_semidirect, sd_product
 from magweyl.poly import Polynomial, PolyVector, poly_compose, poly_eval
 from magweyl.repspace import (
@@ -564,6 +565,19 @@ class TestMemoryGuard:
             r"needs 4294967296 bytes",
         ):
             symbol_ambiguity(ctx, a, w, w)
+
+    def test_mod_norm_symbol_refuses_large_table(self, monkeypatch):
+        # It streams past the N^(4d) field, so its own (t1 + t2) table,
+        # (2N - 1)^d N^(2d) values, is what the guard measures.
+        ctx = grid_ctx(n=32, group=ABEL2)
+        w = gaussian_state(ctx.spec)
+        monkeypatch.setattr(weyl_module, "quantize", _no_quantize)
+        with pytest.raises(
+            ValueError,
+            match=r"mod_norm_symbol: table of shape \(63, 63, 1024, 1024\) "
+            r"needs 66588770304 bytes",
+        ):
+            mod_norm_symbol(ctx, _unallocated_symbol(ctx.spec), w, w, 1, "inf")
 
     @pytest.mark.parametrize("route", [ambiguity, ambiguity_formula, wigner])
     def test_ambiguity_refuses_large_field(self, route, monkeypatch):
