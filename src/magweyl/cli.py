@@ -179,7 +179,7 @@ def _parse_vector(raw, key, dim):
 def _parse_exponent(raw, key):
     try:
         return as_exponent(raw[key])
-    except (ValueError, ZeroDivisionError) as err:
+    except ValueError as err:
         raise ValueError("configuration key %r: %r is not a valid exponent: %s"
                          % (key, raw[key], err)) from None
 

@@ -28,14 +28,16 @@ FOLD_BLOCK = 1 << 16
 
 def as_exponent(value):
     """Parse an exponent: a number, a Fraction, or the token 'inf'.
-    Returns a Fraction, or math.inf for the infinite exponent."""
-    if isinstance(value, str):
-        if value.strip().lower() == "inf":
-            return INFINITY
-        value = Fraction(value)
+    Returns a Fraction, or math.inf for the infinite exponent; any other
+    value raises a ValueError."""
+    if isinstance(value, str) and value.strip().lower() == "inf":
+        return INFINITY
     if value == INFINITY:
         return INFINITY
-    e = Fraction(value)
+    try:
+        e = Fraction(value)
+    except (ZeroDivisionError, OverflowError):
+        raise ValueError("exponent %r is not a number >= 1 or 'inf'" % (value,)) from None
     if e < 1:
         raise ValueError("exponent %s is below 1" % e)
     try:
@@ -75,37 +77,22 @@ class ExponentQuad:
         )
 
 
-def exponent_check(quad, mode):
-    """Validate the exponent arithmetic for the named statement with exact
+def exponent_check(quad):
+    """Validate the exponent arithmetic of the Wigner bound with exact
     rationals (1/inf = 0).  Returns (True, "") or (False, reason)."""
     r, s = quad.r, quad.s
-    if mode == "wigner_thm":
-        if not r <= s:
-            return False, "needs r <= s, got r=%s, s=%s" % (r, s)
-        for name in ("r1", "r2", "s1", "s2"):
-            e = getattr(quad, name)
-            if not (r <= e <= s):
-                return False, "%s=%s outside [r, s] = [%s, %s]" % (name, e, r, s)
-        target = _reciprocal(r) + _reciprocal(s)
-        if _reciprocal(quad.r1) + _reciprocal(quad.r2) != target:
-            return False, "1/r1 + 1/r2 != 1/r + 1/s"
-        if _reciprocal(quad.s1) + _reciprocal(quad.s2) != target:
-            return False, "1/s1 + 1/s2 != 1/r + 1/s"
-        return True, ""
-    if mode == "op_bound":
-        if not r <= s:
-            return False, "needs r <= s, got r=%s, s=%s" % (r, s)
-        for name in ("r2", "s2"):
-            e = getattr(quad, name)
-            if not (r <= e <= s):
-                return False, "%s=%s outside [r, s] = [%s, %s]" % (name, e, r, s)
-        target = 1 - _reciprocal(r) - _reciprocal(s)
-        if _reciprocal(quad.r1) - _reciprocal(quad.r2) != target:
-            return False, "1/r1 - 1/r2 != 1 - 1/r - 1/s"
-        if _reciprocal(quad.s1) - _reciprocal(quad.s2) != target:
-            return False, "1/s1 - 1/s2 != 1 - 1/r - 1/s"
-        return True, ""
-    raise ValueError("unknown exponent mode %r" % mode)
+    if not r <= s:
+        return False, "needs r <= s, got r=%s, s=%s" % (r, s)
+    for name in ("r1", "r2", "s1", "s2"):
+        e = getattr(quad, name)
+        if not (r <= e <= s):
+            return False, "%s=%s outside [r, s] = [%s, %s]" % (name, e, r, s)
+    target = _reciprocal(r) + _reciprocal(s)
+    if _reciprocal(quad.r1) + _reciprocal(quad.r2) != target:
+        return False, "1/r1 + 1/r2 != 1/r + 1/s"
+    if _reciprocal(quad.s1) + _reciprocal(quad.s2) != target:
+        return False, "1/s1 + 1/s2 != 1/r + 1/s"
+    return True, ""
 
 
 def _axis_weights(spec):

@@ -21,7 +21,7 @@ Contents:
 - one group law: the truncated Dynkin/BCH series, expanded once per
   algebra into an exact PolyVector; the product evaluates it at Fractions,
   floats or Polynomial entries (a composition, for symbolic work);
-- left translation of polynomial functions, the right-invariant vector
+- left translation maps of the group, the right-invariant vector
   fields (derivatives of the law), BCH segment averages and their
   unipotent inverses, and the pair substitutions built from them;
 - one generator action, -(grad p) . field, for the translation generators;
@@ -340,11 +340,6 @@ def bch_product(alg, X, Y):
     return bch_symbolic(alg).eval(X + Y)
 
 
-def group_inverse(alg, X):
-    """Inverse in exponential coordinates is the negative: X * (-X) = 0."""
-    return [-x for x in X]
-
-
 # ---------------------------------------------------------------------------
 # translation action on polynomial functions
 # ---------------------------------------------------------------------------
@@ -367,13 +362,6 @@ def left_translation_map(alg, g):
     gp, n = _direction_polys(d, g)
     Y = [Polynomial.var(n, i) for i in range(d)]
     return PolyVector(bch_product(alg, [-c for c in gp], Y))
-
-
-def left_translate_poly(alg, g, p):
-    """Left regular action on functions: (translate_g p)(y) = p((-g) * y)."""
-    if p.nvars != alg.dim:
-        raise ValueError("polynomial lives on %d variables, group has %d" % (p.nvars, alg.dim))
-    return poly_compose(p, left_translation_map(alg, g))
 
 
 @lru_cache(maxsize=None)
@@ -559,10 +547,6 @@ class FunctionSpaceBasis:
     def dim(self):
         return len(self._echelon.rows)
 
-    @property
-    def contains_constants(self):
-        return self.in_span(Polynomial.const(self.alg.dim, 1)) is not None
-
     def in_span(self, p):
         """Exact coordinates of p in this basis, or None if outside.  On an
         echelon basis they are p's coefficients at the pivot monomials."""
@@ -653,26 +637,6 @@ class SemidirectElement:
 
     def __repr__(self):
         return "SemidirectElement(%r, %r)" % (self.phi, list(self.x))
-
-
-def sd_identity(alg):
-    return SemidirectElement(Polynomial.zero(alg.dim), (Fraction(0),) * alg.dim)
-
-
-def sd_product(alg, m1, m2):
-    phi = m1.phi + left_translate_poly(alg, m1.x, m2.phi)
-    return SemidirectElement(phi, bch_product(alg, list(m1.x), list(m2.x)))
-
-
-def sd_inverse(alg, m):
-    ginv = group_inverse(alg, list(m.x))
-    return SemidirectElement(-left_translate_poly(alg, ginv, m.phi), ginv)
-
-
-def infinitesimal_translate(alg, X, p):
-    """d/dt at t=0 of (translate_{exp(tX)} p): the generator of the
-    translation action on functions."""
-    return _along_field(right_invariant_field(alg, X), p)
 
 
 class ClosureError(ValueError):

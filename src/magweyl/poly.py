@@ -66,12 +66,12 @@ class Polynomial:
         return cls(nvars, {(0,) * nvars: _as_coeff(c)})
 
     @classmethod
-    def var(cls, nvars, i, power=1):
-        """The monomial x_i**power (0-based variable index)."""
+    def var(cls, nvars, i):
+        """The coordinate x_i (0-based variable index)."""
         if not 0 <= i < nvars:
             raise IndexError("variable index %d out of range for nvars=%d" % (i, nvars))
         e = [0] * nvars
-        e[i] = int(power)
+        e[i] = 1
         return cls(nvars, {tuple(e): Fraction(1)})
 
     # -- basic queries -----------------------------------------------------
@@ -177,15 +177,10 @@ class Polynomial:
 
     # -- variable management -----------------------------------------------
 
-    def lift(self, nvars, offset=0):
-        """Re-embed into a larger variable space, variable i -> i+offset."""
-        if offset < 0 or self.nvars + offset > nvars:
-            raise ValueError("lift does not fit: nvars=%d offset=%d" % (nvars, offset))
-        pad_lo = (0,) * offset
-        pad_hi = (0,) * (nvars - self.nvars - offset)
-        return Polynomial(
-            nvars, {pad_lo + e + pad_hi: c for e, c in self.terms.items()}
-        )
+    def lift(self, nvars):
+        """Re-embed as the leading variables of a space of nvars >= self.nvars."""
+        pad = (0,) * (nvars - self.nvars)
+        return Polynomial(nvars, {e + pad: c for e, c in self.terms.items()})
 
 
 class PolyVector:

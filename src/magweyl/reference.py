@@ -5,7 +5,10 @@ Each function here takes one phase-space point or one group element at a
 time and goes through the full exact pipeline (phase-space lift,
 semidirect exponential, cyclic shift, closed-form phase); the lattice
 kernel in ``weyl`` computes the same quantities for every lattice point at
-once.  Neither the CLI nor the verification suite imports this module.
+once.  The semidirect group law and the left regular action on
+polynomials are here too, as the oracles for ``apply_rep``'s homomorphism
+and for the translation closure of function spaces.  Neither the CLI nor
+the verification suite imports this module.
 """
 
 from fractions import Fraction
@@ -14,12 +17,14 @@ import numpy as np
 
 from .magnetic import magnetic_phase_exponent, pair_with_right_field
 from .nilpotent import (
+    SemidirectElement,
     bch_average_inverse,
     bch_average_map,
+    bch_product,
     exp_semidirect,
     left_translation_map,
 )
-from .poly import Polynomial
+from .poly import Polynomial, poly_compose
 from .repspace import (
     HSOperator,
     NumPoly,
@@ -29,6 +34,24 @@ from .repspace import (
     inner_product,
 )
 from .weyl import _require_grid, _steps_to_operator
+
+
+# ---------------------------------------------------------------------------
+# the semidirect group law
+# ---------------------------------------------------------------------------
+
+
+def left_translate_poly(alg, g, p):
+    """Left regular action on functions: (translate_g p)(y) = p((-g) * y)."""
+    if p.nvars != alg.dim:
+        raise ValueError("polynomial lives on %d variables, group has %d" % (p.nvars, alg.dim))
+    return poly_compose(p, left_translation_map(alg, g))
+
+
+def sd_product(alg, m1, m2):
+    """(phi1, x1)(phi2, x2) = (phi1 + translate_{x1} phi2, x1 * x2)."""
+    phi = m1.phi + left_translate_poly(alg, m1.x, m2.phi)
+    return SemidirectElement(phi, bch_product(alg, list(m1.x), list(m2.x)))
 
 
 # ---------------------------------------------------------------------------

@@ -250,22 +250,31 @@ def inner_product(spec, f, g):
     return complex(np.sum(f.values * np.conj(g.values)) * spec.state_weight)
 
 
-def eval_poly_grid(spec, p):
-    """Evaluate an exact polynomial on the group mesh as a float array."""
-    if p.nvars != spec.dim:
-        raise ValueError("polynomial has %d variables, grid has %d" % (p.nvars, spec.dim))
-    mesh = spec.mesh()
+def _eval_on_axes(p, axes, shape):
+    """p as a float array of ``shape``, variable v taking the values of
+    axes[v], a 1-D table shaped to broadcast along its own axis.  Each power
+    of a table is computed once and terms are added in sorted order, so the
+    result is deterministic."""
     powers = {}
-    out = np.zeros(spec.state_shape)
+    out = np.zeros(shape)
     for e, c in sorted(p.terms.items()):
-        term = float(c) * np.ones(spec.state_shape)
-        for i, k in enumerate(e):
+        term = float(c)
+        for v, k in enumerate(e):
             if k:
-                if (i, k) not in powers:
-                    powers[i, k] = mesh[i] ** k
-                term = term * powers[i, k]
+                if (v, k) not in powers:
+                    powers[v, k] = axes[v] ** k
+                term = term * powers[v, k]
         out += term
     return out
+
+
+def eval_poly_grid(spec, p):
+    """Evaluate an exact polynomial on the group mesh as a float array."""
+    d = spec.dim
+    if p.nvars != d:
+        raise ValueError("polynomial has %d variables, grid has %d" % (p.nvars, d))
+    axes = [spec.x_axis.reshape((-1,) + (1,) * (d - 1 - i)) for i in range(d)]
+    return _eval_on_axes(p, axes, spec.state_shape)
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +371,6 @@ class HSOperator:
         self.matrix = matrix
 
     @classmethod
-    def identity(cls, spec):
-        return cls(spec, np.eye(spec.n_axis ** spec.dim, dtype=complex))
-
-    @classmethod
     def rank_one(cls, f, phi):
         """f (x) conj(phi): the operator g -> (g | phi) f."""
         spec = f.spec
@@ -379,13 +384,6 @@ class HSOperator:
 
     def compose(self, other):
         return HSOperator(self.spec, self.matrix @ other.matrix)
-
-    def adjoint(self):
-        return HSOperator(self.spec, self.matrix.conj().T)
-
-    def hs_inner(self, other):
-        """(S | T) in the Hilbert-Schmidt sense = plain Frobenius pairing."""
-        return complex(np.sum(self.matrix * np.conj(other.matrix)))
 
     def trace(self):
         return complex(np.trace(self.matrix))

@@ -5,9 +5,7 @@ random inputs from a generator seeded by the suite seed together with the
 check's fixed registry position, measures one scalar defect or ratio, and
 compares it against a fixed threshold.  Inequalities whose sharp constant
 is 1 are asserted with a multiplicative slack of 1 + 1e-3, and the measured
-constant is always reported.  A check may also run in report-only mode
-(general exponent families): its constant is logged but nothing is
-asserted.
+constant is always reported.
 
 Reports serialize to JSON lines and to a CSV summary.  Both renderings are
 byte-stable for a fixed seed, so reruns can be diffed.
@@ -79,50 +77,40 @@ SLACK = 1.0 + 1e-3
 
 
 class CheckReport:
-    """One measured metric against one threshold.
-
-    ``asserted`` distinguishes pass/fail checks from report-only entries;
-    a report-only entry carries ``threshold=None`` and always passes.  The
-    context dictionary records everything needed to reproduce the run
-    (grid parameters, seeds, window choices, sub-metrics).
+    """One measured metric against one threshold.  The context dictionary
+    records everything needed to reproduce the run (grid parameters, seeds,
+    window choices, sub-metrics).  Every check is asserted; reports keep an
+    ``asserted`` field that is always true.
     """
 
-    __slots__ = ("name", "metric", "threshold", "passed", "asserted", "context")
+    __slots__ = ("name", "metric", "threshold", "passed", "context")
 
-    def __init__(self, name, metric, threshold, passed, asserted=True, context=None):
+    def __init__(self, name, metric, threshold, passed, context=None):
         metric = float(metric)
         if not math.isfinite(metric):
             raise ValueError("check %r produced a non-finite metric %r" % (name, metric))
-        if asserted:
-            if threshold is None:
-                raise ValueError("asserted check %r needs a threshold" % name)
-            threshold = float(threshold)
-            if not math.isfinite(threshold):
-                raise ValueError("threshold for %r must be finite" % name)
-        elif threshold is not None:
-            raise ValueError("report-only check %r must not carry a threshold" % name)
+        if threshold is None:
+            raise ValueError("check %r needs a threshold" % name)
+        threshold = float(threshold)
+        if not math.isfinite(threshold):
+            raise ValueError("threshold for %r must be finite" % name)
         self.name = str(name)
         self.metric = metric
         self.threshold = threshold
         self.passed = bool(passed)
-        self.asserted = bool(asserted)
         self.context = _jsonable(context or {})
 
     @classmethod
     def from_metric(cls, name, metric, threshold, context=None, extra_ok=True):
         """Pass iff metric <= threshold and every side condition held."""
         passed = bool(float(metric) <= float(threshold)) and bool(extra_ok)
-        return cls(name, metric, threshold, passed, asserted=True, context=context)
-
-    @classmethod
-    def report_only(cls, name, metric, context=None):
-        return cls(name, metric, None, True, asserted=False, context=context)
+        return cls(name, metric, threshold, passed, context=context)
 
     def to_json_dict(self):
         return {
             "name": self.name,
             "passed": self.passed,
-            "asserted": self.asserted,
+            "asserted": True,
             "metric": self.metric,
             "threshold": self.threshold,
             "context": self.context,
@@ -130,15 +118,8 @@ class CheckReport:
 
     def summary_line(self):
         verdict = "PASS" if self.passed else "FAIL"
-        if not self.asserted:
-            verdict = "INFO"
-        bound = "-" if self.threshold is None else repr(self.threshold)
-        return "%-4s %-26s metric=%s threshold=%s" % (
-            verdict,
-            self.name,
-            repr(self.metric),
-            bound,
-        )
+        return "%-4s %-26s metric=%r threshold=%r" % (
+            verdict, self.name, self.metric, self.threshold)
 
     def __repr__(self):
         return "CheckReport(%r, metric=%r, threshold=%r, passed=%r)" % (
@@ -158,7 +139,8 @@ def _jsonable(value):
     if isinstance(value, Fraction):
         return "%d/%d" % (value.numerator, value.denominator)
     if isinstance(value, ExponentQuad):
-        return [_exponent_str(e) for e in _quad_tuple(value)]
+        exponents = (value.r, value.s, value.r1, value.s1, value.r2, value.s2)
+        return [_exponent_str(e) for e in exponents]
     if isinstance(value, bool) or value is None or isinstance(value, str):
         return value
     if isinstance(value, (int, np.integer)):
@@ -175,10 +157,6 @@ def _exponent_str(e):
     if e == INFINITY:
         return "inf"
     return str(e)
-
-
-def _quad_tuple(quad):
-    return (quad.r, quad.s, quad.r1, quad.s1, quad.r2, quad.s2)
 
 
 def suite_passed(reports):
@@ -198,16 +176,8 @@ def write_reports_jsonl(reports, path):
 def reports_to_csv(reports):
     rows = ["check,passed,asserted,metric,threshold"]
     for r in reports:
-        rows.append(
-            "%s,%s,%s,%s,%s"
-            % (
-                r.name,
-                "true" if r.passed else "false",
-                "true" if r.asserted else "false",
-                repr(r.metric),
-                "" if r.threshold is None else repr(r.threshold),
-            )
-        )
+        verdict = "true" if r.passed else "false"
+        rows.append("%s,%s,true,%r,%r" % (r.name, verdict, r.metric, r.threshold))
     return "".join(row + "\n" for row in rows)
 
 
@@ -238,12 +208,12 @@ def random_gaussian_state(spec, rng, center_box=None, width_range=(0.8, 1.5),
                           chirp=chirp)
 
 
-def random_wigner_symbol(ctx, rng, terms=2, **ranges):
-    """A combination of cross-Wigner transforms of random Gaussians: a
+def random_wigner_symbol(ctx, rng, **ranges):
+    """A combination of two cross-Wigner transforms of random Gaussians: a
     localized, generically complex symbol."""
     spec = ctx.spec
     vals = np.zeros(spec.field_shape, dtype=complex)
-    for _ in range(terms):
+    for _ in range(2):
         g = random_gaussian_state(spec, rng, **ranges)
         h = random_gaussian_state(spec, rng, **ranges)
         c = rng.standard_normal() + 1j * rng.standard_normal()
@@ -251,16 +221,16 @@ def random_wigner_symbol(ctx, rng, terms=2, **ranges):
     return PhaseSpaceField(spec, vals, SIDE_XISTAR)
 
 
-def random_envelope_symbol(ctx, rng, spread=0.35):
-    """Random Fourier coefficients under a Gaussian envelope: the symbol is
-    smooth and bounded but spread over the whole box."""
+def random_envelope_symbol(ctx, rng):
+    """Random Fourier coefficients under a Gaussian envelope (0.35 of the
+    box per axis): the symbol is smooth and bounded but fills the box."""
     spec = ctx.spec
     d = spec.dim
     noise = rng.standard_normal(spec.field_shape) + 1j * rng.standard_normal(
         spec.field_shape
     )
-    x_sigma = spread * float(np.max(np.abs(spec.x_axis)))
-    xi_sigma = spread * float(np.max(np.abs(spec.xi_axis)))
+    x_sigma = 0.35 * float(np.max(np.abs(spec.x_axis)))
+    xi_sigma = 0.35 * float(np.max(np.abs(spec.xi_axis)))
     x_profile = np.exp(-(spec.x_axis ** 2) / (2.0 * x_sigma ** 2))
     xi_profile = np.exp(-(spec.xi_axis ** 2) / (2.0 * xi_sigma ** 2))
     profiles = [x_profile] * d + [xi_profile] * d
@@ -300,7 +270,7 @@ def check_wigner_bound(ctx, quad, trials=50, seed=0, window1=None, window2=None,
     ``equality_band`` switches the metric to the two-sided defect
     max |ratio - 1|.  Explicit state ``pairs`` override the random draw.
     """
-    ok, reason = exponent_check(quad, "wigner_thm")
+    ok, reason = exponent_check(quad)
     if not ok:
         raise ValueError("exponent quad rejected: %s" % reason)
     spec = ctx.spec
@@ -356,26 +326,17 @@ _CANONICAL_OP_QUADS = {
 }
 
 
-def check_op_bounds(ctx, quad=None, trials=100, norm="operator", seed=0,
+def check_op_bounds(ctx, trials=100, norm="operator", seed=0,
                     window1=None, window2=None, symbols=None):
     """Quantization bounds: the operator norm of a quantized symbol is
     controlled by the symbol's (inner sup, outer sum) mixed norm, and the
-    trace norm by the (sum, sum) norm.
-
-    The two canonical exponent quads are asserted with slack 1 + 1e-3.  Any
-    other valid quad of the same family is measured in report-only mode:
-    the mapping constant between the matching vector modulation norms is
-    logged without a verdict.
+    trace norm by the (sum, sum) norm.  ``norm`` picks the canonical
+    exponent quad of the statement; the bound is asserted with slack
+    1 + 1e-3.  Explicit ``symbols`` override the random draw.
     """
     if norm not in _CANONICAL_OP_QUADS:
         raise ValueError("norm must be 'operator' or 'trace', got %r" % (norm,))
-    canonical = _CANONICAL_OP_QUADS[norm]
-    if quad is None:
-        quad = canonical
-    ok, reason = exponent_check(quad, "op_bound")
-    if not ok:
-        raise ValueError("exponent quad rejected: %s" % reason)
-    asserted = _quad_tuple(quad) == _quad_tuple(canonical)
+    quad = _CANONICAL_OP_QUADS[norm]
     spec = ctx.spec
     w1 = _normalized(window1 if window1 is not None else gaussian_state(spec))
     w2 = _normalized(
@@ -391,13 +352,7 @@ def check_op_bounds(ctx, quad=None, trials=100, norm="operator", seed=0,
         # exponent s (over the first lattice variable) and the outer r
         sym = mod_norm_symbol(ctx, a, w1, w2, quad.s, quad.r)
         op = quantize(ctx, a)
-        if asserted:
-            lhs = op.operator_norm() if norm == "operator" else op.trace_norm()
-        else:
-            probe = random_gaussian_state(spec, rng)
-            image = op.apply(probe)
-            lhs = mod_norm_vector(ctx, image, w1, quad.r2, quad.s2)
-            sym = sym * mod_norm_vector(ctx, probe, w1, quad.r1, quad.s1)
+        lhs = op.operator_norm() if norm == "operator" else op.trace_norm()
         if sym == 0.0:
             degenerate_leak = max(degenerate_leak, lhs)
             continue
@@ -405,15 +360,13 @@ def check_op_bounds(ctx, quad=None, trials=100, norm="operator", seed=0,
     name = "%s-bound" % norm
     context = {
         "quad": quad,
-        "canonical": asserted,
+        "canonical": True,
         "symbols": len(symbols),
         "seed": seed,
         "grid": _grid_context(spec),
         "max_ratio": worst,
         "degenerate_leak": degenerate_leak,
     }
-    if not asserted:
-        return CheckReport.report_only(name, worst, context=context)
     extra_ok = degenerate_leak <= 1e-12
     return CheckReport.from_metric(name, worst, SLACK, context=context,
                                    extra_ok=extra_ok)
@@ -888,8 +841,11 @@ def run_suite(seed=0, only=None):
     ``only`` restricts to a subset of check names.  Returns (reports,
     timings) where timings maps check names to wall seconds.  Randomness is
     derived from (seed, registry position), so a filtered run reproduces
-    exactly the reports of the full run.
+    exactly the reports of the full run.  ``seed`` must be an integer
+    >= 0; anything else raises a ValueError before any check runs.
     """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError("seed must be an integer >= 0, got %r" % (seed,))
     if only is not None:
         only = list(only)
         unknown = [n for n in only if n not in CHECK_NAMES]

@@ -93,6 +93,7 @@ from .repspace import (
     PhaseSpaceField,
     QuadratureState,
     StateVector,
+    _eval_on_axes,
     axis_transform,
     ft_symbol,
     gaussian_state,
@@ -226,27 +227,16 @@ def _tables(spec):
 def _eval_joint(spec, poly, steps=None):
     """poly(x_p, s_j h) for a polynomial in (y_0..y_{d-1}, X_0..X_{d-1}),
     step axes first: shape (len(steps),) * d + state_shape, the lattice
-    steps s_j = j - N/2 by default.  Per-axis 1-D power tables broadcast
-    into one accumulator, terms in sorted order; each s_j h is rounded once
-    from its exact value."""
+    steps s_j = j - N/2 by default, through the evaluator that
+    eval_poly_grid uses; each s_j h is rounded once from its exact value."""
     d = spec.dim
     if steps is None:
         steps = np.arange(spec.n_axis) - spec.n_axis // 2
     h = Fraction(spec.extent) / spec.n_axis
     step_axis = np.array([float(int(s) * h) for s in steps])
-    axes = [(spec.x_axis, d + i) for i in range(d)] + [(step_axis, i) for i in range(d)]
-    powers = {}
-    out = np.zeros((len(steps),) * d + spec.state_shape)
-    for e, c in sorted(poly.terms.items()):
-        term = float(c)
-        for v, k in enumerate(e):
-            if k:
-                if (v, k) not in powers:
-                    values, axis = axes[v]
-                    powers[v, k] = _along(values ** k, (axis,), 2 * d)
-                term = term * powers[v, k]
-        out += term
-    return out
+    axes = [_along(spec.x_axis, (d + i,), 2 * d) for i in range(d)]
+    axes += [_along(step_axis, (i,), 2 * d) for i in range(d)]
+    return _eval_on_axes(poly, axes, (len(steps),) * d + spec.state_shape)
 
 
 def _steps_to_operator(spec, D):
@@ -575,12 +565,13 @@ def reconstruct(ctx, ambig, window=None, synthesis_window=None):
 def coherent_family(ctx, window=None):
     """All lattice-translated window states as columns: shape
     (N^d, N^{2d}), column order matching the flattened phase-space
-    lattice."""
+    lattice (ValueError past MAX_OUTPUT_BYTES, before any work)."""
     spec = ctx.spec
     _require_grid(spec, "coherent_family")
     w = window if window is not None else ctx.window
     d = spec.dim
     n = spec.n_axis ** d
+    _check_output_bytes("coherent_family", (n, n * n))
     G = w.values[_tables(spec).moved]
     _apply_magnetic(ctx, G, +1)
     # Axes (step j, frequency k, point p): G[j, p] conj(P[k, p] a[j, k]).
@@ -595,8 +586,11 @@ def coherent_family(ctx, window=None):
 def reproducing_kernel(ctx, window=None):
     """Gram matrix K[Z, Z'] = |eps|^d (Pi(Z') w | Pi(Z) w); with a
     unit-norm window, K dXi is the orthogonal projection onto the range of
-    the ambiguity transform and K(Z, Z) = |eps|^d."""
+    the ambiguity transform and K(Z, Z) = |eps|^d.  The kernel holds
+    N^(4d) complex values (ValueError past MAX_OUTPUT_BYTES, before any
+    work)."""
     spec = ctx.spec
+    _check_output_bytes("reproducing_kernel", (spec.n_axis ** (2 * spec.dim),) * 2)
     V = coherent_family(ctx, window)
     gram = (V.conj().T @ V) * spec.state_weight
     return (abs(spec.epsilon) ** spec.dim) * gram

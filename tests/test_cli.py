@@ -96,8 +96,9 @@ class TestParseConfig:
             parse_config(overrides=[("grid.n", "sixteen")])
 
     def test_bad_exponent(self):
-        with pytest.raises(ValueError, match="not a valid exponent"):
-            parse_config(overrides=[("exponents.r", "1/2")])
+        for bad in ("1/2", "1/0", "-inf"):
+            with pytest.raises(ValueError, match="not a valid exponent"):
+                parse_config(overrides=[("exponents.r", bad)])
 
     def test_infinite_exponent_token(self):
         cfg = parse_config(overrides=[("exponents.r", "inf")])
@@ -279,6 +280,14 @@ class TestVerifyCommand:
         code = run_cli(["verify", "--only", "nope", "--out", str(tmp_path / "r")])
         assert code == 2
         assert "unknown check name" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("check", ["unitarity", "orthogonality"])
+    def test_negative_seed_exits_two(self, check, tmp_path, capsys):
+        code = run_cli(["verify", "--seed=-1", "--only", check,
+                        "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
 
 class TestTransformCommands:

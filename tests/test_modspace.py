@@ -66,55 +66,43 @@ class TestExponents:
         assert as_exponent(2) == Fraction(2)
         with pytest.raises(ValueError, match="below 1"):
             as_exponent("1/2")
+        for bad in (float("-inf"), "1/0", float("nan"), "-inf", "two"):
+            with pytest.raises(ValueError):
+                as_exponent(bad)
 
     def test_exponent_beyond_float_range_suggests_inf(self):
         with pytest.raises(ValueError, match="use 'inf'"):
             as_exponent("1e400")
         assert as_exponent("1e300") == Fraction(10) ** 300
 
-    def test_op_bound_textbook_case(self):
-        quad = ExponentQuad(1, "inf", 2, 2, 2, 2)
-        ok, reason = exponent_check(quad, "op_bound")
-        assert ok, reason
-
     def test_wigner_thm_rejects_r_above_s(self):
         quad = ExponentQuad(2, 1, 2, 2, 2, 2)
-        ok, reason = exponent_check(quad, "wigner_thm")
+        ok, reason = exponent_check(quad)
         assert not ok
         assert "r <= s" in reason
 
     def test_wigner_thm_all_twos(self):
         quad = ExponentQuad(2, 2, 2, 2, 2, 2)
-        ok, reason = exponent_check(quad, "wigner_thm")
+        ok, reason = exponent_check(quad)
         assert ok, reason
 
     def test_wigner_thm_range_violation(self):
         quad = ExponentQuad(2, 4, 1, 2, 2, 2)
-        ok, reason = exponent_check(quad, "wigner_thm")
+        ok, reason = exponent_check(quad)
         assert not ok
         assert "outside" in reason
 
     def test_wigner_thm_sum_violation(self):
         quad = ExponentQuad(1, INFINITY, 2, 2, 4, 4)
-        ok, reason = exponent_check(quad, "wigner_thm")
+        ok, reason = exponent_check(quad)
         assert not ok
         assert "1/r1 + 1/r2" in reason
-
-    def test_op_bound_difference_violation(self):
-        quad = ExponentQuad(2, 2, 4, 2, 2, 2)
-        ok, reason = exponent_check(quad, "op_bound")
-        assert not ok
-        assert "1/r1 - 1/r2" in reason
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            exponent_check(ExponentQuad(2, 2, 2, 2, 2, 2), "other")
 
     def test_exact_rational_arithmetic(self):
         # 1/2 + 1/2 = 3/4 + 1/4 exactly; float reciprocals of 4/3 would
         # make this comparison fragile.
         quad = ExponentQuad(Fraction(4, 3), 4, 2, Fraction(4, 3), 2, 4)
-        ok, reason = exponent_check(quad, "wigner_thm")
+        ok, reason = exponent_check(quad)
         assert ok, reason
 
 

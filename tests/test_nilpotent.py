@@ -10,7 +10,6 @@ from magweyl.nilpotent import (
     ClosureError,
     FunctionSpaceBasis,
     LieAlgebraSpec,
-    SemidirectElement,
     algebra,
     bch_average_inverse,
     bch_average_map,
@@ -19,15 +18,9 @@ from magweyl.nilpotent import (
     build_translate_span,
     close_under_translates,
     exp_semidirect,
-    group_inverse,
-    infinitesimal_translate,
     invert_unipotent,
-    left_translate_poly,
     registry_names,
     right_invariant_field,
-    sd_identity,
-    sd_inverse,
-    sd_product,
     semidirect_nilpotency_check,
     substitution_maps,
     _along_field,
@@ -36,6 +29,7 @@ from magweyl.nilpotent import (
     _right_fields,
     _structure_from_brackets,
 )
+from magweyl.reference import left_translate_poly
 
 
 def rand_vec(rng, dim, den=6):
@@ -116,15 +110,15 @@ class TestGroupLaw:
 
     def test_inverse_is_negation(self):
         alg = algebra("heisenberg")
-        assert group_inverse(alg, [1, 2, 3]) == [-1, -2, -3]
-        assert group_inverse(alg, [0, 0, 0]) == [0, 0, 0]
+        assert bch_product(alg, [1, 2, 3], [-1, -2, -3]) == [0, 0, 0]
+        assert bch_product(alg, [-1, -2, -3], [1, 2, 3]) == [0, 0, 0]
 
     def test_inverse_cancels_engel(self):
         alg = algebra("engel")
         rng = random.Random(7)
         for _ in range(10):
             X = rand_vec(rng, 4)
-            assert bch_product(alg, X, group_inverse(alg, X)) == [0, 0, 0, 0]
+            assert bch_product(alg, X, [-x for x in X]) == [0, 0, 0, 0]
 
     def test_identity_element(self):
         alg = algebra("engel")
@@ -326,17 +320,17 @@ class TestTranslateSpan:
     def test_abelian_dimension(self, n):
         F = build_translate_span(algebra("abelian:%d" % n))
         assert F.dim == n + 1
-        assert F.contains_constants
+        assert F.in_span(Polynomial.const(n, 1)) is not None
 
     def test_heisenberg_dimension(self):
         F = build_translate_span(algebra("heisenberg"))
         assert F.dim == 4
-        assert F.contains_constants
+        assert F.in_span(Polynomial.const(3, 1)) is not None
 
     def test_engel_dimension_recorded(self):
         # no closed form asserted at step 3; just certify the structure
         F = build_translate_span(algebra("engel"))
-        assert F.contains_constants
+        assert F.in_span(Polynomial.const(4, 1)) is not None
         for i in range(4):
             assert F.in_span(Polynomial.var(4, i)) is not None
         assert F.dim >= 5
@@ -421,8 +415,9 @@ class TestSemidirect:
 
     @pytest.mark.parametrize("name", ALGS)
     def test_generator_is_first_order_translate(self, name):
-        # oracle: the t^1 coefficient of translate_{exp(tX)} p, t the last
-        # variable of a symbolic direction tX
+        # the generator -(grad p) . field of the right-invariant field of X
+        # against the oracle: the t^1 coefficient of translate_{exp(tX)} p,
+        # t the last variable of a symbolic direction tX
         alg = algebra(name)
         d = alg.dim
         rng = random.Random(53)
@@ -431,14 +426,14 @@ class TestSemidirect:
             X = rand_vec(rng, d)
             moved = left_translate_poly(alg, [c * t for c in X], p)
             first = Polynomial(d, {e[:-1]: c for e, c in moved.terms.items() if e[-1] == 1})
-            assert infinitesimal_translate(alg, X, p) == first
+            assert _along_field(right_invariant_field(alg, X), p) == first
 
     def test_generator_action_on_linear(self):
         # translation generator applied to a linear functional yields the
         # negated pairing constant on an abelian group
         alg = algebra("abelian:2")
         xi = Polynomial.var(2, 1)
-        out = infinitesimal_translate(alg, [Fraction(3), Fraction(5)], xi)
+        out = _along_field(right_invariant_field(alg, [Fraction(3), Fraction(5)]), xi)
         assert out == Polynomial.const(2, -5)
 
 
@@ -618,23 +613,3 @@ class TestSemidirectExponential:
         with pytest.raises(ValueError, match="variables"):
             exp_semidirect(alg, F, Polynomial.var(1, 0), [X])
 
-
-def rand_sd(alg, F, rng):
-    coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in F.basis]
-    phi = Polynomial.zero(alg.dim)
-    for c, b in zip(coeffs, F.basis):
-        phi = phi + c * b
-    return SemidirectElement(phi, rand_vec(rng, alg.dim))
-
-
-class TestGroupSquare:
-    def setup_method(self):
-        self.alg = algebra("heisenberg")
-        self.F = build_translate_span(self.alg)
-
-    def test_semidirect_product_inverse(self):
-        rng = random.Random(43)
-        for _ in range(6):
-            m = rand_sd(self.alg, self.F, rng)
-            assert sd_product(self.alg, m, sd_inverse(self.alg, m)) == sd_identity(self.alg)
-            assert sd_product(self.alg, sd_inverse(self.alg, m), m) == sd_identity(self.alg)

@@ -50,11 +50,9 @@ class TestCheckReport:
 
     def test_threshold_bookkeeping(self):
         with pytest.raises(ValueError):
-            CheckReport("x", 0.0, None, True)  # asserted needs a threshold
+            CheckReport("x", 0.0, None, True)  # every check needs a threshold
         with pytest.raises(ValueError):
-            CheckReport("x", 0.0, 1.0, True, asserted=False)
-        info = CheckReport.report_only("x", 2.5, context={"note": "logged"})
-        assert info.passed and not info.asserted and info.threshold is None
+            CheckReport("x", 0.0, float("inf"), True)
 
     def test_from_metric_pass_logic(self):
         assert CheckReport.from_metric("x", 0.5, 1.0).passed
@@ -142,22 +140,12 @@ class TestOpBounds:
         with pytest.raises(ValueError):
             check_op_bounds(line_ctx(), norm="nuclear")
 
-    def test_general_quad_is_report_only(self):
-        report = check_op_bounds(
-            line_ctx(),
-            quad=ExponentQuad(2, 2, 2, 2, 2, 2),
-            trials=5,
-            norm="operator",
-            seed=9,
-        )
-        assert not report.asserted
-        assert report.threshold is None
-        assert report.passed
-        assert report.metric > 0.0
-
-    def test_rejects_invalid_quad(self):
-        with pytest.raises(ValueError):
-            check_op_bounds(line_ctx(), quad=ExponentQuad(2, 2, 4, 2, 2, 2))
+    def test_context_records_canonical_quad(self):
+        report = check_op_bounds(line_ctx(), trials=2, norm="trace", seed=9)
+        seen = report.to_json_dict()
+        assert seen["asserted"] is True
+        assert seen["context"]["canonical"] is True
+        assert seen["context"]["quad"] == ["1", "1", "inf", "inf", "1", "1"]
 
 
 class TestGaugeCovariance:
@@ -226,6 +214,18 @@ class TestRunSuite:
     def test_unknown_check_name(self):
         with pytest.raises(ValueError, match="unknown check"):
             run_suite(only=["unitarity", "no-such-check"])
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "0"])
+    def test_rejects_bad_seed_before_running(self, seed, monkeypatch):
+        def not_reached(seed_seq):
+            raise AssertionError("a check ran before the seed was checked")
+
+        monkeypatch.setattr("magweyl.verify.REGISTRY",
+                            tuple((name, not_reached) for name in CHECK_NAMES))
+        with pytest.raises(ValueError, match="seed"):
+            run_suite(seed, only=["unitarity"])
+        with pytest.raises(ValueError, match="seed"):
+            run_suite(seed)
 
     def test_removed_thresholds_argument(self):
         with pytest.raises(TypeError, match="thresholds"):

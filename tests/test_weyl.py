@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from magweyl import weyl as weyl_module
 from magweyl.magnetic import MagneticPotential
 from magweyl.modspace import mod_norm_symbol
-from magweyl.nilpotent import ClosureError, algebra, bch_symbolic, exp_semidirect, sd_product
+from magweyl.nilpotent import ClosureError, algebra, bch_symbolic, exp_semidirect
 from magweyl.poly import Polynomial, PolyVector, poly_compose, poly_eval
 from magweyl.repspace import (
     SIDE_XI,
@@ -30,6 +30,7 @@ from magweyl.reference import (
     apply_rep,
     phase_space_lift,
     rep_operator,
+    sd_product,
     weyl_operator,
 )
 from magweyl.weyl import (
@@ -37,6 +38,7 @@ from magweyl.weyl import (
     ambiguity,
     ambiguity_formula,
     ambiguity_overlap_quadrature,
+    coherent_family,
     dequantize,
     materialize_quantizer,
     moyal_product,
@@ -579,6 +581,36 @@ class TestMemoryGuard:
         ):
             mod_norm_symbol(ctx, _unallocated_symbol(ctx.spec), w, w, 1, "inf")
 
+    def test_coherent_family_refuses_large_family(self, monkeypatch):
+        ctx = grid_ctx(n=32, group=ABEL2)
+
+        def not_reached(spec):
+            raise AssertionError("built the tables before the size check")
+
+        monkeypatch.setattr(weyl_module, "_tables", not_reached)
+        with pytest.raises(
+            ValueError,
+            match=r"coherent_family: output of shape \(1024, 1048576\) "
+            r"needs 17179869184 bytes",
+        ):
+            coherent_family(ctx)
+
+    def test_reproducing_kernel_refuses_large_kernel(self, monkeypatch):
+        # abelian:1 N=256 is a grid the ambiguity subcommand accepts; its
+        # Gram matrix would need 68.7 GB.
+        ctx = grid_ctx(n=256, extent=32.0)
+
+        def not_reached(ctx, window=None):
+            raise AssertionError("built the family before the size check")
+
+        monkeypatch.setattr(weyl_module, "coherent_family", not_reached)
+        with pytest.raises(
+            ValueError,
+            match=r"reproducing_kernel: output of shape \(65536, 65536\) "
+            r"needs 68719476736 bytes",
+        ):
+            reproducing_kernel(ctx)
+
     @pytest.mark.parametrize("route", [ambiguity, ambiguity_formula, wigner])
     def test_ambiguity_refuses_large_field(self, route, monkeypatch):
         ctx = grid_ctx(n=96, extent=24.0, group=ABEL2)
@@ -633,8 +665,8 @@ class TestSquareRep:
     def test_weyl_operator_unitary(self):
         ctx = grid_ctx(potential=linear_potential(), epsilon=2.0)
         op = weyl_operator(ctx, [1.5], [0.9])
-        gram = op.adjoint().compose(op)
-        assert max_abs(gram.matrix - np.eye(16)) < 1e-12
+        gram = op.matrix.conj().T @ op.matrix
+        assert max_abs(gram - np.eye(16)) < 1e-12
 
 
 class TestReconstruction:
