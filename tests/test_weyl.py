@@ -30,7 +30,6 @@ from magweyl.reference import (
     apply_rep,
     phase_space_lift,
     rep_operator,
-    sd_product,
     weyl_operator,
 )
 from magweyl.weyl import (
