@@ -316,22 +316,40 @@ def field_inner(u, v):
     return complex(np.sum(u.values * np.conj(v.values)) * u.point_weight())
 
 
-def axis_transform(values, kernels, scratch=None):
+# Largest block of axis_transform's in-place contractions, in bytes, unless
+# one leading-index slice is larger: a small field then takes a few numpy
+# calls per contraction instead of N, a large one holds 1/N of a field extra.
+AXIS_BLOCK_BYTES = 1 << 18
+
+
+def axis_transform(values, kernels):
     """Contract kernels[i][k, p] with the i-th of the trailing len(kernels)
-    axes of values (leading axes are batch axes).  The passes alternate
-    between a fresh buffer and ``scratch`` (values itself when the caller is
-    done with them), so two buffers of the result's size are live at once."""
+    axes of values (leading axes are batch axes), leaving values untouched.
+
+    The last axis is contracted into one fresh result buffer; each earlier
+    axis overwrites that buffer in place, a block of leading-index slices at
+    a time (AXIS_BLOCK_BYTES; the contracted axis itself is never sliced).
+    Every per-matrix GEMM keeps its shape and operand strides, so the
+    blocking moves no output bit.  Working set beyond values: the result
+    plus one block, 1/N of the result once a slice passes AXIS_BLOCK_BYTES,
+    the whole of it for a lone N x N matrix."""
     out = np.matmul(values, kernels[-1].T)
-    if len(kernels) > 1 and scratch is None:
-        scratch = np.empty_like(out)
     for back, kernel in enumerate(kernels[-2::-1], start=2):
-        np.matmul(kernel, np.moveaxis(out, -back, -2), out=np.moveaxis(scratch, -back, -2))
-        out, scratch = scratch, out
+        view = np.moveaxis(out, -back, -2)
+        if view.ndim == 2:
+            view = view[None]
+        step = max(1, AXIS_BLOCK_BYTES // view[0].nbytes)
+        for start in range(0, len(view), step):
+            block = view[start:start + step]
+            block[...] = np.matmul(kernel, block)
     return out
 
 
 def ft_symbol(spec, u):
-    """Unitary transform from side Xi to side XiStar (kernel e^{-i<.,.>})."""
+    """Unitary transform from side Xi to side XiStar (kernel e^{-i<.,.>}).
+    u is left untouched; beyond it the call holds the result plus one
+    block of axis_transform (1/N of a field at d = 2 from N = 24, a whole
+    field at d = 1)."""
     if u.side != SIDE_XI:
         raise ValueError("ft_symbol expects a field on side %s" % SIDE_XI)
     out = axis_transform(u.values, [spec.harmonic_matrix()] * (2 * spec.dim))
@@ -340,7 +358,8 @@ def ft_symbol(spec, u):
 
 
 def ift_symbol(spec, u):
-    """Inverse of ft_symbol: side XiStar back to side Xi (kernel e^{+i<.,.>})."""
+    """Inverse of ft_symbol: side XiStar back to side Xi (kernel e^{+i<.,.>}),
+    with ft_symbol's working set plus the conjugated N x N kernel."""
     if u.side != SIDE_XISTAR:
         raise ValueError("ift_symbol expects a field on side %s" % SIDE_XISTAR)
     out = axis_transform(u.values, [np.conj(spec.harmonic_matrix())] * (2 * spec.dim))
@@ -378,15 +397,8 @@ class HSOperator:
         pv = phi.values.reshape(-1)
         return cls(spec, np.outer(fv, np.conj(pv)) * spec.state_weight)
 
-    def apply(self, f):
-        out = self.matrix @ f.values.reshape(-1)
-        return StateVector(self.spec, out.reshape(self.spec.state_shape))
-
     def compose(self, other):
         return HSOperator(self.spec, self.matrix @ other.matrix)
-
-    def trace(self):
-        return complex(np.trace(self.matrix))
 
     def singular_values(self):
         return np.linalg.svd(self.matrix, compute_uv=False)

@@ -725,9 +725,7 @@ def _run_symbolic_exactness(seed_seq):
             failures.append("%s: translation action is not a homomorphism" % name)
 
         _, average, average_inv = substitution_maps(alg)
-        identity = PolyVector(
-            [Polynomial.var(2 * d, i) for i in range(2 * d)]
-        )
+        identity = PolyVector.identity(2 * d)
         if average_inv.compose(average) != identity:
             failures.append("%s: averaged substitution has no left inverse" % name)
         if average.compose(average_inv) != identity:

@@ -266,19 +266,24 @@ def _apply_magnetic(ctx, arr, sign):
 
 
 def _analyze(ctx, B):
-    """(step, point) -> (step, frequency), overwriting B."""
+    """(step, point) -> (step, frequency) in a new array; the magnetic
+    phase is multiplied into B in place."""
     d, t = ctx.spec.dim, _tables(ctx.spec)
     _apply_magnetic(ctx, B, -1)
-    out = axis_transform(B, [t.dft] * d, scratch=B)
+    out = axis_transform(B, [t.dft] * d)
     _mul_axes(out, t.prefactor, 0, d)
     return out
 
 
 def _synthesize(ctx, A):
-    """(step, frequency) -> (step, point), _analyze's adjoint; overwrites A."""
+    """(step, frequency) -> (step, point) in a new array, _analyze's
+    adjoint; the prefactor is multiplied into A in place."""
     d, t = ctx.spec.dim, _tables(ctx.spec)
     _mul_axes(A, np.conj(t.prefactor), 0, d)
-    out = axis_transform(A, [np.conj(t.dft)] * d, scratch=A)
+    out = axis_transform(A, [np.conj(t.dft)] * d)
+    # The callers pass a temporary: dropping it frees a field before the
+    # magnetic phase table is built.
+    del A
     _apply_magnetic(ctx, out, +1)
     return out
 
@@ -381,7 +386,7 @@ def ambiguity_formula(ctx, f, window=None):
     B *= f.values * spec.state_weight
     if not ctx.potential.is_zero():
         B *= _phase_factor(spec, ctx.joint_phase("formula"), -1)
-    out = axis_transform(B, kernels, scratch=B)
+    out = axis_transform(B, kernels)
     for i, factor in enumerate(factors):
         out *= _along(factor, (i, len(factors) + i), out.ndim)
     return PhaseSpaceField(spec, out, SIDE_XI)
@@ -610,8 +615,10 @@ def project_field(ctx, kernel, field):
 # ---------------------------------------------------------------------------
 
 
-# (x, X) node pairs per block of ambiguity_overlap_quadrature: bounds its
-# temporaries to a few MB at any node count.
+# (x, X) node pairs per block of ambiguity_overlap_quadrature.  Its five
+# block buffers (2 real and 3 complex arrays of block x M, 64 bytes a pair)
+# then hold at most 16 MiB while M <= OVERLAP_BLOCK: 151 x 1728 pairs, about
+# 16 MiB, at M = 1728, which sets verify-suite's peak RSS.
 OVERLAP_BLOCK = 1 << 18
 
 

@@ -351,6 +351,52 @@ class TestSymbolTransforms:
         b = rs.ft_symbol(spec, u).values
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("group, n", [(ABEL1, 16), (ABEL2, 8)])
+    def test_ft_symbol_leaves_input_untouched(self, group, n):
+        spec = rs.GridSpec(group, n, 8.0)
+        u = random_field(spec, np.random.default_rng(37), rs.SIDE_XI)
+        before = u.values.copy()
+        rs.ft_symbol(spec, u)
+        assert np.array_equal(u.values, before)
+
+
+def _alternating_axis_transform(values, kernels):
+    """Reference: each contraction after the first writes the other of two
+    result-size buffers, as axis_transform did before it contracted in
+    place."""
+    out = np.matmul(values, kernels[-1].T)
+    spare = np.empty_like(out)
+    for back, kernel in enumerate(kernels[-2::-1], start=2):
+        np.matmul(kernel, np.moveaxis(out, -back, -2), out=np.moveaxis(spare, -back, -2))
+        out, spare = spare, out
+    return out
+
+
+class TestAxisTransform:
+    # d = 1 and d = 2 fields with one, d and 2d kernels; with d kernels the
+    # leading d axes are batch axes, as in the lattice kernel.
+    CASES = [(1, 16, 1), (1, 64, 2), (2, 8, 1), (2, 8, 2), (2, 8, 4),
+             (2, 12, 4), (2, 24, 1), (2, 24, 2), (2, 24, 4)]
+
+    # One slice per block, the default budget, and the whole array at once.
+    @pytest.mark.parametrize("block_bytes", [1, rs.AXIS_BLOCK_BYTES, 1 << 40])
+    @pytest.mark.parametrize("d, n, count", CASES)
+    def test_matches_alternating_buffers(self, d, n, count, block_bytes, monkeypatch):
+        monkeypatch.setattr(rs, "AXIS_BLOCK_BYTES", block_bytes)
+        spec = rs.GridSpec(ABEL1 if d == 1 else ABEL2, n, 8.0)
+        rng = np.random.default_rng(38)
+        values = random_field(spec, rng, rs.SIDE_XI).values
+        before = values.copy()
+        # One shared kernel, as in ft_symbol, and distinct per-axis kernels,
+        # as in the formula route.
+        shared = [spec.harmonic_matrix()] * count
+        distinct = [rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                    for _ in range(count)]
+        for kernels in (shared, distinct):
+            out = rs.axis_transform(values, kernels)
+            assert np.array_equal(out, _alternating_axis_transform(values, kernels))
+        assert np.array_equal(values, before)
+
 
 # ---------------------------------------------------------------------------
 # Hilbert-Schmidt operators
@@ -384,7 +430,7 @@ class TestOperators:
         rng = np.random.default_rng(43)
         f = random_state(spec, rng)
         p = random_state(spec, rng)
-        lhs = rs.HSOperator.rank_one(f, p).trace()
+        lhs = np.trace(rs.HSOperator.rank_one(f, p).matrix)
         rhs = rs.inner_product(spec, f, p)
         assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
@@ -394,9 +440,9 @@ class TestOperators:
         f = random_state(spec, rng)
         p = random_state(spec, rng)
         g = random_state(spec, rng)
-        out = rs.HSOperator.rank_one(f, p).apply(g)
+        out = rs.HSOperator.rank_one(f, p).matrix @ g.values.reshape(-1)
         ref = rs.inner_product(spec, g, p) * f.values
-        assert np.max(np.abs(out.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_adjoint_pairing(self):
         spec = rs.GridSpec(ABEL1, 16, 8.0)
@@ -405,18 +451,19 @@ class TestOperators:
         op = rs.HSOperator(spec, mat)
         f = random_state(spec, rng)
         g = random_state(spec, rng)
-        lhs = rs.inner_product(spec, op.apply(f), g)
-        adjoint = rs.HSOperator(spec, op.matrix.conj().T)
-        rhs = rs.inner_product(spec, f, adjoint.apply(g))
+        lhs = rs.inner_product(spec, rs.StateVector(spec, op.matrix @ f.values), g)
+        adjoint = op.matrix.conj().T
+        rhs = rs.inner_product(spec, f, rs.StateVector(spec, adjoint @ g.values))
         assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
     def test_identity(self):
         spec = rs.GridSpec(ABEL2, 8, 8.0)
         ident = rs.HSOperator(spec, np.eye(64))
-        assert ident.trace() == 64
+        assert np.trace(ident.matrix) == 64
         rng = np.random.default_rng(46)
         f = random_state(spec, rng)
-        assert np.array_equal(ident.apply(f).values, f.values)
+        out = ident.matrix @ f.values.reshape(-1)
+        assert np.array_equal(out.reshape(spec.state_shape), f.values)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -22,6 +24,7 @@ from magweyl.repspace import (
     field_inner,
     ft_symbol,
     gaussian_state,
+    ift_symbol,
     inner_product,
 )
 from magweyl.reference import (
@@ -636,6 +639,68 @@ class TestMemoryGuard:
             materialize_quantizer(ctx)
 
 
+def _traced_peak(fn, *args):
+    """Bytes fn(*args) allocates at its peak, its result included."""
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """Peak allocation of the d = 2 transforms beyond their inputs, in
+    fields of N^(2d) complex values, on lattice-warm's abelian:2 N = 24
+    grid.  There a block of the axis transform is one slice, 1/24 of a
+    field, and the fixed 128 KiB buffer of numpy's ufunc iterator (in the
+    in-place broadcast products) is under 1/40 of one.  On smaller grids
+    both are larger shares of a field (a quarter and an eighth at N = 16)."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        ctx = grid_ctx(n=24, group=ABEL2)
+        f = random_state(ctx.spec, 91)
+        symbol = random_symbol(ctx.spec, 92)
+        field = PhaseSpaceField(ctx.spec, symbol.values, SIDE_XI)
+        op = quantize(ctx, symbol)
+        wigner(ctx, f)  # builds the per-grid tables outside the traced calls
+        return ctx, f, symbol, field, op
+
+    @pytest.mark.parametrize("name, bound", [
+        ("ft_symbol", 1.1), ("ift_symbol", 1.1), ("ambiguity", 2.1), ("wigner", 2.1),
+        ("quantize", 2.1), ("dequantize", 2.1), ("moyal_product", 3.1),
+    ])
+    def test_fields_beyond_inputs(self, data, name, bound):
+        ctx, f, symbol, field, op = data
+        calls = {
+            "ft_symbol": (ft_symbol, ctx.spec, field),
+            "ift_symbol": (ift_symbol, ctx.spec, symbol),
+            "ambiguity": (ambiguity, ctx, f),
+            "wigner": (wigner, ctx, f),
+            "quantize": (quantize, ctx, symbol),
+            "dequantize": (dequantize, ctx, op),
+            "moyal_product": (moyal_product, ctx, symbol, symbol),
+        }
+        fn, *args = calls[name]
+        field_bytes = symbol.values.nbytes
+        assert _traced_peak(fn, *args) / field_bytes <= bound
+
+    def test_magnetic_quantize_frees_its_input_before_the_phase(self):
+        # The result, the complex phase table and the half field of its
+        # float evaluation: 2.5 fields.  Holding the transform's input too
+        # would make it 3.5.
+        ctx = grid_ctx(n=24, group=ABEL2, potential=crossed_potential())
+        symbol = random_symbol(ctx.spec, 93)
+        quantize(ctx, symbol)  # builds the tables and the joint phase
+        assert _traced_peak(quantize, ctx, symbol) / symbol.values.nbytes <= 2.6
+
+
 class TestSquareRep:
     def test_rep_operator_matches_apply_rep(self):
         # The plane case pins the operator index of the lattice kernel to
@@ -657,9 +722,9 @@ class TestSquareRep:
                 spec.group, ctx.space, lifted.phi, [Fraction(s) * ctx.h_exact for s in steps]
             )
             f = random_state(spec, 102)
-            via_matrix = rep_operator(ctx, m).apply(f)
+            via_matrix = rep_operator(ctx, m).matrix @ f.values.reshape(-1)
             direct = apply_rep(spec, ctx.space, m, f)
-            assert max_abs(via_matrix.values - direct.values) < 1e-12
+            assert max_abs(via_matrix - direct.values.reshape(-1)) < 1e-12
 
     def test_weyl_operator_unitary(self):
         ctx = grid_ctx(potential=linear_potential(), epsilon=2.0)
