@@ -48,7 +48,7 @@ def main():
     # Translates of the linear coordinates span a finite space; the group
     # extended by that span stays nilpotent.
     span = build_translate_span(alg)
-    structure, step, is_nil = semidirect_nilpotency_check(alg, span)
+    step, is_nil = semidirect_nilpotency_check(alg, span)
     print("translate span dimension: %d" % span.dim)
     print("extended algebra: dimension %d, step %d, nilpotent: %s"
           % (alg.dim + span.dim, step, "yes" if is_nil else "no"))

@@ -28,8 +28,8 @@ lines, one monomial each::
     A: [comp=1, exp=(0,1), coeff=1/1]     # x2 dx1 on a 2-d group
 
 ``comp`` is the 1-based covector slot, ``exp`` the exponent tuple of the
-monomial, ``coeff`` an exact rational.  The same lines may live in a
-separate file passed with ``--potential``.
+monomial, ``coeff`` an exact rational.  These lines in the ``--config``
+file are the only way to give a potential.
 
 Every computing subcommand writes a manifest with versions and seed,
 byte-identical across reruns, and a ``run.json`` sidecar with the output
@@ -59,12 +59,7 @@ from .nilpotent import algebra, build_translate_span, semidirect_nilpotency_chec
 from .magnetic import MagneticPotential
 from .poly import Polynomial
 from .repspace import GridSpec, csv_write, gaussian_state, tensor_write
-from .verify import (
-    run_suite,
-    suite_passed,
-    write_reports_jsonl,
-    write_summary_csv,
-)
+from .verify import reports_to_csv, reports_to_jsonl, run_suite, suite_passed
 from .weyl import QuantizerContext, _check_output_bytes, ambiguity, moyal_product, quantize, wigner
 
 
@@ -305,12 +300,11 @@ class RunConfig:
         )
 
 
-def parse_config(path=None, overrides=None, potential_path=None, build_grid=True):
+def parse_config(path=None, overrides=None, build_grid=True):
     """Merge defaults, an optional config file, and flag overrides.
 
     ``overrides`` is a list of (key, value) pairs already in config-key
-    form.  ``potential_path`` names a file holding only ``A:`` entry lines
-    (plus comments); its entries are appended after the config file's.
+    form.
     """
     raw = dict(_DEFAULTS)
     entries = []
@@ -318,14 +312,6 @@ def parse_config(path=None, overrides=None, potential_path=None, build_grid=True
         with open(path, "r", encoding="utf-8") as handle:
             pairs, file_entries = parse_config_text(handle.read())
         _merge_raw(raw, pairs, path)
-        entries.extend(file_entries)
-    if potential_path is not None:
-        with open(potential_path, "r", encoding="utf-8") as handle:
-            pairs, file_entries = parse_config_text(handle.read())
-        if pairs:
-            raise ValueError(
-                "potential file %s must contain only 'A:' entry lines" % potential_path
-            )
         entries.extend(file_entries)
     if overrides:
         _merge_raw(raw, overrides, "command line")
@@ -341,8 +327,10 @@ def emit_report(reports, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     jsonl_path = os.path.join(out_dir, "reports.jsonl")
     csv_path = os.path.join(out_dir, "summary.csv")
-    write_reports_jsonl(reports, jsonl_path)
-    write_summary_csv(reports, csv_path)
+    for path, text in ((jsonl_path, reports_to_jsonl(reports)),
+                       (csv_path, reports_to_csv(reports))):
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
     return [jsonl_path, csv_path]
 
 
@@ -430,6 +418,7 @@ def _cmd_verify(cfg):
 
 def _field_command(cfg, command):
     """Shared body of ``ambiguity`` and ``wigner``."""
+    _check_output_bytes("ambiguity", cfg.spec.field_shape)
     started = time.perf_counter()
     ctx = cfg.context()
     state = cfg.state("state")
@@ -467,6 +456,7 @@ def _cmd_moyal(cfg):
 
 
 def _cmd_modnorm(cfg):
+    _check_output_bytes("ambiguity", cfg.spec.field_shape)
     started = time.perf_counter()
     ctx = cfg.context()
     value = mod_norm_vector(
@@ -491,7 +481,7 @@ def _cmd_group_info(name):
     print("nilpotency step: %d" % alg.step)
     try:
         span = build_translate_span(alg)
-        structure, step, is_nil = semidirect_nilpotency_check(alg, span)
+        step, is_nil = semidirect_nilpotency_check(alg, span)
     except ValueError as err:
         print("translate span: failed (%s)" % err)
         return 1
@@ -546,8 +536,6 @@ def build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="key = value config file")
-    common.add_argument("--potential", metavar="FILE",
-                        help="file of 'A:' potential entry lines")
     common.add_argument("--group", help="group name (abelian:n, heisenberg, engel)")
     common.add_argument("--n", help="lattice points per axis")
     common.add_argument("--extent", help="box side length")
@@ -600,7 +588,6 @@ def main(argv=None):
         cfg = parse_config(
             path=args.config,
             overrides=_overrides_from_args(args),
-            potential_path=args.potential,
             build_grid=(args.command not in ("group-info", "verify")),
         )
         return dispatch(args.command, cfg)

@@ -178,7 +178,7 @@ def admissible_space(alg, A):
     """The runtime function space: the translation closure of the minimal
     span together with all potential pairings along basis directions.
     Certified translation-stable (the closure itself guarantees it; the
-    semidirect assembly re-checks and raises otherwise)."""
+    semidirect certification re-checks and raises otherwise)."""
     base = build_translate_span(alg)
     d = alg.dim
     basis_dirs = [[Fraction(1 if i == j else 0) for j in range(d)] for i in range(d)]

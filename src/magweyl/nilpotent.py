@@ -235,17 +235,6 @@ class LieAlgebraSpec:
                 % (self.step, len(series))
             )
 
-    def to_json_dict(self):
-        return {
-            "name": self.name,
-            "dim": self.dim,
-            "step": self.step,
-            "structure": [
-                [["%d/%d" % (c.numerator, c.denominator) for c in row] for row in plane]
-                for plane in self.structure
-            ],
-        }
-
 
 def _structure_from_brackets(dim, pairs):
     """Build the dense c[i][j][k] array from {(i, j): {k: coeff}} with i<j."""
@@ -472,22 +461,19 @@ def bch_average_inverse(alg, X):
 
 
 def substitution_maps(alg):
-    """The two pair substitutions on g x g used to untangle products of
-    translated windows, plus the exact inverse of the second:
+    """The pair substitution on g x g used to untangle products of
+    translated windows, and its exact inverse, as ``(average, average_inv)``:
 
-    - ``twist``:        (Y, Z) -> (-Y, Y * (-Z))
     - ``average``:      (V, W) -> (-avg_W(V), W)
     - ``average_inv``:  (Y, X) -> (avg_X^{-1}(-Y), X)
 
-    where avg_X is bch_average_map.  Returned as PolyVectors in 2*dim
+    where avg_X is bch_average_map.  Both are PolyVectors in 2*dim
     variables (first block, then second block).
     """
     d = alg.dim
     n = 2 * d
     first = [Polynomial.var(n, i) for i in range(d)]
     second = [Polynomial.var(n, d + i) for i in range(d)]
-
-    twist = PolyVector([-p for p in first] + bch_product(alg, first, [-p for p in second]))
 
     avg = bch_average_symbolic(alg)  # (y's, x's)
     avg_VW = avg.compose(PolyVector(first + second))
@@ -497,7 +483,7 @@ def substitution_maps(alg):
         PolyVector([-p for p in first] + second)
     )
     average_inv = PolyVector(list(inv_at_negY) + second)
-    return twist, average, average_inv
+    return average, average_inv
 
 
 # ---------------------------------------------------------------------------
@@ -649,12 +635,8 @@ def _same_algebra(alg, F):
 
 
 def semidirect_nilpotency_check(alg, F):
-    """Assemble the Lie algebra of (span F) x| g with exact structure
-    constants, certify Jacobi, and compute its lower central series.
-
-    Returns (structure_constants, step, is_nilpotent) where the structure
-    constants are indexed over the combined basis: F's basis first, then
-    the group directions.
+    """Certify Jacobi for the Lie algebra of (span F) x| g and compute its
+    lower central series, exactly.  Returns ``(step, is_nilpotent)``.
 
     The work is done by blocks.  Let R_i be the action of generator i on F
     (in F-coordinates).  F is an abelian ideal and g's own Jacobi identity
@@ -686,17 +668,6 @@ def semidirect_nilpotency_check(alg, F):
             row.append(coords)
         action.append(row)
 
-    structure = [[[_ZERO] * n for _ in range(n)] for _ in range(n)]
-    # [gen_i, phi_a] = action[i][a];  [phi, phi'] = 0;  [gen_i, gen_j] = algebra bracket
-    for i in range(d):
-        for a in range(k):
-            for b in range(k):
-                structure[k + i][a][b] = action[i][a][b]
-                structure[a][k + i][b] = -action[i][a][b]
-    for i in range(d):
-        for j in range(d):
-            structure[k + i][k + j][k:] = alg.structure[i][j]
-
     def act(i, v):  # R_i v, in F-coordinates
         out = [_ZERO] * k
         for b, vb in enumerate(v):
@@ -725,8 +696,8 @@ def semidirect_nilpotency_check(alg, F):
                 nxt.add(act(i, v))
         layer = nxt.rows
     if layer:
-        return structure, n + 2, False
-    return structure, max(alg.step, nonzero), True
+        return n + 2, False
+    return max(alg.step, nonzero), True
 
 
 def exp_semidirect(alg, F, phi, X):

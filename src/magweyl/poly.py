@@ -85,9 +85,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def coeff(self, expts):
-        return self.terms.get(tuple(expts), Fraction(0))
-
     def __eq__(self, other):
         if not isinstance(other, Polynomial):
             return NotImplemented

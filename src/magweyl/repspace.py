@@ -222,6 +222,13 @@ def gaussian_state(spec, center=None, width=1.0, momentum=None, chirp=0.0):
             raise ValueError("%s must have %d finite entries, got %r" % (name, d, vec))
     if not 0 < width < math.inf:
         raise ValueError("width must be positive and finite, got %r" % (width,))
+    try:
+        amp = (2.0 * math.pi * width ** 2) ** (-d / 4.0)
+    except (ZeroDivisionError, OverflowError):
+        amp = 0.0
+    if not 0 < amp < math.inf:
+        raise ValueError("width %r: the normalization (2 pi width^2)^(-d/4) is not "
+                         "a finite positive float" % (width,))
     if not math.isfinite(chirp):
         raise ValueError("chirp must be finite, got %r" % (chirp,))
     if spec.backend == "quadrature":
@@ -232,7 +239,6 @@ def gaussian_state(spec, center=None, width=1.0, momentum=None, chirp=0.0):
     for i in range(d):
         r2 = r2 + (mesh[i] - center[i]) ** 2
         phase = phase + momentum[i] * mesh[i]
-    amp = (2.0 * math.pi * width ** 2) ** (-d / 4.0)
     values = amp * np.exp(-r2 / (4.0 * width ** 2) + 1j * (phase + chirp * r2))
     return StateVector(spec, values)
 
@@ -575,11 +581,15 @@ def tensor_read(path):
             raise ValueError("not a tensor file (bad magic %r)" % magic)
         try:
             (rank,) = struct.unpack("<I", fh.read(4))
-            dims = struct.unpack("<%dQ" % rank, fh.read(8 * rank))
         except struct.error:
             raise ValueError("truncated tensor header") from None
-        count = math.prod(dims)
         size = os.fstat(fh.fileno()).st_size - fh.tell()
+        if 8 * rank > size:
+            raise ValueError("truncated tensor header: rank %d needs %d bytes of dims, "
+                             "the file holds %d" % (rank, 8 * rank, size))
+        dims = struct.unpack("<%dQ" % rank, fh.read(8 * rank))
+        count = math.prod(dims)
+        size -= 8 * rank
         if size != 16 * count:
             raise ValueError("tensor dims %r need %d payload bytes, the file holds %d"
                              % (dims, 16 * count, size))

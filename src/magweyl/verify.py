@@ -168,22 +168,12 @@ def reports_to_jsonl(reports):
     return "".join(line + "\n" for line in lines)
 
 
-def write_reports_jsonl(reports, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(reports_to_jsonl(reports))
-
-
 def reports_to_csv(reports):
     rows = ["check,passed,asserted,metric,threshold"]
     for r in reports:
         verdict = "true" if r.passed else "false"
         rows.append("%s,%s,true,%r,%r" % (r.name, verdict, r.metric, r.threshold))
     return "".join(row + "\n" for row in rows)
-
-
-def write_summary_csv(reports, path):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(reports_to_csv(reports))
 
 
 # ---------------------------------------------------------------------------
@@ -372,15 +362,15 @@ def check_op_bounds(ctx, trials=100, norm="operator", seed=0,
                                    extra_ok=extra_ok)
 
 
-def check_gauge_covariance(ctx_base, ctx_gauged, chi, trials=3, seed=0):
+def check_gauge_covariance(ctx_base, chi, trials=3, seed=0):
     """Shifting the potential by an exact gradient conjugates quantization
     by the corresponding unimodular multiplier and leaves the twisted
     product untouched (the product depends on the potential only through
     its exterior derivative).
 
-    Requires the two contexts to share one grid, the group to have
-    nilpotency step at most 2, and ``ctx_gauged``'s potential to equal
-    ``ctx_base``'s shifted by the gradient of ``chi`` exactly.
+    The gauged context is ``ctx_base``'s grid with its potential shifted by
+    the gradient of ``chi``.  Requires the group to have nilpotency step at
+    most 2 and the grid backend.
 
     The identity is exact except on matrix entries whose translation wraps
     around the box, so the test symbols must keep their mass away from
@@ -388,28 +378,14 @@ def check_gauge_covariance(ctx_base, ctx_gauged, chi, trials=3, seed=0):
     origin, assume an extent of at least ~16.
     """
     spec = ctx_base.spec
-    other = ctx_gauged.spec
     if spec.group.step > 2:
         raise ValueError(
             "gauge covariance check needs nilpotency step <= 2, got step %d"
             % spec.group.step
         )
-    if spec.backend != "grid" or other.backend != "grid":
+    if spec.backend != "grid":
         raise ValueError("gauge covariance check needs the grid backend")
-    same = (
-        spec.group == other.group
-        and spec.n_axis == other.n_axis
-        and spec.extent == other.extent
-        and spec.epsilon == other.epsilon
-    )
-    if not same:
-        raise ValueError("the two contexts must share one discretization")
-    shifted = gauge_shift(ctx_base.potential, chi)
-    if list(shifted.components) != list(ctx_gauged.potential.components):
-        raise ValueError(
-            "gauged potential does not equal the base potential shifted by "
-            "the gradient of the given scalar"
-        )
+    ctx_gauged = QuantizerContext(spec, potential=gauge_shift(ctx_base.potential, chi))
     multiplier = np.exp(
         1j * spec.epsilon * eval_poly_grid(spec, chi)
     ).ravel()
@@ -667,9 +643,7 @@ def _run_gauge_field(seed_seq):
     a_pot = MagneticPotential([Polynomial.zero(2), Polynomial.var(2, 0)])
     chi = Polynomial.var(2, 0) * Polynomial.var(2, 1)
     base = QuantizerContext(spec2, potential=a_pot)
-    gauged = QuantizerContext(spec2, potential=gauge_shift(a_pot, chi))
-    plane_report = check_gauge_covariance(base, gauged, chi, trials=3,
-                                          seed=sub_seeds[0])
+    plane_report = check_gauge_covariance(base, chi, trials=3, seed=sub_seeds[0])
 
     # line: a pure-gradient potential acts exactly like no potential
     line = algebra("abelian:1")
@@ -677,9 +651,7 @@ def _run_gauge_field(seed_seq):
     line_pot = MagneticPotential([Polynomial.var(1, 0) * Fraction(1, 2)])
     chi1 = Polynomial.var(1, 0) * Polynomial.var(1, 0) * Fraction(-1, 4)
     base1 = QuantizerContext(spec1, potential=line_pot)
-    gauged1 = QuantizerContext(spec1)
-    line_report = check_gauge_covariance(base1, gauged1, chi1, trials=3,
-                                         seed=sub_seeds[1])
+    line_report = check_gauge_covariance(base1, chi1, trials=3, seed=sub_seeds[1])
     plane_report.context["configuration"] = "plane, transverse potential"
     line_report.context["configuration"] = "line, gradient potential vs none"
     return [plane_report, line_report]
@@ -724,7 +696,7 @@ def _run_symbolic_exactness(seed_seq):
         if map_h.compose(map_g) != combined:
             failures.append("%s: translation action is not a homomorphism" % name)
 
-        _, average, average_inv = substitution_maps(alg)
+        average, average_inv = substitution_maps(alg)
         identity = PolyVector.identity(2 * d)
         if average_inv.compose(average) != identity:
             failures.append("%s: averaged substitution has no left inverse" % name)
@@ -734,7 +706,7 @@ def _run_symbolic_exactness(seed_seq):
         span = build_translate_span(alg)
         entry["span_dim"] = span.dim
         try:
-            _, step, is_nilpotent = semidirect_nilpotency_check(alg, span)
+            step, is_nilpotent = semidirect_nilpotency_check(alg, span)
         except ValueError as err:
             failures.append("%s: extended algebra rejected (%s)" % (name, err))
         else:

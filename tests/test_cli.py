@@ -170,12 +170,6 @@ class TestPotentialEntries:
         with pytest.raises(ValueError, match="malformed potential entry"):
             parse_potential_entry("comp=1 exp=(0) coeff=1", 1)
 
-    def test_potential_file_must_be_entries_only(self, tmp_path):
-        path = tmp_path / "pot.cfg"
-        path.write_text("grid.n = 8\nA: [comp=1, exp=(0), coeff=1]\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="entry lines"):
-            parse_config(potential_path=str(path))
-
 
 class TestGroupInfo:
     def test_heisenberg(self, capsys):
@@ -217,10 +211,10 @@ def test_closure_error_exits_two(tmp_path, capsys, monkeypatch):
         raise ClosureError("injected closure failure")
 
     monkeypatch.setattr(weyl, "admissible_space", fail)
-    pot = tmp_path / "plane.pot"
-    pot.write_text("A: [comp=2, exp=(1,0), coeff=1/1]\n", encoding="utf-8")
+    cfg = tmp_path / "plane.cfg"
+    cfg.write_text("A: [comp=2, exp=(1,0), coeff=1/1]\n", encoding="utf-8")
     code = run_cli(["ambiguity", "--group", "abelian:2", "--n", "8", "--extent", "8",
-                    "--potential", str(pot), "--out", str(tmp_path / "amb")])
+                    "--config", str(cfg), "--out", str(tmp_path / "amb")])
     assert code == 2
     assert "injected closure failure" in capsys.readouterr().err
 
@@ -397,6 +391,18 @@ class TestFieldMemoryGuard:
         assert "ambiguity: output of shape (96, 96, 96, 96) needs 1358954496 bytes" in err
         assert not (tmp_path / "big").exists()
 
+    @pytest.mark.parametrize("command", ["ambiguity", "wigner", "modnorm"])
+    def test_huge_grid_refused_before_any_state(self, command, tmp_path, capsys,
+                                                monkeypatch):
+        # At N = 100000 even the N^d window mesh would not fit in memory.
+        monkeypatch.setattr(cli, "gaussian_state", _not_reached)
+        code = run_cli([command, "--group", "abelian:2", "--n", "100000",
+                        "--out", str(tmp_path / "big")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "ambiguity: output of shape (100000, 100000, 100000, 100000)" in err
+        assert not (tmp_path / "big").exists()
+
 
 class TestOutOfRangeNumbers:
     """A number beyond the float range ends in exit 2 and a message naming
@@ -418,6 +424,17 @@ class TestOutOfRangeNumbers:
         assert run_cli(args + setting) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("width", ["1e-200", "1e200"])
+    def test_extreme_width_exits_two(self, width, tmp_path, capsys):
+        path = tmp_path / "width.cfg"
+        path.write_text("window.width = %s\n" % width, encoding="utf-8")
+        code = run_cli(["ambiguity", "--n", "8", "--config", str(path),
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: width %s" % float(width))
         assert not (tmp_path / "out").exists()
 
 

@@ -576,6 +576,8 @@ GAUSSIAN_BAD = {
     "negative-width": ("width", lambda d: dict(width=-1.0)),
     "inf-width": ("width", lambda d: dict(width=math.inf)),
     "nan-width": ("width", lambda d: dict(width=math.nan)),
+    "tiny-width": ("width", lambda d: dict(width=1e-200)),
+    "huge-width": ("width", lambda d: dict(width=1e200)),
     "inf-chirp": ("chirp", lambda d: dict(chirp=math.inf)),
 }
 
@@ -621,6 +623,14 @@ class TestSerialization:
         path = tmp_path / "short.mwt"
         path.write_bytes(rs.TENSOR_MAGIC + struct.pack("<I", 2) + struct.pack("<Q", 3))
         with pytest.raises(ValueError, match="truncated"):
+            rs.tensor_read(path)
+
+    def test_tensor_rank_exceeds_file(self, tmp_path):
+        # A rank of 0xFFFFFFF0 would ask for 32 GiB of dims: rejected from
+        # the file size, before any read.
+        path = tmp_path / "rank.mwt"
+        path.write_bytes(rs.TENSOR_MAGIC + struct.pack("<I", 0xFFFFFFF0) + b"\x00" * 62)
+        with pytest.raises(ValueError, match="rank 4294967280 needs"):
             rs.tensor_read(path)
 
     def test_tensor_trailing_bytes(self, tmp_path):
