@@ -2,13 +2,17 @@
 
 Subcommands
 -----------
-``verify``      run the self-check suite, emit reports.jsonl / summary.csv
-``ambiguity``   cross-ambiguity table of the configured state and window
-``wigner``      cross-Wigner table of the configured state pair
-``quantize``    operator matrix quantizing the configured Wigner symbol
-``moyal``       twisted product of two configured Wigner symbols
-``modnorm``     phase-space mixed norm of the configured state
-``group-info``  symbolic facts about a registered group (no grid needed)
+``verify``      run the self-check suite
+``ambiguity``   cross-ambiguity table of state vs window
+``wigner``      cross-Wigner table of state vs state2
+``quantize``    operator matrix of the configured symbol
+``moyal``       twisted product of two configured symbols
+``modnorm``     mixed phase-space norm of the configured state
+``group-info``  symbolic facts about a registered group
+
+These are the rows of ``_COMMANDS`` with their ``--help`` lines; the value
+flags are the rows of ``_FLAGS``, each naming the config key it sets.
+``verify`` writes reports.jsonl and summary.csv.
 
 Configuration comes from three layers merged in order: built-in defaults,
 an optional ``key = value`` config file (``--config``), then command-line
@@ -50,6 +54,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -416,7 +421,7 @@ def _cmd_verify(cfg):
     return 0 if ok else 1
 
 
-def _field_command(cfg, command):
+def _field_command(command, cfg):
     """Shared body of ``ambiguity`` and ``wigner``."""
     _check_output_bytes("ambiguity", cfg.spec.field_shape)
     started = time.perf_counter()
@@ -474,8 +479,8 @@ def _cmd_modnorm(cfg):
     return 0
 
 
-def _cmd_group_info(name):
-    alg = algebra(name)
+def _cmd_group_info(cfg):
+    alg = cfg.group
     print("group: %s" % alg.name)
     print("dimension: %d" % alg.dim)
     print("nilpotency step: %d" % alg.step)
@@ -492,37 +497,41 @@ def _cmd_group_info(name):
     return 0
 
 
+# name -> (handler taking the RunConfig, help line, whether it builds a grid)
+_COMMANDS = {
+    "verify": (_cmd_verify, "run the self-check suite", False),
+    "ambiguity": (partial(_field_command, "ambiguity"),
+                  "cross-ambiguity table of state vs window", True),
+    "wigner": (partial(_field_command, "wigner"),
+               "cross-Wigner table of state vs state2", True),
+    "quantize": (_cmd_quantize, "operator matrix of the configured symbol", True),
+    "moyal": (_cmd_moyal, "twisted product of two configured symbols", True),
+    "modnorm": (_cmd_modnorm, "mixed phase-space norm of the configured state", True),
+    "group-info": (_cmd_group_info, "symbolic facts about a registered group", False),
+}
+
+
 def dispatch(command, cfg):
     """Route one parsed subcommand; returns the process exit code."""
-    if command == "verify":
-        return _cmd_verify(cfg)
-    if command in ("ambiguity", "wigner"):
-        return _field_command(cfg, command)
-    if command == "quantize":
-        return _cmd_quantize(cfg)
-    if command == "moyal":
-        return _cmd_moyal(cfg)
-    if command == "modnorm":
-        return _cmd_modnorm(cfg)
-    if command == "group-info":
-        return _cmd_group_info(cfg.raw["group"])
-    raise ValueError("unknown subcommand %r" % command)
+    if command not in _COMMANDS:
+        raise ValueError("unknown subcommand %r" % command)
+    return _COMMANDS[command][0](cfg)
 
 
 # ---------------------------------------------------------------------------
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-# (flag destination, config key) pairs for plain value flags
-_FLAG_KEYS = (
-    ("group", "group"),
-    ("n", "grid.n"),
-    ("extent", "grid.extent"),
-    ("epsilon", "epsilon"),
-    ("seed", "seed"),
-    ("out", "out"),
-    ("r", "exponents.r"),
-    ("s", "exponents.s"),
+# (flag destination, config key, help) for plain value flags
+_FLAGS = (
+    ("group", "group", "group name (abelian:n, heisenberg, engel)"),
+    ("n", "grid.n", "lattice points per axis"),
+    ("extent", "grid.extent", "box side length"),
+    ("epsilon", "epsilon", "representation parameter"),
+    ("seed", "seed", "random seed"),
+    ("out", "out", "output directory"),
+    ("r", "exponents.r", "exponent (number or 'inf')"),
+    ("s", "exponents.s", "exponent (number or 'inf')"),
 )
 
 
@@ -536,39 +545,22 @@ def build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="FILE", help="key = value config file")
-    common.add_argument("--group", help="group name (abelian:n, heisenberg, engel)")
-    common.add_argument("--n", help="lattice points per axis")
-    common.add_argument("--extent", help="box side length")
-    common.add_argument("--epsilon", help="representation parameter")
-    common.add_argument("--seed", help="random seed")
-    common.add_argument("--out", help="output directory")
-    for name in ("r", "s"):
-        common.add_argument("--" + name, help="exponent (number or 'inf')")
+    for dest, _, help_line in _FLAGS:
+        common.add_argument("--" + dest, help=help_line)
 
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-    sub.add_parser("verify", parents=[common],
-                   help="run the self-check suite").add_argument(
-        "--only", action="append", metavar="NAME",
-        help="run only this check (repeatable)")
-    sub.add_parser("ambiguity", parents=[common],
-                   help="cross-ambiguity table of state vs window")
-    sub.add_parser("wigner", parents=[common],
-                   help="cross-Wigner table of state vs state2")
-    sub.add_parser("quantize", parents=[common],
-                   help="operator matrix of the configured symbol")
-    sub.add_parser("moyal", parents=[common],
-                   help="twisted product of two configured symbols")
-    sub.add_parser("modnorm", parents=[common],
-                   help="mixed phase-space norm of the configured state")
-    info = sub.add_parser("group-info", parents=[common],
-                          help="symbolic facts about a registered group")
-    info.add_argument("name", nargs="?", help="group name (overrides --group)")
+    parsers = {name: sub.add_parser(name, parents=[common], help=help_line)
+               for name, (_, help_line, _) in _COMMANDS.items()}
+    parsers["verify"].add_argument("--only", action="append", metavar="NAME",
+                                   help="run only this check (repeatable)")
+    parsers["group-info"].add_argument("name", nargs="?",
+                                       help="group name (overrides --group)")
     return parser
 
 
 def _overrides_from_args(args):
     overrides = []
-    for dest, key in _FLAG_KEYS:
+    for dest, key, _ in _FLAGS:
         value = getattr(args, dest, None)
         if value is not None:
             overrides.append((key, value))
@@ -588,7 +580,7 @@ def main(argv=None):
         cfg = parse_config(
             path=args.config,
             overrides=_overrides_from_args(args),
-            build_grid=(args.command not in ("group-info", "verify")),
+            build_grid=_COMMANDS[args.command][2],
         )
         return dispatch(args.command, cfg)
     except (ValueError, OSError) as err:

@@ -246,25 +246,27 @@ def _structure_from_brackets(dim, pairs):
     return c
 
 
+# name -> (dimension, brackets {(i, j): {k: c}} with i < j, nilpotency step)
+_REGISTRY = {
+    "abelian:1": (1, {}, 1),
+    "abelian:2": (2, {}, 1),
+    "abelian:3": (3, {}, 1),
+    "heisenberg": (3, {(0, 1): {2: 1}}, 2),
+    "engel": (4, {(0, 1): {2: 1}, (0, 2): {3: 1}}, 3),
+}
+
+
 @lru_cache(maxsize=None)
 def algebra(name):
-    """Registry lookup: ``abelian:n`` (n <= 3), ``heisenberg``, ``engel``."""
-    if name.startswith("abelian:"):
-        n = int(name.split(":", 1)[1])
-        if not 1 <= n <= 3:
-            raise ValueError("abelian registry covers dimensions 1..3, got %d" % n)
-        return LieAlgebraSpec(n, _structure_from_brackets(n, {}), 1, name)
-    if name == "heisenberg":
-        c = _structure_from_brackets(3, {(0, 1): {2: 1}})
-        return LieAlgebraSpec(3, c, 2, name)
-    if name == "engel":
-        c = _structure_from_brackets(4, {(0, 1): {2: 1}, (0, 2): {3: 1}})
-        return LieAlgebraSpec(4, c, 3, name)
-    raise ValueError("unknown algebra %r (try abelian:n, heisenberg, engel)" % name)
+    """Registry lookup by exact name (see ``registry_names``)."""
+    if name not in _REGISTRY:
+        raise ValueError("unknown algebra %r (try %s)" % (name, ", ".join(_REGISTRY)))
+    dim, brackets, step = _REGISTRY[name]
+    return LieAlgebraSpec(dim, _structure_from_brackets(dim, brackets), step, name)
 
 
 def registry_names():
-    return ["abelian:1", "abelian:2", "abelian:3", "heisenberg", "engel"]
+    return list(_REGISTRY)
 
 
 # ---------------------------------------------------------------------------
@@ -425,17 +427,17 @@ def bch_average_map(alg, X):
     return bch_average_symbolic(alg).compose(subs)
 
 
-def invert_unipotent(pmap, nfixed=0):
+def invert_unipotent(pmap):
     """Invert a polynomial map that is identity + higher-order part in its
-    first block of variables, the remaining ``nfixed`` variables being
-    carried along unchanged.  Iterates Z <- id - N(Z) which stabilizes for
-    unipotent maps; guarded against non-termination."""
+    first ``len(pmap)`` variables, the remaining ``pmap.nvars - len(pmap)``
+    variables being carried along unchanged.  Iterates Z <- id - N(Z) which
+    stabilizes for unipotent maps; guarded against non-termination."""
     n = pmap.nvars
     d = len(pmap)
-    if d + nfixed != n:
-        raise ValueError("map must have one component per non-fixed variable")
+    if d > n:
+        raise ValueError("map has %d components but only %d variables" % (d, n))
     ident = [Polynomial.var(n, i) for i in range(d)]
-    tail = [Polynomial.var(n, d + i) for i in range(nfixed)]
+    tail = [Polynomial.var(n, i) for i in range(d, n)]
     nil_part = [comp - ident[i] for i, comp in enumerate(pmap)]
     Z = list(ident)
     for _ in range(64):
@@ -451,7 +453,7 @@ def invert_unipotent(pmap, nfixed=0):
 def bch_average_inverse_symbolic(alg):
     """Exact inverse of bch_average_symbolic in its y-block, the x's
     carried along: a PolyVector in (y's, x's)."""
-    return invert_unipotent(bch_average_symbolic(alg), nfixed=alg.dim)
+    return invert_unipotent(bch_average_symbolic(alg))
 
 
 def bch_average_inverse(alg, X):

@@ -90,6 +90,13 @@ class GridSpec:
         object.__setattr__(self, "quad_nodes", int(quad_nodes))
         object.__setattr__(self, "quad_box", float(quad_box))
         object.__setattr__(self, "_cache", {})
+        try:
+            steps = (self.xi_step, self.xi_weight, self.xistar_weight)
+        except (ZeroDivisionError, OverflowError):
+            steps = (0.0,)
+        if not all(0 < s < math.inf for s in steps):
+            raise ValueError("epsilon %r: the phase-space step and weights of this grid "
+                             "are not all finite positive floats" % (epsilon,))
 
     def __setattr__(self, name, value):
         raise AttributeError("GridSpec is immutable")
@@ -212,8 +219,11 @@ class StateVector:
 
 def gaussian_state(spec, center=None, width=1.0, momentum=None, chirp=0.0):
     """An analytically L^2-normalized Gaussian, optionally translated,
-    modulated and chirped.  The discrete norm then equals 1 up to the
-    lattice truncation error of the box."""
+    modulated and chirped.  Its discrete norm is 1 only while ``width`` is
+    not small against the spacing h: centered on a lattice point, the norm
+    squared is (sum over integers m of exp(-2 pi^2 m^2 width^2 / h^2))^d up
+    to the box truncation, so 1 + 5e-9 at width = h, 1.014 at h / 2, and
+    about (h / (sqrt(2 pi) width))^d once width << h."""
     d = spec.dim
     center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     momentum = np.zeros(d) if momentum is None else np.asarray(momentum, dtype=float)
@@ -421,10 +431,6 @@ class HSOperator:
 # ---------------------------------------------------------------------------
 
 
-# Rows per block of NumPoly.eval_batch.
-EVAL_BLOCK = 1 << 15
-
-
 class NumPoly:
     """A numeric (complex-coefficient) polynomial for quadrature-backend
     expressions: sparse exponent map, batch evaluation and ring
@@ -497,23 +503,18 @@ class NumPoly:
         return result
 
     def eval_batch(self, pts):
-        """pts: (M, nvars) float array -> (M,) complex values.  Rows go in
-        blocks of EVAL_BLOCK, each computing every power x_i^k once, so the
-        power tables stay small however large M is."""
-        terms = sorted(self.terms.items())
+        """pts: (M, nvars) float array -> (M,) complex values, computing
+        every power x_i^k once."""
         out = np.zeros(pts.shape[0], dtype=complex)
-        for start in range(0, pts.shape[0], EVAL_BLOCK):
-            block = pts[start : start + EVAL_BLOCK]
-            acc = out[start : start + EVAL_BLOCK]
-            powers = {}
-            for e, c in terms:
-                term = np.full(block.shape[0], c)
-                for i, k in enumerate(e):
-                    if k:
-                        if (i, k) not in powers:
-                            powers[i, k] = block[:, i] ** k
-                        term = term * powers[i, k]
-                acc += term
+        powers = {}
+        for e, c in sorted(self.terms.items()):
+            term = np.full(pts.shape[0], c)
+            for i, k in enumerate(e):
+                if k:
+                    if (i, k) not in powers:
+                        powers[i, k] = pts[:, i] ** k
+                    term = term * powers[i, k]
+            out += term
         return out
 
 

@@ -15,6 +15,7 @@ import json
 import math
 import time
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -77,15 +78,16 @@ SLACK = 1.0 + 1e-3
 
 
 class CheckReport:
-    """One measured metric against one threshold.  The context dictionary
-    records everything needed to reproduce the run (grid parameters, seeds,
-    window choices, sub-metrics).  Every check is asserted; reports keep an
-    ``asserted`` field that is always true.
+    """One measured metric against one threshold.  The check passes iff
+    metric <= threshold and every side condition (``extra_ok``) held.  The
+    context dictionary records everything needed to reproduce the run (grid
+    parameters, seeds, window choices, sub-metrics).  Every check is
+    asserted; reports keep an ``asserted`` field that is always true.
     """
 
     __slots__ = ("name", "metric", "threshold", "passed", "context")
 
-    def __init__(self, name, metric, threshold, passed, context=None):
+    def __init__(self, name, metric, threshold, context=None, extra_ok=True):
         metric = float(metric)
         if not math.isfinite(metric):
             raise ValueError("check %r produced a non-finite metric %r" % (name, metric))
@@ -97,14 +99,8 @@ class CheckReport:
         self.name = str(name)
         self.metric = metric
         self.threshold = threshold
-        self.passed = bool(passed)
+        self.passed = metric <= threshold and bool(extra_ok)
         self.context = _jsonable(context or {})
-
-    @classmethod
-    def from_metric(cls, name, metric, threshold, context=None, extra_ok=True):
-        """Pass iff metric <= threshold and every side condition held."""
-        passed = bool(float(metric) <= float(threshold)) and bool(extra_ok)
-        return cls(name, metric, threshold, passed, context=context)
 
     def to_json_dict(self):
         return {
@@ -302,12 +298,8 @@ def check_wigner_bound(ctx, quad, trials=50, seed=0, window1=None, window2=None,
         defect = degenerate_leak
         if lo is not math.inf:
             defect = max(abs(worst - 1.0), abs(lo - 1.0), degenerate_leak)
-        return CheckReport.from_metric(
-            "wigner-bound", defect, equality_band, context=context
-        )
-    return CheckReport.from_metric(
-        "wigner-bound", worst, SLACK, context=context, extra_ok=extra_ok
-    )
+        return CheckReport("wigner-bound", defect, equality_band, context=context)
+    return CheckReport("wigner-bound", worst, SLACK, context=context, extra_ok=extra_ok)
 
 
 _CANONICAL_OP_QUADS = {
@@ -358,8 +350,7 @@ def check_op_bounds(ctx, trials=100, norm="operator", seed=0,
         "degenerate_leak": degenerate_leak,
     }
     extra_ok = degenerate_leak <= 1e-12
-    return CheckReport.from_metric(name, worst, SLACK, context=context,
-                                   extra_ok=extra_ok)
+    return CheckReport(name, worst, SLACK, context=context, extra_ok=extra_ok)
 
 
 def check_gauge_covariance(ctx_base, chi, trials=3, seed=0):
@@ -425,7 +416,7 @@ def check_gauge_covariance(ctx_base, chi, trials=3, seed=0):
         "conjugation_defect": worst_twirl,
         "product_defect": worst_product,
     }
-    return CheckReport.from_metric("gauge-field", metric, 1e-3, context=context)
+    return CheckReport("gauge-field", metric, 1e-3, context=context)
 
 
 def _grid_context(spec):
@@ -466,7 +457,7 @@ def _run_orthogonality(seed_seq):
         "seed": list(seed_seq),
         "quadruples": 20,
     }
-    return [CheckReport.from_metric("orthogonality", worst, 1e-6, context=context)]
+    return [CheckReport("orthogonality", worst, 1e-6, context=context)]
 
 
 def _run_unitarity(seed_seq):
@@ -482,8 +473,8 @@ def _run_unitarity(seed_seq):
         "full_rank": rank == q.shape[0],
         "size": list(q.shape),
     }
-    return [CheckReport.from_metric("unitarity", defect, 1e-6,
-                                    context=context, extra_ok=rank == q.shape[0])]
+    return [CheckReport("unitarity", defect, 1e-6, context=context,
+                        extra_ok=rank == q.shape[0])]
 
 
 def _run_rank_one(seed_seq):
@@ -501,7 +492,7 @@ def _run_rank_one(seed_seq):
             float(np.linalg.norm(op.matrix - ref.matrix) / np.linalg.norm(ref.matrix)),
         )
     context = {"grid": _grid_context(spec), "seed": list(seed_seq), "pairs": 4}
-    return [CheckReport.from_metric("rank-one", worst, 1e-6, context=context)]
+    return [CheckReport("rank-one", worst, 1e-6, context=context)]
 
 
 def _run_reconstruction(seed_seq):
@@ -526,7 +517,7 @@ def _run_reconstruction(seed_seq):
         "same_window_error": err_same,
         "other_window_error": err_other,
     }
-    return [CheckReport.from_metric("reconstruction", metric, 1e-6, context=context)]
+    return [CheckReport("reconstruction", metric, 1e-6, context=context)]
 
 
 def _run_reproducing_kernel(seed_seq):
@@ -553,8 +544,7 @@ def _run_reproducing_kernel(seed_seq):
         "fixed_point_defect": fixed,
         "idempotent_defect": idem,
     }
-    return [CheckReport.from_metric("reproducing-kernel", metric, 1e-6,
-                                    context=context)]
+    return [CheckReport("reproducing-kernel", metric, 1e-6, context=context)]
 
 
 def _run_ambiguity_factorization(seed_seq):
@@ -592,8 +582,7 @@ def _run_ambiguity_factorization(seed_seq):
     ref = np.transpose(ref, (0, 2, 1, 3)) * np.conj(second)[:, :, None, None]
     metric = float(np.max(np.abs(field - ref)) / np.max(np.abs(ref)))
     context = {"grid": _grid_context(spec), "seed": list(seed_seq)}
-    return [CheckReport.from_metric("ambiguity-factorization", metric, 1e-6,
-                                    context=context)]
+    return [CheckReport("ambiguity-factorization", metric, 1e-6, context=context)]
 
 
 def _run_wigner_bound(seed_seq):
@@ -617,20 +606,12 @@ def _run_wigner_bound(seed_seq):
     return [equal, sharp]
 
 
-def _run_operator_bound(seed_seq):
+def _run_op_bound(norm, seed_seq):
     spec = GridSpec(algebra("abelian:1"), 16, 8.0)
     ctx = QuantizerContext(spec)
     rng = np.random.default_rng(seed_seq)
     sub_seed = int(rng.integers(0, 2 ** 31))
-    return [check_op_bounds(ctx, trials=100, norm="operator", seed=sub_seed)]
-
-
-def _run_trace_bound(seed_seq):
-    spec = GridSpec(algebra("abelian:1"), 16, 8.0)
-    ctx = QuantizerContext(spec)
-    rng = np.random.default_rng(seed_seq)
-    sub_seed = int(rng.integers(0, 2 ** 31))
-    return [check_op_bounds(ctx, trials=100, norm="trace", seed=sub_seed)]
+    return [check_op_bounds(ctx, trials=100, norm=norm, seed=sub_seed)]
 
 
 def _run_gauge_field(seed_seq):
@@ -718,8 +699,8 @@ def _run_symbolic_exactness(seed_seq):
         details[name] = entry
 
     context = {"seed": list(seed_seq), "algebras": details, "failures": failures}
-    return [CheckReport.from_metric("symbolic-exactness", float(len(failures)),
-                                    0.0, context=context)]
+    return [CheckReport("symbolic-exactness", float(len(failures)), 0.0,
+                        context=context)]
 
 
 def _joint_phase_failures(alg, rng, rand_vec):
@@ -778,8 +759,8 @@ def _run_quadrature_orthogonality(seed_seq):
         "quadruples": 2,
         "span_dim": span_dim,
     }
-    return [CheckReport.from_metric("quadrature-orthogonality", worst, 0.05,
-                                    context=context, extra_ok=span_dim == 4)]
+    return [CheckReport("quadrature-orthogonality", worst, 0.05, context=context,
+                        extra_ok=span_dim == 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -795,8 +776,8 @@ REGISTRY = (
     ("reproducing-kernel", _run_reproducing_kernel),
     ("ambiguity-factorization", _run_ambiguity_factorization),
     ("wigner-bound", _run_wigner_bound),
-    ("operator-bound", _run_operator_bound),
-    ("trace-bound", _run_trace_bound),
+    ("operator-bound", partial(_run_op_bound, "operator")),
+    ("trace-bound", partial(_run_op_bound, "trace")),
     ("gauge-field", _run_gauge_field),
     ("symbolic-exactness", _run_symbolic_exactness),
     ("quadrature-orthogonality", _run_quadrature_orthogonality),

@@ -547,16 +547,17 @@ def symbol_ambiguity(ctx, a, window1, window2):
 # ---------------------------------------------------------------------------
 
 
-def reconstruct(ctx, ambig, window=None, synthesis_window=None):
+def reconstruct(ctx, ambig, synthesis_window=None):
     """Resynthesize a state from its ambiguity field:
 
         f = |eps|^d / (w0 | w) * sum_Z A(Z) Pi(Z) w0 dXi
 
-    (matrix-free).  w is the analysis window that produced the field, w0 an
-    arbitrary synthesis window not orthogonal to it."""
+    (matrix-free).  w is the context's window, which must be the analysis
+    window that produced the field; w0 (default w) is any synthesis window
+    not orthogonal to it."""
     spec = ctx.spec
     _require_grid(spec, "reconstruct")
-    w = window if window is not None else ctx.window
+    w = ctx.window
     w0 = synthesis_window if synthesis_window is not None else w
     d = spec.dim
     D = _synthesize(ctx, ambig.values.copy())
@@ -588,15 +589,15 @@ def coherent_family(ctx, window=None):
     return V.reshape(n * n, n).T
 
 
-def reproducing_kernel(ctx, window=None):
-    """Gram matrix K[Z, Z'] = |eps|^d (Pi(Z') w | Pi(Z) w); with a
-    unit-norm window, K dXi is the orthogonal projection onto the range of
-    the ambiguity transform and K(Z, Z) = |eps|^d.  The kernel holds
-    N^(4d) complex values (ValueError past MAX_OUTPUT_BYTES, before any
-    work)."""
+def reproducing_kernel(ctx):
+    """Gram matrix K[Z, Z'] = |eps|^d (Pi(Z') w | Pi(Z) w) of the context's
+    window w; with a unit-norm window, K dXi is the orthogonal projection
+    onto the range of the ambiguity transform and K(Z, Z) = |eps|^d.  The
+    kernel holds N^(4d) complex values (ValueError past MAX_OUTPUT_BYTES,
+    before any work)."""
     spec = ctx.spec
     _check_output_bytes("reproducing_kernel", (spec.n_axis ** (2 * spec.dim),) * 2)
-    V = coherent_family(ctx, window)
+    V = coherent_family(ctx)
     gram = (V.conj().T @ V) * spec.state_weight
     return (abs(spec.epsilon) ** spec.dim) * gram
 

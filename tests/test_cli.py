@@ -1,6 +1,7 @@
 """Tests for the command-line front end: config parsing, potential entry
 syntax, subcommand outputs, manifests, and exit codes."""
 
+import argparse
 import json
 import os
 from fractions import Fraction
@@ -11,6 +12,7 @@ import pytest
 
 from magweyl import cli, weyl
 from magweyl.cli import (
+    build_parser,
     build_potential,
     emit_report,
     main,
@@ -193,6 +195,13 @@ class TestGroupInfo:
     def test_unknown_group(self, capsys):
         assert run_cli(["group-info", "nope"]) == 2
         assert "unknown algebra" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["group-info", "wigner", "verify"])
+    def test_malformed_abelian_exits_two(self, command, tmp_path, capsys):
+        code = run_cli([command, "--group", "abelian:x", "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "unknown algebra 'abelian:x'" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("name", ["abelian:3", "heisenberg"])
     def test_lattice_commands_refuse_group(self, name, tmp_path, capsys):
@@ -437,6 +446,17 @@ class TestOutOfRangeNumbers:
         assert err.startswith("error: width %s" % float(width))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["wigner", "quantize"])
+    @pytest.mark.parametrize("epsilon", ["1e-200", "1e300"])
+    def test_extreme_epsilon_exits_two(self, command, epsilon, tmp_path, capsys):
+        # The phase-space weight (|eps| N)^-2 overflows at 1e-200 and
+        # underflows to 0 at 1e300.
+        code = run_cli([command, "--group", "abelian:2", "--n", "8", "--extent", "8",
+                        "--epsilon", epsilon, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: epsilon %r" % float(epsilon))
+        assert not (tmp_path / "out").exists()
+
 
 class TestModnormCommand:
     def test_scalar_matches_library(self, tmp_path, capsys):
@@ -470,7 +490,7 @@ class TestEmission:
         )
 
     def test_report_roundtrip(self, tmp_path):
-        report = CheckReport.from_metric("demo", 0.5, 1.0)
+        report = CheckReport("demo", 0.5, 1.0)
         paths = emit_report([report], str(tmp_path))
         record = json.loads(Path(paths[0]).read_text(encoding="utf-8"))
         assert record["name"] == "demo"
@@ -478,6 +498,21 @@ class TestEmission:
 
 
 class TestArgparseSurface:
+    def test_command_table_is_the_parser(self):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(cli._COMMANDS)
+
+    def test_every_flag_sets_its_key(self):
+        flags = [part for dest, _, _ in cli._FLAGS for part in ("--" + dest, "v" + dest)]
+        args = build_parser().parse_args(["modnorm"] + flags)
+        assert cli._overrides_from_args(args) == [
+            (key, "v" + dest) for dest, key, _ in cli._FLAGS]
+
+    def test_dispatch_rejects_unknown_command(self):
+        with pytest.raises(ValueError, match="unknown subcommand 'bogus'"):
+            cli.dispatch("bogus", parse_config(build_grid=False))
+
     def test_missing_command_exits(self):
         with pytest.raises(SystemExit):
             main([])

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -50,7 +51,14 @@ class TestRegistry:
             algebra("solvable:2")
 
     def test_registry_listing(self):
-        assert set(ALGS) == set(registry_names())
+        assert registry_names() == ALGS
+
+    @pytest.mark.parametrize(
+        "name", ["abelian:x", "abelian:", "abelian:4", "abelian:0", "abelian: 2"]
+    )
+    def test_rejects_malformed_names(self, name):
+        with pytest.raises(ValueError, match=re.escape("unknown algebra %r" % name)):
+            algebra(name)
 
     def test_wrong_declared_step_rejected(self):
         c = _structure_from_brackets(3, {(0, 1): {2: 1}})
@@ -271,6 +279,11 @@ class TestSegmentAverage:
         doubling = PolyVector([2 * Polynomial.var(1, 0)])
         with pytest.raises(RuntimeError):
             invert_unipotent(doubling)
+
+    def test_more_components_than_variables(self):
+        x = Polynomial.var(1, 0)
+        with pytest.raises(ValueError, match="2 components but only 1 variables"):
+            invert_unipotent(PolyVector([x, x]))
 
 
 class TestSubstitutionMaps:

@@ -3,6 +3,7 @@ representation action, the symbol transform pair, operators, the
 quadrature backend, and serialization."""
 
 import math
+import re
 import struct
 import tempfile
 from fractions import Fraction
@@ -99,6 +100,26 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=key if named else None):
             rs.GridSpec(ABEL1, **args)
 
+    # xi_weight = (|eps| N)^-d and xistar_weight = (|eps| / N)^d must be
+    # finite positive floats: 1e-200 overflows the first on the plane, 1e300
+    # underflows it to 0, and at 1e-310 the line's xi_weight overflows.
+    @pytest.mark.parametrize("group,n,epsilon", [
+        ("abelian:2", 8, 1e-200), ("abelian:2", 8, 1e300), ("abelian:2", 8, -1e300),
+        ("abelian:1", 16, 1e-310), ("abelian:1", 16, 5e-324),
+    ])
+    def test_rejects_extreme_epsilon(self, group, n, epsilon):
+        with pytest.raises(ValueError, match=re.escape("epsilon %r:" % epsilon)):
+            rs.GridSpec(algebra(group), n, 8.0, epsilon=epsilon)
+
+    @pytest.mark.parametrize("group,n,epsilon", [
+        ("abelian:2", 8, 1e150), ("abelian:2", 8, -1e150), ("abelian:2", 8, 1e-150),
+        ("abelian:1", 16, 1e300), ("abelian:1", 16, 1e-300),
+    ])
+    def test_keeps_extreme_epsilon_with_finite_weights(self, group, n, epsilon):
+        spec = rs.GridSpec(algebra(group), n, 8.0, epsilon=epsilon)
+        for value in (spec.xi_step, spec.xi_weight, spec.xistar_weight):
+            assert 0 < value < math.inf
+
     def test_grid_backend_needs_commutative_group(self):
         with pytest.raises(ValueError, match="quadrature"):
             rs.GridSpec(HEIS, 16, 8.0, backend="grid")
@@ -164,7 +185,27 @@ class TestStates:
         p = Polynomial.var(1, 0) ** 2
         assert np.array_equal(rs.eval_poly_grid(spec, p), spec.x_axis ** 2)
 
-    def test_shared_power_tables_bitwise(self, monkeypatch):
+    @pytest.mark.parametrize("group,n,extent,width", [
+        ("abelian:1", 16, 8.0, 0.5), ("abelian:1", 16, 8.0, 0.25),
+        ("abelian:1", 16, 8.0, 0.1), ("abelian:1", 16, 8.0, 0.01),
+        ("abelian:2", 8, 20.0, 0.9), ("abelian:2", 8, 20.0, 0.7),
+    ])
+    def test_gaussian_lattice_norm(self, group, n, extent, width):
+        # Poisson summation: a centered Gaussian's lattice norm squared is
+        # theta(width / h)^d, not 1, once the width nears the spacing h.
+        spec = rs.GridSpec(algebra(group), n, extent)
+        g = rs.gaussian_state(spec, width=width)
+        norm2 = rs.inner_product(spec, g, g).real
+        t = width / spec.h
+        theta = sum(math.exp(-2 * math.pi ** 2 * m * m * t * t) for m in range(-400, 401))
+        assert norm2 == pytest.approx(theta ** spec.dim, rel=1e-9)
+        if width >= spec.h:
+            assert abs(norm2 - 1.0) < 1e-8
+        if width <= spec.h / 20:
+            limit = (spec.h / (math.sqrt(2 * math.pi) * width)) ** spec.dim
+            assert norm2 == pytest.approx(limit, rel=1e-12)
+
+    def test_shared_power_tables_bitwise(self):
         # Reference: each term recomputes its powers, in the same product
         # and summation order; sharing the powers must not change a bit.
         rng = np.random.default_rng(54)
@@ -184,18 +225,20 @@ class TestStates:
             ref = ref + term
         assert np.array_equal(rs.eval_poly_grid(spec, p), ref)
 
-        # Blocks of 16 rows: the power tables restart at every block.
-        monkeypatch.setattr(rs, "EVAL_BLOCK", 16)
+        # A small batch and one of more than 2^15 rows, each in one pass;
+        # rows are independent, so a prefix of the batch keeps its bits.
         num = rs.NumPoly(2, {e: complex(c) * (1 - 0.5j) for e, c in terms.items()})
-        pts = rng.standard_normal((50, 2))
-        ref = np.zeros(50, dtype=complex)
-        for e, c in sorted(num.terms.items()):
-            term = np.full(50, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * pts[:, i] ** k
-            ref = ref + term
-        assert np.array_equal(num.eval_batch(pts), ref)
+        for rows in (50, 40000):
+            pts = rng.standard_normal((rows, 2))
+            ref = np.zeros(rows, dtype=complex)
+            for e, c in sorted(num.terms.items()):
+                term = np.full(rows, c)
+                for i, k in enumerate(e):
+                    if k:
+                        term = term * pts[:, i] ** k
+                ref = ref + term
+            assert np.array_equal(num.eval_batch(pts), ref)
+            assert np.array_equal(num.eval_batch(pts[:17]), ref[:17])
 
 
 # ---------------------------------------------------------------------------

@@ -44,24 +44,28 @@ def unit_gaussian(spec, **kw):
 class TestCheckReport:
     def test_rejects_non_finite_metric(self):
         with pytest.raises(ValueError):
-            CheckReport("x", float("nan"), 1.0, True)
+            CheckReport("x", float("nan"), 1.0)
         with pytest.raises(ValueError):
-            CheckReport("x", float("inf"), 1.0, True)
+            CheckReport("x", float("inf"), 1.0)
 
     def test_threshold_bookkeeping(self):
         with pytest.raises(ValueError):
-            CheckReport("x", 0.0, None, True)  # every check needs a threshold
+            CheckReport("x", 0.0, None)  # every check needs a threshold
         with pytest.raises(ValueError):
-            CheckReport("x", 0.0, float("inf"), True)
+            CheckReport("x", 0.0, float("inf"))
+        with pytest.raises(ValueError):
+            CheckReport("x", 0.0, float("nan"))
 
-    def test_from_metric_pass_logic(self):
-        assert CheckReport.from_metric("x", 0.5, 1.0).passed
-        assert not CheckReport.from_metric("x", 1.5, 1.0).passed
-        assert not CheckReport.from_metric("x", 0.5, 1.0, extra_ok=False).passed
+    def test_pass_logic(self):
+        assert CheckReport("x", 0.5, 1.0).passed is True
+        assert CheckReport("x", 1.0, 1.0).passed is True  # equal to the threshold
+        assert CheckReport("x", 1.5, 1.0).passed is False
+        assert CheckReport("x", 0.5, 1.0, extra_ok=False).passed is False
+        assert CheckReport("x", 1.5, 1.0, extra_ok=False).passed is False
 
     def test_context_serializes(self):
         quad = ExponentQuad(1, INFINITY, 2, 2, 2, 2)
-        r = CheckReport.from_metric(
+        r = CheckReport(
             "x", 0.0, 1.0, context={"quad": quad, "f": Fraction(3, 2), "n": 4}
         )
         seen = json.loads(json.dumps(r.to_json_dict(), sort_keys=True))
@@ -71,7 +75,7 @@ class TestCheckReport:
 
     def test_context_rejects_junk(self):
         with pytest.raises(TypeError):
-            CheckReport.from_metric("x", 0.0, 1.0, context={"bad": object()})
+            CheckReport("x", 0.0, 1.0, context={"bad": object()})
 
 
 class TestWignerBound:
@@ -214,12 +218,12 @@ class TestRunSuite:
 
     def test_tampered_threshold_fails(self, monkeypatch):
         # A check fails once its threshold sits below the measured defect.
-        original = CheckReport.from_metric.__func__
+        original = CheckReport.__init__
 
-        def zero_threshold(cls, name, metric, threshold, **kwargs):
-            return original(cls, name, metric, 0.0, **kwargs)
+        def zero_threshold(self, name, metric, threshold, **kwargs):
+            original(self, name, metric, 0.0, **kwargs)
 
-        monkeypatch.setattr(CheckReport, "from_metric", classmethod(zero_threshold))
+        monkeypatch.setattr(CheckReport, "__init__", zero_threshold)
         reports, _ = run_suite(seed=0, only=["unitarity"])
         assert not suite_passed(reports)
         assert reports[0].threshold == 0.0

@@ -762,11 +762,11 @@ class TestReproducingKernel:
         "potential,epsilon", [(None, 1.0), (linear_potential(), 2.0)]
     )
     def test_projection_identities(self, potential, epsilon):
-        ctx = grid_ctx(n=8, potential=potential, epsilon=epsilon)
-        spec = ctx.spec
-        w = ctx.window
+        spec = grid_ctx(n=8, potential=potential, epsilon=epsilon).spec
+        w = gaussian_state(spec)
         w = w.scaled(1.0 / w.norm())
-        kern = reproducing_kernel(ctx, w)
+        ctx = QuantizerContext(spec, potential=potential, window=w)
+        kern = reproducing_kernel(ctx)
         scale = abs(epsilon) ** spec.dim
         diag = np.diagonal(kern)
         assert max_abs(diag - scale) < 1e-9
