@@ -22,8 +22,8 @@ Contents:
   algebra into an exact PolyVector; the product evaluates it at Fractions,
   floats or Polynomial entries (a composition, for symbolic work);
 - left translation maps of the group, the right-invariant vector
-  fields (derivatives of the law), BCH segment averages and their
-  unipotent inverses, and the pair substitutions built from them;
+  fields (derivatives of the law), and BCH segment averages with their
+  unipotent inverses;
 - one generator action, -(grad p) . field, for the translation generators;
 - spans of translated coordinate functionals, closed under that action and
   held in echelon form, and the semidirect structure (function space) x|
@@ -399,7 +399,7 @@ def _along_field(field, p):
 
 
 # ---------------------------------------------------------------------------
-# BCH segment averages and the pair substitutions built from them
+# BCH segment averages and their inverses
 # ---------------------------------------------------------------------------
 
 
@@ -460,32 +460,6 @@ def bch_average_inverse(alg, X):
     """Exact inverse of bch_average_map(alg, X); both compositions are the
     identity (checked cheaply in tests, not at call time)."""
     return invert_unipotent(bch_average_map(alg, X))
-
-
-def substitution_maps(alg):
-    """The pair substitution on g x g used to untangle products of
-    translated windows, and its exact inverse, as ``(average, average_inv)``:
-
-    - ``average``:      (V, W) -> (-avg_W(V), W)
-    - ``average_inv``:  (Y, X) -> (avg_X^{-1}(-Y), X)
-
-    where avg_X is bch_average_map.  Both are PolyVectors in 2*dim
-    variables (first block, then second block).
-    """
-    d = alg.dim
-    n = 2 * d
-    first = [Polynomial.var(n, i) for i in range(d)]
-    second = [Polynomial.var(n, d + i) for i in range(d)]
-
-    avg = bch_average_symbolic(alg)  # (y's, x's)
-    avg_VW = avg.compose(PolyVector(first + second))
-    average = PolyVector([-p for p in avg_VW] + second)
-
-    inv_at_negY = bch_average_inverse_symbolic(alg).compose(
-        PolyVector([-p for p in first] + second)
-    )
-    average_inv = PolyVector(list(inv_at_negY) + second)
-    return average, average_inv
 
 
 # ---------------------------------------------------------------------------

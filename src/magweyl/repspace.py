@@ -47,12 +47,40 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+def _in_range(source, value, label, rule):
+    """rule(), a number or an array, if it is finite and nonzero (an overflow
+    is not); else a ValueError naming ``label`` and its input ``source``."""
+    try:
+        with np.errstate(over="raise"):
+            out = rule()
+    except (ZeroDivisionError, OverflowError, FloatingPointError):
+        out = math.inf
+    if not 0 < np.abs(out).max() < math.inf:
+        raise ValueError("%s %r: %s is out of the float range" % (source, value, label))
+    return out
+
+
 class GridSpec:
-    """Discretization parameters: group, points per axis, box size, backend
-    (``grid`` or ``quadrature``), and the representation parameter."""
+    """Discretization parameters: group, points per axis N (``n_axis``), box
+    size L (``extent``), backend (``grid`` or ``quadrature``), representation
+    parameter eps; and the geometry derived from them once:
+
+    - ``dim`` = d, ``state_shape`` = (N,) * d, ``field_shape`` = (N,) * 2d;
+    - ``h`` = L / N, ``x_axis`` = (j - N/2) h and ``zeta_step`` = 2 pi / L;
+    - ``xi_step`` = 2 pi / (|eps| L), ``xi_axis`` = (j - N/2) xi_step and
+      ``z_step`` = |eps| h;
+    - ``state_weight`` = h^d, the per-point Lebesgue weight on the group box;
+    - ``xi_weight`` = (h xi_step / 2 pi)^d, the per-point measure weight on
+      phase space (both factors of (2 pi)^(-1/2) folded in), and
+      ``xistar_weight`` = (zeta_step z_step / 2 pi)^d on its dual.
+
+    Each derived number must be finite and nonzero, or a ValueError names
+    it and its input, ``extent`` or ``epsilon``.  The axes are read-only."""
 
     __slots__ = ("group", "n_axis", "extent", "backend", "epsilon",
-                 "quad_nodes", "quad_box", "_cache")
+                 "quad_nodes", "quad_box", "_cache", "dim", "h", "x_axis",
+                 "xi_step", "xi_axis", "zeta_step", "z_step", "state_shape",
+                 "field_shape", "state_weight", "xi_weight", "xistar_weight")
 
     def __init__(self, group, n_axis, extent, backend="grid", epsilon=1.0,
                  quad_nodes=12, quad_box=6.0):
@@ -90,69 +118,28 @@ class GridSpec:
         object.__setattr__(self, "quad_nodes", int(quad_nodes))
         object.__setattr__(self, "quad_box", float(quad_box))
         object.__setattr__(self, "_cache", {})
-        try:
-            steps = (self.xi_step, self.xi_weight, self.xistar_weight)
-        except (ZeroDivisionError, OverflowError):
-            steps = (0.0,)
-        if not all(0 < s < math.inf for s in steps):
-            raise ValueError("epsilon %r: the phase-space step and weights of this grid "
-                             "are not all finite positive floats" % (epsilon,))
+        n, d, eps, extent = self.n_axis, group.dim, abs(self.epsilon), self.extent
+        centered = np.arange(n) - n // 2
+        for name, source, rule in (
+            ("h", "extent", lambda: extent / n),
+            ("x_axis", "extent", lambda: centered * self.h),
+            ("zeta_step", "extent", lambda: TWO_PI / extent),
+            ("state_weight", "extent", lambda: self.h ** d),
+            ("xi_step", "epsilon", lambda: TWO_PI / (eps * extent)),
+            ("xi_axis", "epsilon", lambda: centered * self.xi_step),
+            ("z_step", "epsilon", lambda: eps * self.h),
+            ("xi_weight", "epsilon", lambda: (self.h * self.xi_step / TWO_PI) ** d),
+            ("xistar_weight", "epsilon", lambda: (self.zeta_step * self.z_step / TWO_PI) ** d),
+        ):
+            value = _in_range(source, getattr(self, source), "the grid's " + name, rule)
+            object.__setattr__(self, name, value)
+        self.x_axis.flags.writeable = self.xi_axis.flags.writeable = False
+        object.__setattr__(self, "dim", d)
+        object.__setattr__(self, "state_shape", (n,) * d)
+        object.__setattr__(self, "field_shape", (n,) * (2 * d))
 
     def __setattr__(self, name, value):
         raise AttributeError("GridSpec is immutable")
-
-    # -- derived geometry ---------------------------------------------------
-
-    @property
-    def dim(self):
-        return self.group.dim
-
-    @property
-    def h(self):
-        return self.extent / self.n_axis
-
-    @property
-    def x_axis(self):
-        return (np.arange(self.n_axis) - self.n_axis // 2) * self.h
-
-    @property
-    def xi_step(self):
-        return TWO_PI / (abs(self.epsilon) * self.extent)
-
-    @property
-    def xi_axis(self):
-        return (np.arange(self.n_axis) - self.n_axis // 2) * self.xi_step
-
-    @property
-    def zeta_step(self):
-        return TWO_PI / self.extent
-
-    @property
-    def z_step(self):
-        return abs(self.epsilon) * self.h
-
-    @property
-    def state_shape(self):
-        return (self.n_axis,) * self.dim
-
-    @property
-    def field_shape(self):
-        return (self.n_axis,) * (2 * self.dim)
-
-    @property
-    def state_weight(self):
-        """Per-point Lebesgue weight on the group box."""
-        return self.h ** self.dim
-
-    @property
-    def xi_weight(self):
-        """Per-point measure weight on phase space (both factors of
-        (2*pi)^{-1/2} folded in)."""
-        return (self.h * self.xi_step / TWO_PI) ** self.dim
-
-    @property
-    def xistar_weight(self):
-        return (self.zeta_step * self.z_step / TWO_PI) ** self.dim
 
     def mesh(self):
         """d arrays of shape state_shape holding the coordinate meshes."""
@@ -232,13 +219,10 @@ def gaussian_state(spec, center=None, width=1.0, momentum=None, chirp=0.0):
             raise ValueError("%s must have %d finite entries, got %r" % (name, d, vec))
     if not 0 < width < math.inf:
         raise ValueError("width must be positive and finite, got %r" % (width,))
-    try:
-        amp = (2.0 * math.pi * width ** 2) ** (-d / 4.0)
-    except (ZeroDivisionError, OverflowError):
-        amp = 0.0
-    if not 0 < amp < math.inf:
-        raise ValueError("width %r: the normalization (2 pi width^2)^(-d/4) is not "
-                         "a finite positive float" % (width,))
+    amp = _in_range("width", width, "the normalization (2 pi width^2)^(-d/4)",
+                    lambda: (2.0 * math.pi * width ** 2) ** (-d / 4.0))
+    _in_range("width", width, "the exponent scale 1/(4 width^2)",
+              lambda: 1.0 / (4.0 * width ** 2))
     if not math.isfinite(chirp):
         raise ValueError("chirp must be finite, got %r" % (chirp,))
     if spec.backend == "quadrature":
@@ -267,14 +251,16 @@ def inner_product(spec, f, g):
 
 
 def _eval_on_axes(p, axes, shape):
-    """p as a float array of ``shape``, variable v taking the values of
-    axes[v], a 1-D table shaped to broadcast along its own axis.  Each power
-    of a table is computed once and terms are added in sorted order, so the
-    result is deterministic."""
+    """p as an array of ``shape``, float for an exact Polynomial and complex
+    for a NumPoly, variable v taking the values of axes[v], a 1-D table
+    shaped to broadcast along its own axis.  Each power of a table is
+    computed once and terms are added in sorted order, so the result is
+    deterministic."""
+    scalar = complex if isinstance(p, NumPoly) else float
     powers = {}
-    out = np.zeros(shape)
+    out = np.zeros(shape, dtype=scalar)
     for e, c in sorted(p.terms.items()):
-        term = float(c)
+        term = scalar(c)
         for v, k in enumerate(e):
             if k:
                 if (v, k) not in powers:
@@ -505,17 +491,7 @@ class NumPoly:
     def eval_batch(self, pts):
         """pts: (M, nvars) float array -> (M,) complex values, computing
         every power x_i^k once."""
-        out = np.zeros(pts.shape[0], dtype=complex)
-        powers = {}
-        for e, c in sorted(self.terms.items()):
-            term = np.full(pts.shape[0], c)
-            for i, k in enumerate(e):
-                if k:
-                    if (i, k) not in powers:
-                        powers[i, k] = pts[:, i] ** k
-                    term = term * powers[i, k]
-            out += term
-        return out
+        return _eval_on_axes(self, list(pts.T), pts.shape[:1])
 
 
 class QuadratureState:

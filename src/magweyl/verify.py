@@ -22,11 +22,12 @@ import numpy as np
 from .poly import Polynomial, PolyVector, poly_compose
 from .nilpotent import (
     algebra,
+    bch_average_inverse_symbolic,
+    bch_average_symbolic,
     bch_product,
     left_translation_map,
     semidirect_nilpotency_check,
     build_translate_span,
-    substitution_maps,
 )
 from .magnetic import (
     MagneticPotential,
@@ -640,10 +641,11 @@ def _run_gauge_field(seed_seq):
 
 def _run_symbolic_exactness(seed_seq):
     """Exact rational identities: associativity of the group product, the
-    translation action composing as a homomorphism, the two pair
-    substitutions inverting each other, Jacobi plus nilpotency of the
-    extended algebra built on the translate span, and each route's joint
-    magnetic phase in (y, X) specialising to its per-step phase."""
+    translation action composing as a homomorphism, the segment-average
+    map and its exact inverse (the X block carried along) composing to the
+    identity both ways, Jacobi plus nilpotency of the extended algebra
+    built on the translate span, and each route's joint magnetic phase in
+    (y, X) specialising to its per-step phase."""
     rng = np.random.default_rng(seed_seq)
     # The joint-phase draws come from their own stream, so the draws above
     # stay those of a suite without them.
@@ -677,7 +679,9 @@ def _run_symbolic_exactness(seed_seq):
         if map_h.compose(map_g) != combined:
             failures.append("%s: translation action is not a homomorphism" % name)
 
-        average, average_inv = substitution_maps(alg)
+        x_block = [Polynomial.var(2 * d, d + i) for i in range(d)]
+        average = PolyVector(list(bch_average_symbolic(alg)) + x_block)
+        average_inv = PolyVector(list(bch_average_inverse_symbolic(alg)) + x_block)
         identity = PolyVector.identity(2 * d)
         if average_inv.compose(average) != identity:
             failures.append("%s: averaged substitution has no left inverse" % name)

@@ -435,7 +435,7 @@ class TestOutOfRangeNumbers:
         assert err.startswith("error: ") and repr(key) in err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("width", ["1e-200", "1e200"])
+    @pytest.mark.parametrize("width", ["1e-200", "1e-160", "1e200"])
     def test_extreme_width_exits_two(self, width, tmp_path, capsys):
         path = tmp_path / "width.cfg"
         path.write_text("window.width = %s\n" % width, encoding="utf-8")
@@ -455,6 +455,17 @@ class TestOutOfRangeNumbers:
                         "--epsilon", epsilon, "--out", str(tmp_path / "out")])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: epsilon %r" % float(epsilon))
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extent", ["1e-200", "1e300"])
+    def test_extreme_extent_exits_two(self, extent, tmp_path, capsys):
+        # state_weight = (extent / 8)^2 underflows to 0 at 1e-200 and
+        # overflows at 1e300.
+        code = run_cli(["quantize", "--group", "abelian:2", "--n", "8", "--extent", extent,
+                        "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: extent %r: the grid's state_weight " % float(extent))
         assert not (tmp_path / "out").exists()
 
 

@@ -13,7 +13,9 @@ from magweyl.nilpotent import (
     LieAlgebraSpec,
     algebra,
     bch_average_inverse,
+    bch_average_inverse_symbolic,
     bch_average_map,
+    bch_average_symbolic,
     bch_product,
     bch_symbolic,
     build_translate_span,
@@ -23,7 +25,6 @@ from magweyl.nilpotent import (
     registry_names,
     right_invariant_field,
     semidirect_nilpotency_check,
-    substitution_maps,
     _along_field,
     _jacobi_violation,
     _lower_central_series,
@@ -287,19 +288,24 @@ class TestSegmentAverage:
 
 
 class TestSubstitutionMaps:
+    """The segment-average map (Y, X) -> avg_X(Y) and its exact inverse,
+    the substitutions the closed-formula route makes."""
+
     def test_average_at_zero_first_block(self):
-        # (0, W) maps to (-W/2, W): the segment average of 0 along W is W/2
-        alg = algebra("heisenberg")
-        average, _ = substitution_maps(alg)
+        # The segment average of 0 along W is W/2.
+        average = bch_average_symbolic(algebra("heisenberg"))
         W = [Fraction(2), Fraction(4), Fraction(-6)]
-        out = average.eval([Fraction(0)] * 3 + W)
-        assert out == [-1, -2, 3] + W
+        assert average.eval([Fraction(0)] * 3 + W) == [1, 2, -3]
 
     @pytest.mark.parametrize("name", ["abelian:2", "heisenberg", "engel"])
     def test_average_inverse_exact(self, name):
+        # Both compositions are the identity once the X block is carried along.
         alg = algebra(name)
-        average, average_inv = substitution_maps(alg)
-        ident = PolyVector.identity(2 * alg.dim)
+        d = alg.dim
+        x_block = [Polynomial.var(2 * d, d + i) for i in range(d)]
+        average = PolyVector(list(bch_average_symbolic(alg)) + x_block)
+        average_inv = PolyVector(list(bch_average_inverse_symbolic(alg)) + x_block)
+        ident = PolyVector.identity(2 * d)
         assert average.compose(average_inv) == ident
         assert average_inv.compose(average) == ident
 

@@ -102,10 +102,11 @@ class TestGridSpec:
 
     # xi_weight = (|eps| N)^-d and xistar_weight = (|eps| / N)^d must be
     # finite positive floats: 1e-200 overflows the first on the plane, 1e300
-    # underflows it to 0, and at 1e-310 the line's xi_weight overflows.
+    # underflows it to 0, and at 1e-310 the line's xi_weight overflows.  At
+    # 2e-308 the line's xi_step is finite, but the end of its axis is not.
     @pytest.mark.parametrize("group,n,epsilon", [
         ("abelian:2", 8, 1e-200), ("abelian:2", 8, 1e300), ("abelian:2", 8, -1e300),
-        ("abelian:1", 16, 1e-310), ("abelian:1", 16, 5e-324),
+        ("abelian:1", 16, 1e-310), ("abelian:1", 16, 5e-324), ("abelian:1", 16, 2e-308),
     ])
     def test_rejects_extreme_epsilon(self, group, n, epsilon):
         with pytest.raises(ValueError, match=re.escape("epsilon %r:" % epsilon)):
@@ -119,6 +120,42 @@ class TestGridSpec:
         spec = rs.GridSpec(algebra(group), n, 8.0, epsilon=epsilon)
         for value in (spec.xi_step, spec.xi_weight, spec.xistar_weight):
             assert 0 < value < math.inf
+
+    @pytest.mark.parametrize("epsilon", [1.0, -0.5, 2.0])
+    @pytest.mark.parametrize("group,n,extent", [("abelian:1", 16, 8.0), ("abelian:2", 8, 20.0)])
+    def test_derived_geometry_bitwise(self, group, n, extent, epsilon):
+        # Each attribute is the formula it replaced, with the same operand order.
+        spec = rs.GridSpec(algebra(group), n, extent, epsilon=epsilon)
+        d = algebra(group).dim
+        h = extent / n
+        xi_step = 2.0 * math.pi / (abs(epsilon) * extent)
+        zeta_step = 2.0 * math.pi / extent
+        z_step = abs(epsilon) * h
+        assert (spec.dim, spec.state_shape, spec.field_shape) == (d, (n,) * d, (n,) * (2 * d))
+        assert (spec.h, spec.xi_step, spec.zeta_step, spec.z_step) == (h, xi_step, zeta_step, z_step)
+        assert spec.state_weight == h ** d
+        assert spec.xi_weight == (h * xi_step / (2.0 * math.pi)) ** d
+        assert spec.xistar_weight == (zeta_step * z_step / (2.0 * math.pi)) ** d
+        assert np.array_equal(spec.x_axis, (np.arange(n) - n // 2) * h)
+        assert np.array_equal(spec.xi_axis, (np.arange(n) - n // 2) * xi_step)
+
+    # state_weight = (extent / n)^d underflows to 0 at 1e-200 on the plane
+    # and overflows at 1e300; the line's h underflows to 0 at 5e-324.
+    @pytest.mark.parametrize("group,extent,name", [
+        ("abelian:2", 1e-200, "state_weight"), ("abelian:2", 1e300, "state_weight"),
+        ("abelian:1", 5e-324, "h"),
+    ])
+    def test_rejects_extreme_extent(self, group, extent, name):
+        with pytest.raises(ValueError, match=re.escape("extent %r: the grid's %s " % (extent, name))):
+            rs.GridSpec(algebra(group), 8, extent)
+
+    def test_axes_are_read_only(self):
+        spec = rs.GridSpec(ABEL1, 16, 8.0)
+        for name in ("x_axis", "xi_axis"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(spec, name)[0] = 1.0
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(spec, name, np.zeros(16))
 
     def test_grid_backend_needs_commutative_group(self):
         with pytest.raises(ValueError, match="quadrature"):
@@ -621,6 +658,8 @@ GAUSSIAN_BAD = {
     "nan-width": ("width", lambda d: dict(width=math.nan)),
     "tiny-width": ("width", lambda d: dict(width=1e-200)),
     "huge-width": ("width", lambda d: dict(width=1e200)),
+    # The normalization is finite here, but 1 / (4 width^2) overflows.
+    "scale-overflow-width": ("width", lambda d: dict(width=1e-160)),
     "inf-chirp": ("chirp", lambda d: dict(chirp=math.inf)),
 }
 
