@@ -221,18 +221,20 @@ def gaussian_state(spec, center=None, width=1.0, momentum=None, chirp=0.0):
         raise ValueError("width must be positive and finite, got %r" % (width,))
     amp = _in_range("width", width, "the normalization (2 pi width^2)^(-d/4)",
                     lambda: (2.0 * math.pi * width ** 2) ** (-d / 4.0))
-    _in_range("width", width, "the exponent scale 1/(4 width^2)",
-              lambda: 1.0 / (4.0 * width ** 2))
+    scale = _in_range("width", width, "the exponent scale 1/(4 width^2)",
+                      lambda: 1.0 / (4.0 * width ** 2))
     if not math.isfinite(chirp):
         raise ValueError("chirp must be finite, got %r" % (chirp,))
     if spec.backend == "quadrature":
-        return QuadratureState.gaussian(spec, center, width, momentum, chirp)
+        return QuadratureState.gaussian(spec, center, amp, scale, momentum, chirp)
     mesh = spec.mesh()
     r2 = np.zeros(spec.state_shape)
     phase = np.zeros(spec.state_shape)
     for i in range(d):
         r2 = r2 + (mesh[i] - center[i]) ** 2
         phase = phase + momentum[i] * mesh[i]
+    _in_range("width", width, "the grid's largest exponent max r2/(4 width^2)",
+              lambda: r2.max() / (4.0 * width ** 2))
     values = amp * np.exp(-r2 / (4.0 * width ** 2) + 1j * (phase + chirp * r2))
     return StateVector(spec, values)
 
@@ -507,15 +509,16 @@ class QuadratureState:
         self.expr = list(expr)
 
     @classmethod
-    def gaussian(cls, spec, center, width, momentum, chirp=0.0):
+    def gaussian(cls, spec, center, amp, scale, momentum, chirp=0.0):
+        """amp exp(sum_i (-scale + i chirp) (x_i - c_i)^2 + i momentum_i x_i),
+        with the amplitude and exponent scale that gaussian_state checked."""
         d = spec.dim
-        amp = (2.0 * math.pi * width ** 2) ** (-d / 4.0)
         expo = NumPoly(d, {})
         for i in range(d):
             xi = NumPoly(d, {tuple(1 if j == i else 0 for j in range(d)): 1.0})
             ci = NumPoly.const(d, center[i])
             diff = xi + (-1.0) * ci
-            expo = expo + (-1.0 / (4.0 * width ** 2) + 1j * chirp) * (diff * diff)
+            expo = expo + (-scale + 1j * chirp) * (diff * diff)
             expo = expo + (1j * momentum[i]) * xi
         return cls(spec, [(NumPoly.const(d, amp), expo)])
 

@@ -616,11 +616,25 @@ def project_field(ctx, kernel, field):
 # ---------------------------------------------------------------------------
 
 
-# (x, X) node pairs per block of ambiguity_overlap_quadrature.  Its five
-# block buffers (2 real and 3 complex arrays of block x M, 64 bytes a pair)
-# then hold at most 16 MiB while M <= OVERLAP_BLOCK: 151 x 1728 pairs, about
-# 16 MiB, at M = 1728, which sets verify-suite's peak RSS.
+# (x, X) node pairs per block and per tile of ambiguity_overlap_quadrature.
+# A block of OVERLAP_BLOCK // M rows groups the outer sum over X: its rows'
+# partial sums are added in one dot with their weights, so the block size
+# fixes the summation order of the result.  The block's rows are evaluated
+# in tiles of OVERLAP_TILE // M rows (at least two, one more where a
+# one-row tail joins), whose five buffers (2 real and 3 complex arrays of
+# tile x M, 64 bytes a pair) hold at most OVERLAP_TILE + M pairs, about
+# 2 MiB, while M <= 2^14: 18 x 1728 pairs at M = 1728.
 OVERLAP_BLOCK = 1 << 18
+OVERLAP_TILE = 1 << 15
+
+
+def _tiles(start, stop, rows):
+    """(lo, hi) row bounds covering [start, stop) in tiles of `rows` rows,
+    a one-row tail joined to the tile before it."""
+    cuts = list(range(start, stop, rows)) + [stop]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return list(zip(cuts, cuts[1:]))
 
 
 def _bilinear(q, nodes, d):
@@ -654,9 +668,15 @@ def ambiguity_overlap_quadrature(spec, f1, w1, f2, w2):
     the term pairs of w1 and w2.  Each amplitude and exponent is composed
     once with the law L(u, v) = (-u)*v (outer u = X, inner v = x) and split
     as a bilinear form over per-node monomial tables (_bilinear), so a
-    block of X rows costs a few real matmuls and one exp, cos and sin per
+    tile of X rows costs a few real matmuls and one exp, cos and sin per
     pair.  The exponent stays real until the exp: after a complex matmul,
-    OpenBLAS makes the next complex exp several times slower."""
+    OpenBLAS makes the next complex exp several times slower.
+
+    Each tile writes its rows of G @ inner into one block-length vector,
+    and each block adds its weighted rows to the total in one dot, so the
+    tile size never changes the summation order.  No tile has exactly one
+    row (a one-row tail joins the tile before it): numpy sends a 1 x M
+    product down another BLAS path, whose result differs in the last bits."""
     if spec.backend != "quadrature":
         raise ValueError("ambiguity_overlap_quadrature needs the quadrature backend")
     d = spec.dim
@@ -674,24 +694,30 @@ def ambiguity_overlap_quadrature(spec, f1, w1, f2, w2):
         for p1, e1 in w1.expr for p2, e2 in w2.expr
     ]
     block = max(1, OVERLAP_BLOCK // M)
-    real_buf = np.empty((2, block, M))
-    complex_buf = np.empty((3, block, M), dtype=complex)
+    tiles = [_tiles(start, min(M, start + block), max(2, OVERLAP_TILE // M))
+             for start in range(0, M, block)]
+    rows = max(hi - lo for block_tiles in tiles for lo, hi in block_tiles)
+    real_buf = np.empty((2, rows, M))
+    complex_buf = np.empty((3, rows, M), dtype=complex)
+    v = np.empty(block, dtype=complex)
     total = 0.0 + 0.0j
-    for start in range(0, M, block):
-        stop = min(M, start + block)
-        re_e, im_e = real_buf[:, : stop - start]
-        amp, g, G = complex_buf[:, : stop - start]
-        G[...] = 0.0
-        for (ar, ai, av), (er, ei, ev) in tables:
-            np.matmul(er[start:stop], ev, out=re_e)
-            np.matmul(ei[start:stop], ev, out=im_e)
-            np.exp(re_e, out=re_e)
-            np.cos(im_e, out=g.real)
-            np.sin(im_e, out=g.imag)
-            g *= re_e
-            np.matmul(ar[start:stop], av, out=amp.real)
-            np.matmul(ai[start:stop], av, out=amp.imag)
-            g *= amp
-            G += g
-        total += wts[start:stop] @ (G @ inner)
+    for block_tiles in tiles:
+        start, stop = block_tiles[0][0], block_tiles[-1][1]
+        for lo, hi in block_tiles:
+            re_e, im_e = real_buf[:, : hi - lo]
+            amp, g, G = complex_buf[:, : hi - lo]
+            G[...] = 0.0
+            for (ar, ai, av), (er, ei, ev) in tables:
+                np.matmul(er[lo:hi], ev, out=re_e)
+                np.matmul(ei[lo:hi], ev, out=im_e)
+                np.exp(re_e, out=re_e)
+                np.cos(im_e, out=g.real)
+                np.sin(im_e, out=g.imag)
+                g *= re_e
+                np.matmul(ar[lo:hi], av, out=amp.real)
+                np.matmul(ai[lo:hi], av, out=amp.imag)
+                g *= amp
+                G += g
+            np.matmul(G, inner, out=v[lo - start : hi - start])
+        total += wts[start:stop] @ v[: stop - start]
     return complex(total) / (abs(spec.epsilon) ** d)

@@ -446,6 +446,16 @@ class TestOutOfRangeNumbers:
         assert err.startswith("error: width %s" % float(width))
         assert not (tmp_path / "out").exists()
 
+    def test_grid_exponent_overflow_width_exits_two(self, tmp_path, capsys):
+        # 1 / (4 width^2) is finite at 1e-154, but the exponent r2 / (4 width^2)
+        # overflows at the edge of the default grid (N = 64, extent 16).
+        path = tmp_path / "width.cfg"
+        path.write_text("window.width = 1e-154\n", encoding="utf-8")
+        code = run_cli(["ambiguity", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: width 1e-154")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["wigner", "quantize"])
     @pytest.mark.parametrize("epsilon", ["1e-200", "1e300"])
     def test_extreme_epsilon_exits_two(self, command, epsilon, tmp_path, capsys):

@@ -854,6 +854,35 @@ class TestQuadratureRoutes:
         blocked = ambiguity_overlap_quadrature(spec, f1, w1, f2, w2)
         assert abs(blocked - whole) <= 1e-13 * abs(whole)
 
+    @pytest.fixture(scope="class")
+    def verify_sized(self):
+        # verify's rule: 12 nodes, 1728 (x, X) rows in blocks of 151 rows
+        # (11 full and one of 67).  Tiles of 2, 3 or 5 rows would leave a
+        # one-row tail in both block sizes, 18 rows (the default) in neither.
+        spec = quad_ctx().spec
+        states = (gaussian_state(spec, center=[0.5, 0.0, -0.2], momentum=[0.3, -0.1, 0.0]),
+                  gaussian_state(spec),
+                  gaussian_state(spec, center=[-0.3, 0.4, 0.1]),
+                  gaussian_state(spec, momentum=[0.2, 0.0, -0.3]))
+        assert spec.gl_rule()[0].shape[0] == 1728
+        return spec, states
+
+    @pytest.mark.parametrize("rows", [2, 3, 5])
+    def test_overlap_tiles_match_default(self, verify_sized, rows, monkeypatch):
+        spec, states = verify_sized
+        default = ambiguity_overlap_quadrature(spec, *states)
+        monkeypatch.setattr(weyl_module, "OVERLAP_TILE", rows * 1728)
+        assert ambiguity_overlap_quadrature(spec, *states) == default
+
+    def test_overlap_working_set(self, verify_sized):
+        # The five tile buffers hold 18 x 1728 pairs, 1.9 MiB, and the
+        # monomial tables of _bilinear about 0.6 MiB (2.5 MiB in all; the
+        # untiled blocks of 151 x 1728 pairs peaked at 16.5 MiB).
+        spec, states = verify_sized
+        ambiguity_overlap_quadrature(spec, *states)
+        peak = _traced_peak(ambiguity_overlap_quadrature, spec, *states)
+        assert peak <= 4 << 20
+
     def test_overlap_needs_quadrature(self):
         ctx = grid_ctx()
         f = gaussian_state(ctx.spec)
