@@ -246,7 +246,10 @@ class RunConfig:
     ``raw`` is the merged key/value map exactly as it will appear in the
     manifest; everything else is built (and therefore validated) from it.
     ``build_grid=False`` skips the discretization, for subcommands that
-    only need symbolic data.
+    only need symbolic data.  A lattice subcommand passes its output check
+    instead of True, a pair (name, shape): the output of shape
+    ``shape(N, d)`` is checked against MAX_OUTPUT_BYTES under that name on
+    the parsed N, before the grid allocates anything.
     """
 
     __slots__ = (
@@ -287,9 +290,13 @@ class RunConfig:
                     "abelian:2 (a commutative group of dimension <= 2)"
                     % self.raw["group"]
                 )
+            n = _parse_int(self.raw, "grid.n")
+            if build_grid is not True:
+                what, shape = build_grid
+                _check_output_bytes(what, shape(n, dim))
             self.spec = GridSpec(
                 self.group,
-                _parse_int(self.raw, "grid.n"),
+                n,
                 _parse_float(self.raw, "grid.extent"),
                 epsilon=_parse_float(self.raw, "epsilon"),
             )
@@ -423,7 +430,6 @@ def _cmd_verify(cfg):
 
 def _field_command(command, cfg):
     """Shared body of ``ambiguity`` and ``wigner``."""
-    _check_output_bytes("ambiguity", cfg.spec.field_shape)
     started = time.perf_counter()
     ctx = cfg.context()
     state = cfg.state("state")
@@ -438,7 +444,6 @@ def _field_command(command, cfg):
 
 
 def _cmd_quantize(cfg):
-    _check_output_bytes("quantize", (cfg.spec.n_axis ** cfg.spec.dim,) * 2)
     started = time.perf_counter()
     ctx = cfg.context()
     op = quantize(ctx, wigner(ctx, cfg.state("state"), ctx.window))
@@ -448,7 +453,6 @@ def _cmd_quantize(cfg):
 
 
 def _cmd_moyal(cfg):
-    _check_output_bytes("moyal_product", (cfg.spec.n_axis ** cfg.spec.dim,) * 2)
     started = time.perf_counter()
     ctx = cfg.context()
     a = wigner(ctx, cfg.state("state"), ctx.window)
@@ -461,7 +465,6 @@ def _cmd_moyal(cfg):
 
 
 def _cmd_modnorm(cfg):
-    _check_output_bytes("ambiguity", cfg.spec.field_shape)
     started = time.perf_counter()
     ctx = cfg.context()
     value = mod_norm_vector(
@@ -497,16 +500,29 @@ def _cmd_group_info(cfg):
     return 0
 
 
-# name -> (handler taking the RunConfig, help line, whether it builds a grid)
+def _field_shape(n, d):
+    return (n,) * (2 * d)
+
+
+def _operator_shape(n, d):
+    return (n ** d,) * 2
+
+
+# name -> (handler taking the RunConfig, help line, and for a subcommand
+# that builds a grid its output check: the name the check reports and the
+# output's shape on N points per axis in dimension d; False for none)
 _COMMANDS = {
     "verify": (_cmd_verify, "run the self-check suite", False),
     "ambiguity": (partial(_field_command, "ambiguity"),
-                  "cross-ambiguity table of state vs window", True),
+                  "cross-ambiguity table of state vs window", ("ambiguity", _field_shape)),
     "wigner": (partial(_field_command, "wigner"),
-               "cross-Wigner table of state vs state2", True),
-    "quantize": (_cmd_quantize, "operator matrix of the configured symbol", True),
-    "moyal": (_cmd_moyal, "twisted product of two configured symbols", True),
-    "modnorm": (_cmd_modnorm, "mixed phase-space norm of the configured state", True),
+               "cross-Wigner table of state vs state2", ("ambiguity", _field_shape)),
+    "quantize": (_cmd_quantize, "operator matrix of the configured symbol",
+                 ("quantize", _operator_shape)),
+    "moyal": (_cmd_moyal, "twisted product of two configured symbols",
+              ("moyal_product", _operator_shape)),
+    "modnorm": (_cmd_modnorm, "mixed phase-space norm of the configured state",
+                ("ambiguity", _field_shape)),
     "group-info": (_cmd_group_info, "symbolic facts about a registered group", False),
 }
 

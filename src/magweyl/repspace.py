@@ -47,6 +47,10 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
+def _out_of_range(source, value, label):
+    return ValueError("%s %r: %s is out of the float range" % (source, value, label))
+
+
 def _in_range(source, value, label, rule):
     """rule(), a number or an array, if it is finite and nonzero (an overflow
     is not); else a ValueError naming ``label`` and its input ``source``."""
@@ -56,7 +60,7 @@ def _in_range(source, value, label, rule):
     except (ZeroDivisionError, OverflowError, FloatingPointError):
         out = math.inf
     if not 0 < np.abs(out).max() < math.inf:
-        raise ValueError("%s %r: %s is out of the float range" % (source, value, label))
+        raise _out_of_range(source, value, label)
     return out
 
 
@@ -210,7 +214,9 @@ def gaussian_state(spec, center=None, width=1.0, momentum=None, chirp=0.0):
     not small against the spacing h: centered on a lattice point, the norm
     squared is (sum over integers m of exp(-2 pi^2 m^2 width^2 / h^2))^d up
     to the box truncation, so 1 + 5e-9 at width = h, 1.014 at h / 2, and
-    about (h / (sqrt(2 pi) width))^d once width << h."""
+    about (h / (sqrt(2 pi) width))^d once width << h.  Each exponent term
+    must stay finite on the grid or the quadrature box, or a ValueError
+    names its parameter."""
     d = spec.dim
     center = np.zeros(d) if center is None else np.asarray(center, dtype=float)
     momentum = np.zeros(d) if momentum is None else np.asarray(momentum, dtype=float)
@@ -225,16 +231,35 @@ def gaussian_state(spec, center=None, width=1.0, momentum=None, chirp=0.0):
                       lambda: 1.0 / (4.0 * width ** 2))
     if not math.isfinite(chirp):
         raise ValueError("chirp must be finite, got %r" % (chirp,))
+    # The largest r2 and |x_i| on the domain (bounds on the quadrature box);
+    # the terms are Python floats, which overflow to inf without a warning.
+    if spec.backend == "quadrature":
+        reach = spec.quad_box + float(np.abs(center).max())
+        r2_max, x_max, where = d * reach * reach, spec.quad_box, " on the quadrature box"
+    else:
+        mesh = spec.mesh()
+        r2 = np.zeros(spec.state_shape)
+        with np.errstate(over="ignore"):
+            for i in range(d):
+                r2 = r2 + (mesh[i] - center[i]) ** 2
+        r2_max, x_max, where = float(r2.max()), float(np.abs(spec.x_axis).max()), " on the grid"
+    turn = abs(float(chirp)) * r2_max
+    shift = sum(abs(float(m)) for m in momentum) * x_max
+    for source, value, label, top in (
+        ("center", center.tolist(), "r2", r2_max),
+        ("width", width, "exponent term max r2/(4 width^2)", float(scale) * r2_max),
+        ("chirp", chirp, "phase term |chirp| max r2", turn),
+        ("momentum", momentum.tolist(), "phase term sum |momentum_i| max |x_i|", shift),
+        ("chirp and momentum", (chirp, momentum.tolist()), "sum of these phase terms",
+         turn + shift),
+    ):
+        if not math.isfinite(top):
+            raise _out_of_range(source, value, "the largest " + label + where)
     if spec.backend == "quadrature":
         return QuadratureState.gaussian(spec, center, amp, scale, momentum, chirp)
-    mesh = spec.mesh()
-    r2 = np.zeros(spec.state_shape)
     phase = np.zeros(spec.state_shape)
     for i in range(d):
-        r2 = r2 + (mesh[i] - center[i]) ** 2
         phase = phase + momentum[i] * mesh[i]
-    _in_range("width", width, "the grid's largest exponent max r2/(4 width^2)",
-              lambda: r2.max() / (4.0 * width ** 2))
     values = amp * np.exp(-r2 / (4.0 * width ** 2) + 1j * (phase + chirp * r2))
     return StateVector(spec, values)
 

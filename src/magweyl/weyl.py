@@ -21,16 +21,18 @@ Conventions (all enforced by tests, none assumed):
 Lattice kernel: the grid transforms sum the Weyl system (cyclic shift,
 magnetic phase, axis DFT, half-shift prefactor) over all steps at once, on
 arrays with d step axes (step s_j = j - N/2) then d point or frequency axes.
-Only per-axis N x N tables are cached, broadcast over axes (i, d + i): the
+Only per-axis tables are cached, broadcast over axes (i, d + i): the
 shift index I[j, p] = (p - s_j) mod N (I[I[q, p], p] = q), the prefactor
-exp(i eps s_j h/2 xi_k) and the symmetric DFT exp(-i eps xi_k x_p).  A state
-moves by the gather ``values[I_0, I_1]``; operator entries move through the
-same index.  The magnetic phase depends on the step X only through the
-segment of X, so each route's phase is one exact polynomial in
-(y_0..y_{d-1}, X_0..X_{d-1}), built once per context on first use (only the
-polynomials are cached: a fresh context gains nothing from a float cache).
-``_eval_joint`` evaluates such a joint polynomial on the whole (step, point)
-lattice in one broadcast pass over per-axis power tables.  The formula
+exp(i eps s_j h/2 xi_k) and the symmetric DFT exp(-i eps xi_k x_p), with
+the step coordinates s_j h.  ``_step_tables`` builds the first two for any
+range of steps and ``_step_coords`` the last.  A state moves by the gather
+``values[I_0, I_1]``; operator entries move through the same index.  The
+magnetic phase depends on the step X only through the segment of X, so
+each route's phase is one exact polynomial in (y_0..y_{d-1}, X_0..X_{d-1}),
+built once per context on first use (only the polynomials are cached: a
+fresh context gains nothing from a float cache of their values).
+``_apply_phase`` evaluates it on the whole (step, point) lattice in one
+broadcast pass over per-axis power tables and multiplies it in.  The formula
 route's segment-average map at -y is a joint polynomial too, one per
 algebra, and splits exactly into a_i(X_i) + b_i(y_i) per axis, so
 ``ambiguity_formula`` makes one axis transform over all steps with a shared
@@ -204,39 +206,41 @@ def _along(table, axes, ndim):
     return table.reshape(shape)
 
 
-_Tables = namedtuple("_Tables", "shift prefactor dft moved entries")
+_Tables = namedtuple("_Tables", "shift prefactor coords dft moved entries")
+
+
+def _step_tables(spec, steps):
+    """The shift index I[j, p] = (p - s_j) mod N, its gather indices over
+    the (step, point) layout and the half-shift prefactor
+    exp(i eps s_j h/2 xi_k) of the integer steps s_j."""
+    n, d = spec.n_axis, spec.dim
+    shift = (np.arange(n)[None, :] - steps[:, None]) % n
+    moved = tuple(_along(shift, (i, d + i), 2 * d) for i in range(d))
+    prefactor = np.exp(1j * spec.epsilon * np.outer(steps * (spec.h / 2.0), spec.xi_axis))
+    return shift, moved, prefactor
+
+
+def _step_coords(spec, steps):
+    """The step coordinates s_j h, each rounded once from its exact value."""
+    h = Fraction(spec.extent) / spec.n_axis
+    return np.array([float(int(s) * h) for s in steps])
 
 
 def _tables(spec):
-    """The per-axis tables, cached on the grid, and the shift index I as
-    gather indices over the (step, point) layout: values[moved][j, p] is the
-    state moved by s_j at p; operator entry (p, I[j, p]) is step j's alone."""
+    """The per-axis tables of the lattice steps s_j = j - N/2, cached on the
+    grid, and the shift index I as gather indices over the (step, point)
+    layout: values[moved][j, p] is the state moved by s_j at p; operator
+    entry (p, I[j, p]) is step j's alone."""
     if "weyl" not in spec._cache:
         n, d = spec.n_axis, spec.dim
         s = np.arange(n) - n // 2
-        shift = (np.arange(n)[None, :] - s[:, None]) % n
-        prefactor = np.exp(1j * spec.epsilon * np.outer(s * (spec.h / 2.0), spec.xi_axis))
+        shift, moved, prefactor = _step_tables(spec, s)
         E = spec.harmonic_matrix()
         dft = E if spec.epsilon > 0 else np.conj(E)
-        moved = tuple(_along(shift, (i, d + i), 2 * d) for i in range(d))
         rows = tuple(_along(np.arange(n), (d + i,), 2 * d) for i in range(d))
-        spec._cache["weyl"] = _Tables(shift, prefactor, dft, moved, rows + moved)
+        spec._cache["weyl"] = _Tables(shift, prefactor, _step_coords(spec, s), dft,
+                                      moved, rows + moved)
     return spec._cache["weyl"]
-
-
-def _eval_joint(spec, poly, steps=None):
-    """poly(x_p, s_j h) for a polynomial in (y_0..y_{d-1}, X_0..X_{d-1}),
-    step axes first: shape (len(steps),) * d + state_shape, the lattice
-    steps s_j = j - N/2 by default, through the evaluator that
-    eval_poly_grid uses; each s_j h is rounded once from its exact value."""
-    d = spec.dim
-    if steps is None:
-        steps = np.arange(spec.n_axis) - spec.n_axis // 2
-    h = Fraction(spec.extent) / spec.n_axis
-    step_axis = np.array([float(int(s) * h) for s in steps])
-    axes = [_along(spec.x_axis, (d + i,), 2 * d) for i in range(d)]
-    axes += [_along(step_axis, (i,), 2 * d) for i in range(d)]
-    return _eval_on_axes(poly, axes, (len(steps),) * d + spec.state_shape)
 
 
 def _steps_to_operator(spec, D):
@@ -251,25 +255,28 @@ def _mul_axes(arr, table, first, second):
         arr *= _along(table, (first + i, second + i), arr.ndim)
 
 
-def _phase_factor(spec, poly, sign, steps=None):
-    """exp(sign i eps poly(x_p, s_j h)) over _eval_joint's layout, with a
-    single complex temporary."""
-    z = _eval_joint(spec, poly, steps) * (sign * 1j * spec.epsilon)
-    return np.exp(z, out=z)
-
-
-def _apply_magnetic(ctx, arr, sign):
-    """In place, arr[j, p] *= exp(sign i eps phase(x_p, s_j h)) for every
-    step j, with the representation route's joint phase."""
-    if not ctx.potential.is_zero():
-        arr *= _phase_factor(ctx.spec, ctx.joint_phase("rep"), sign)
+def _apply_phase(ctx, arr, route, sign, steps=None):
+    """In place, arr[j, p] *= exp(sign i eps phase(x_p, s_j h)) with the
+    route's joint phase (step axes first, the lattice steps by default),
+    through eval_poly_grid's evaluator and one complex temporary; nothing
+    when the potential vanishes."""
+    phase = ctx.joint_phase(route)
+    if phase is None:
+        return
+    spec, d = ctx.spec, ctx.spec.dim
+    coords = _tables(spec).coords if steps is None else _step_coords(spec, steps)
+    axes = [_along(spec.x_axis, (d + i,), 2 * d) for i in range(d)]
+    axes += [_along(coords, (i,), 2 * d) for i in range(d)]
+    shape = (len(coords),) * d + spec.state_shape
+    z = _eval_on_axes(phase, axes, shape) * (sign * 1j * spec.epsilon)
+    arr *= np.exp(z, out=z)
 
 
 def _analyze(ctx, B):
     """(step, point) -> (step, frequency) in a new array; the magnetic
     phase is multiplied into B in place."""
     d, t = ctx.spec.dim, _tables(ctx.spec)
-    _apply_magnetic(ctx, B, -1)
+    _apply_phase(ctx, B, "rep", -1)
     out = axis_transform(B, [t.dft] * d)
     _mul_axes(out, t.prefactor, 0, d)
     return out
@@ -284,7 +291,7 @@ def _synthesize(ctx, A):
     # The callers pass a temporary: dropping it frees a field before the
     # magnetic phase table is built.
     del A
-    _apply_magnetic(ctx, out, +1)
+    _apply_phase(ctx, out, "rep", +1)
     return out
 
 
@@ -320,15 +327,15 @@ def wigner(ctx, f, window=None):
 
 @lru_cache(maxsize=None)
 def _split_average_map(alg):
-    """Per axis i, the terms (coefficient, power) of the X_i part a_i and
-    of the y_i part b_i of component i of the segment-average map at -y;
+    """Per axis i, the X_i part a_i and the y_i part b_i of component i of
+    the segment-average map at -y, as univariate polynomials;
     NotImplementedError names a monomial that is neither."""
     d = alg.dim
     coords = [Polynomial.var(2 * d, i) for i in range(2 * d)]
     at_neg_y = PolyVector([-c for c in coords[:d]] + coords[d:])
     parts = []
     for i, comp in enumerate(bch_average_symbolic(alg).compose(at_neg_y)):
-        a, b = [], []
+        a, b = {}, {}
         for e, c in sorted(comp.terms.items()):
             used = [v for v, k in enumerate(e) if k]
             if not (set(used) <= {d + i} or used == [i]):
@@ -336,8 +343,8 @@ def _split_average_map(alg):
                     "segment-average map component %d does not split along axes: "
                     "monomial %s" % (i, "*".join("%s%d^%d" % ("yX"[v // d], v % d, e[v]) for v in used))
                 )
-            (b if used == [i] else a).append((c, sum(e)))
-        parts.append((tuple(a), tuple(b)))
+            (b if used == [i] else a)[(sum(e),)] = c
+        parts.append((Polynomial(1, a), Polynomial(1, b)))
     return tuple(parts)
 
 
@@ -348,13 +355,9 @@ def _formula_tables(spec):
     spot-checked on every step against a few points."""
     if "formula" not in spec._cache:
         d, n, eps, xi = spec.dim, spec.n_axis, spec.epsilon, spec.xi_axis
-        h = Fraction(spec.extent) / n
-        X = np.array([float(int(s) * h) for s in np.arange(n) - n // 2])
-        parts = [
-            tuple(sum((float(c) * axis ** k for c, k in terms), np.zeros(n))
-                  for terms, axis in zip(split, (X, spec.x_axis)))
-            for split in _split_average_map(spec.group)
-        ]
+        X = _tables(spec).coords
+        parts = [tuple(_eval_on_axes(p, [axis], (n,)) for p, axis in zip(split, (X, spec.x_axis)))
+                 for split in _split_average_map(spec.group)]
         sample = np.arange(n)[:: max(1, n // 3)][:4]
         idx = np.indices((n,) * d + (len(sample),) * d).reshape(2 * d, -1)
         steps, points = idx[:d], sample[idx[d:]]
@@ -384,8 +387,7 @@ def ambiguity_formula(ctx, f, window=None):
     B = w.values[_tables(spec).moved]
     np.conj(B, out=B)
     B *= f.values * spec.state_weight
-    if not ctx.potential.is_zero():
-        B *= _phase_factor(spec, ctx.joint_phase("formula"), -1)
+    _apply_phase(ctx, B, "formula", -1)
     out = axis_transform(B, kernels)
     for i, factor in enumerate(factors):
         out *= _along(factor, (i, len(factors) + i), out.ndim)
@@ -452,7 +454,7 @@ def materialize_quantizer(ctx):
         out *= _along(axis, (i, d + i, 2 * d + i, 3 * d + i), 4 * d)
     if not ctx.potential.is_zero():
         mag = np.ones(spec.field_shape, dtype=complex)
-        _apply_magnetic(ctx, mag, +1)
+        _apply_phase(ctx, mag, "rep", +1)
         out *= _steps_to_operator(spec, mag).reshape(spec.field_shape + (1,) * (2 * d))
     return out.reshape(N ** (2 * d), N ** (2 * d))
 
@@ -498,12 +500,9 @@ def _symbol_passes(what, ctx, a, window1, window2):
     # factor that sees the two steps only through their sum.  The row index
     # of conj(w1) is (p - u) mod N per axis.
     steps = np.arange(-N, N - 1)
-    half = np.exp(1j * spec.epsilon * np.outer(steps * (spec.h / 2.0), spec.xi_axis))
-    W = np.conj(window1.values)[tuple(
-        _along((np.arange(N)[None, :] - np.arange(2 * N - 1)[:, None]) % N,
-               (i, d + i), 2 * d) for i in range(d))]
-    if not ctx.potential.is_zero():
-        W *= _phase_factor(spec, ctx.joint_phase("rep"), -1, steps)
+    _, moved, half = _step_tables(spec, steps)
+    W = np.conj(window1.values)[moved]
+    _apply_phase(ctx, W, "rep", -1, steps)
     G = _axis_product(half, d).reshape(sums + (n, 1)) * dft
     G *= W.reshape(sums + (1, n))
     block = np.empty((n, n * n), dtype=complex)
@@ -579,7 +578,7 @@ def coherent_family(ctx, window=None):
     n = spec.n_axis ** d
     _check_output_bytes("coherent_family", (n, n * n))
     G = w.values[_tables(spec).moved]
-    _apply_magnetic(ctx, G, +1)
+    _apply_phase(ctx, G, "rep", +1)
     # Axes (step j, frequency k, point p): G[j, p] conj(P[k, p] a[j, k]).
     V = np.empty((spec.n_axis,) * (3 * d), dtype=complex)
     V[...] = G.reshape(spec.state_shape + (1,) * d + spec.state_shape)

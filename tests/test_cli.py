@@ -4,6 +4,8 @@ syntax, subcommand outputs, manifests, and exit codes."""
 import argparse
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -390,6 +392,42 @@ class TestMemoryGuard:
         assert "%s: output of shape (9216, 9216) needs 1358954496 bytes" % what in err
 
 
+def _limit_address_space():
+    # About 2 GiB: room for the interpreter and numpy, not for an N-point axis
+    # at N = 1e11 (800 GB).
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+class TestSizeCheckBeforeGrid:
+    def test_huge_n_exits_two_before_the_grid(self, tmp_path):
+        # In a child whose address space is capped, so that a grid built
+        # before the check fails fast instead of allocating.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "magweyl.cli", "ambiguity", "--n", "100000000000",
+             "--out", str(tmp_path / "big")],
+            env=env, capture_output=True, text=True, preexec_fn=_limit_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "ambiguity: output of shape (100000000000, 100000000000)" in proc.stderr
+        assert not (tmp_path / "big").exists()
+
+    @pytest.mark.parametrize("command,what", [
+        ("ambiguity", "ambiguity"), ("wigner", "ambiguity"), ("modnorm", "ambiguity"),
+        ("quantize", "quantize"), ("moyal", "moyal_product"),
+    ])
+    def test_check_runs_before_the_grid(self, command, what, tmp_path, capsys, monkeypatch):
+        # On the line, the field (N, N) and the operator (N^d, N^d) agree.
+        monkeypatch.setattr(cli, "GridSpec", _not_reached)
+        code = run_cli([command, "--n", "100000000", "--out", str(tmp_path / "big")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "%s: output of shape (100000000, 100000000)" % what in err
+
+
 class TestFieldMemoryGuard:
     @pytest.mark.parametrize("command", ["ambiguity", "wigner", "modnorm"])
     def test_large_field_exits_two(self, command, tmp_path, capsys):
@@ -444,6 +482,15 @@ class TestOutOfRangeNumbers:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: width %s" % float(width))
+        assert not (tmp_path / "out").exists()
+
+    def test_chirp_overflow_exits_two(self, tmp_path, capsys):
+        # The chirp is finite, but |chirp| max r2 overflows on the default grid.
+        path = tmp_path / "chirp.cfg"
+        path.write_text("window.chirp = 1e307\n", encoding="utf-8")
+        code = run_cli(["ambiguity", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: chirp 1e+307")
         assert not (tmp_path / "out").exists()
 
     def test_grid_exponent_overflow_width_exits_two(self, tmp_path, capsys):

@@ -661,25 +661,55 @@ GAUSSIAN_BAD = {
     # The normalization is finite here, but 1 / (4 width^2) overflows.
     "scale-overflow-width": ("width", lambda d: dict(width=1e-160)),
     # 1 / (4 width^2) = 2.5e307 is finite, but r2 / (4 width^2) overflows
-    # where r2 > 7.2 on the grid (r2 reaches 64 on default_spec's line).
+    # where r2 > 7.2: r2 reaches 64 on default_spec's line, and is bounded
+    # by d (box + max |c_i|)^2 = 108 on quad_spec's box.
     "grid-exponent-overflow-width": ("width", lambda d: dict(width=1e-154)),
+    "off-center-exponent-overflow-width": (
+        "width", lambda d: dict(width=1e-154, center=[0.3] + [0.0] * (d - 1))),
     "inf-chirp": ("chirp", lambda d: dict(chirp=math.inf)),
+    # A finite center whose squared distance to the domain overflows.
+    "r2-overflow-center": ("center", lambda d: dict(center=[1e200] * d)),
+    # |chirp| r2 and |momentum| max |x| overflow on both domains (the
+    # largest |x| is 8 on the line and 6 on the box).
+    "exponent-overflow-chirp": ("chirp", lambda d: dict(chirp=1e307)),
+    "exponent-overflow-momentum": (
+        "momentum", lambda d: dict(momentum=[1e308] + [0.0] * (d - 1))),
+    # numpy scalars overflow the bounds with a warning unless made floats.
+    "numpy-scalar-width": ("width", lambda d: dict(width=np.float64(1e-154))),
+    "numpy-scalar-chirp": ("chirp", lambda d: dict(chirp=np.float64(1e307))),
+    # Each term is finite alone (1e308 on the line), their sum is not.
+    "exponent-overflow-chirp-and-momentum": ("chirp and momentum", lambda d: dict(
+        chirp=1.5e306, momentum=[1.25e307] + [0.0] * (d - 1))),
 }
-# The quadrature backend evaluates no exponent when it builds a state.
-GRID_ONLY_BAD = {"grid-exponent-overflow-width"}
+
+BACKENDS = (("grid", default_spec()), ("quadrature", quad_spec(4)))
 
 
 class TestGaussianStateBounds:
     @pytest.mark.parametrize("spec, case", [
         pytest.param(spec, case, id="%s-%s" % (backend, case))
-        for backend, spec in (("grid", default_spec()), ("quadrature", quad_spec(4)))
-        for case in sorted(GAUSSIAN_BAD)
-        if backend == "grid" or case not in GRID_ONLY_BAD
+        for backend, spec in BACKENDS for case in sorted(GAUSSIAN_BAD)
     ])
     def test_rejects_bad_parameter(self, spec, case):
         name, kwargs = GAUSSIAN_BAD[case]
         with pytest.raises(ValueError, match=name):
             rs.gaussian_state(spec, **kwargs(spec.dim))
+
+    @pytest.mark.parametrize("spec", [s for _, s in BACKENDS], ids=[b for b, _ in BACKENDS])
+    @pytest.mark.parametrize("kwargs", [
+        dict(width=1e-150, center=[0.3]),
+        dict(chirp=1e300),
+        dict(chirp=1.5e306),
+        dict(momentum=[1.25e307]),
+        dict(chirp=0.0, momentum=[0.0]),
+    ], ids=["width", "chirp", "chirp-near-bound", "momentum-near-bound", "zeros"])
+    def test_accepts_finite_exponents(self, spec, kwargs):
+        # Warnings are errors here: the state evaluates without an overflow.
+        d = spec.dim
+        kwargs = {k: v + [0.0] * (d - 1) if isinstance(v, list) else v
+                  for k, v in kwargs.items()}
+        state = rs.gaussian_state(spec, **kwargs)
+        assert math.isfinite(abs(rs.inner_product(spec, state, state)))
 
 
 # ---------------------------------------------------------------------------

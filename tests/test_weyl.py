@@ -1138,3 +1138,90 @@ class TestJointPhase:
             for route in ("rep", "formula"):
                 got = float(poly_eval(ctx.joint_phase(route), y + X))
                 assert abs(got - expected) < 1e-12
+
+
+def _recording(monkeypatch, name):
+    """Replace weyl's step helper ``name`` by one that records each call's
+    steps and result."""
+    calls = []
+    helper = getattr(weyl_module, name)
+
+    def record(spec, steps):
+        out = helper(spec, steps)
+        calls.append((np.array(steps), out))
+        return out
+
+    monkeypatch.setattr(weyl_module, name, record)
+    return calls
+
+
+class _TablesBuilt(Exception):
+    pass
+
+
+def _quadratic_line_potential():
+    # (x^2/3 - x/2) dx on the line
+    x = Polynomial.var(1, 0)
+    return MagneticPotential([x * x * Fraction(1, 3) - x * Fraction(1, 2)])
+
+
+class TestStepTables:
+    """Each per-step rule is written once: the shift index, the half-shift
+    prefactor and the step coordinates of any step range each come from
+    one place, and the lattice steps' ones are cached with the grid."""
+
+    @pytest.mark.parametrize("group,potential", [
+        (ABEL1, _quadratic_line_potential()), (ABEL2, crossed_potential()),
+    ], ids=["line", "plane"])
+    def test_step_sums_hold_the_lattice_tables(self, group, potential, monkeypatch):
+        # h = 10/12 is not a binary fraction.  The operator-window ambiguity
+        # builds its tables over the 2N - 1 step sums -N .. N - 2; rows
+        # N/2 .. 3N/2 - 1 are the lattice steps.  The call stops once the
+        # tables are built, before the (t1 + t2) table and the passes.
+        ctx = QuantizerContext(GridSpec(group, 12, 10.0), potential=potential)
+        w = ctx.window
+        symbol = wigner(ctx, w)
+        cached = weyl_module._tables(ctx.spec)
+        tables = _recording(monkeypatch, "_step_tables")
+        coords = []
+        step_coords = weyl_module._step_coords
+
+        def record_and_stop(spec, steps):
+            coords.append((np.array(steps), step_coords(spec, steps)))
+            raise _TablesBuilt
+
+        monkeypatch.setattr(weyl_module, "_step_coords", record_and_stop)
+        with pytest.raises(_TablesBuilt):
+            mod_norm_symbol(ctx, symbol, w, w, 1, "inf")
+        [(steps, (shift, moved, prefactor))] = tables
+        [(coord_steps, sums)] = coords
+        assert steps.tolist() == coord_steps.tolist() == list(range(-12, 11))
+        rows = slice(6, 18)
+        assert (shift[rows] == cached.shift).all()
+        assert (prefactor[rows] == cached.prefactor).all()
+        assert (sums[rows] == cached.coords).all()
+
+    @pytest.mark.parametrize("n", [12, 24])
+    def test_coordinates_round_once_from_exact(self, n):
+        # s * h rounds twice: at h = 10/n it misses the exact value's
+        # rounding at some step sums (and, at n = 24, lattice steps).
+        ctx = QuantizerContext(GridSpec(ABEL1, n, 10.0))
+        sums = np.arange(-n, n - 1)
+        coords = weyl_module._step_coords(ctx.spec, sums)
+        assert coords.tolist() == [float(Fraction(int(s)) * ctx.h_exact) for s in sums]
+        assert (weyl_module._tables(ctx.spec).coords == coords[n // 2: n // 2 + n]).all()
+        assert (coords != sums * ctx.spec.h).any()
+
+    def test_coordinates_cached_with_the_grid(self, monkeypatch):
+        spec = GridSpec(ABEL1, 12, 10.0)
+        first = QuantizerContext(spec, potential=_quadratic_line_potential())
+        quantize(first, wigner(first, first.window))
+        coords = _recording(monkeypatch, "_step_coords")
+        second = QuantizerContext(spec, potential=_quadratic_line_potential())
+        quantize(second, wigner(second, second.window))
+        ambiguity_formula(second, second.window)
+        assert coords == []
+        plain = QuantizerContext(spec)
+        w = plain.window
+        mod_norm_symbol(plain, wigner(plain, w), w, w, 1, "inf")
+        assert coords == []
