@@ -50,6 +50,7 @@ from .repspace import (
 )
 from .weyl import (
     QuantizerContext,
+    _require_grid,
     ambiguity,
     ambiguity_overlap_quadrature,
     averaged_phase,
@@ -243,9 +244,35 @@ def _normalized(state):
     return state.scaled(1.0 / n)
 
 
+def _window_pair(spec, window1, window2):
+    """The analysis windows, normalized: Gaussians of width 1 and 1.25 unless given."""
+    w1 = window1 if window1 is not None else gaussian_state(spec)
+    w2 = window2 if window2 is not None else gaussian_state(spec, width=1.25)
+    return _normalized(w1), _normalized(w2)
+
+
 # ---------------------------------------------------------------------------
 # inequality checks
 # ---------------------------------------------------------------------------
+
+
+def _ratio_sweep(spec, seed, pairs):
+    """The ratios lhs / rhs over (lhs, rhs) pairs.  A pair with rhs = 0 adds
+    its lhs to the degenerate leak instead, which a bound allows up to 1e-12.
+    Returns the context every bound report shares (max_ratio, the largest
+    ratio, and degenerate_leak, the largest such lhs), the smallest ratio
+    (None without a ratio) and whether the leak stayed within 1e-12."""
+    worst, lo, leak = 0.0, math.inf, 0.0
+    for lhs, rhs in pairs:
+        if rhs == 0.0:
+            leak = max(leak, lhs)
+            continue
+        ratio = lhs / rhs
+        worst = max(worst, ratio)
+        lo = min(lo, ratio)
+    context = {"seed": seed, "grid": _grid_context(spec),
+               "max_ratio": worst, "degenerate_leak": leak}
+    return context, None if lo is math.inf else lo, leak <= 1e-12
 
 
 def check_wigner_bound(ctx, quad, trials=50, seed=0, window1=None, window2=None,
@@ -261,51 +288,30 @@ def check_wigner_bound(ctx, quad, trials=50, seed=0, window1=None, window2=None,
     if not ok:
         raise ValueError("exponent quad rejected: %s" % reason)
     spec = ctx.spec
-    w1 = _normalized(window1 if window1 is not None else gaussian_state(spec))
-    w2 = _normalized(
-        window2 if window2 is not None else gaussian_state(spec, width=1.25)
-    )
+    w1, w2 = _window_pair(spec, window1, window2)
     rng = np.random.default_rng(seed)
     if pairs is None:
         pairs = [
             (random_gaussian_state(spec, rng), random_gaussian_state(spec, rng))
             for _ in range(trials)
         ]
-    worst = 0.0
-    lo = math.inf
-    degenerate_leak = 0.0
-    for f1, f2 in pairs:
-        lhs = mod_norm_symbol(ctx, wigner(ctx, f1, f2), w1, w2, quad.r, quad.s)
-        rhs = mod_norm_vector(ctx, f1, w1, quad.r1, quad.s1) * mod_norm_vector(
-            ctx, f2, w2, quad.r2, quad.s2
-        )
-        if rhs == 0.0:
-            degenerate_leak = max(degenerate_leak, lhs)
-            continue
-        ratio = lhs / rhs
-        worst = max(worst, ratio)
-        lo = min(lo, ratio)
-    context = {
-        "quad": quad,
-        "pairs": len(pairs),
-        "seed": seed,
-        "grid": _grid_context(spec),
-        "max_ratio": worst,
-        "min_ratio": None if lo is math.inf else lo,
-        "degenerate_leak": degenerate_leak,
-    }
-    extra_ok = degenerate_leak <= 1e-12
+    context, lo, leak_ok = _ratio_sweep(spec, seed, (
+        (mod_norm_symbol(ctx, wigner(ctx, f1, f2), w1, w2, quad.r, quad.s),
+         mod_norm_vector(ctx, f1, w1, quad.r1, quad.s1)
+         * mod_norm_vector(ctx, f2, w2, quad.r2, quad.s2))
+        for f1, f2 in pairs
+    ))
+    context.update(quad=quad, pairs=len(pairs), min_ratio=lo)
+    worst, leak = context["max_ratio"], context["degenerate_leak"]
     if equality_band is not None:
-        defect = degenerate_leak
-        if lo is not math.inf:
-            defect = max(abs(worst - 1.0), abs(lo - 1.0), degenerate_leak)
+        defect = leak if lo is None else max(abs(worst - 1.0), abs(lo - 1.0), leak)
         return CheckReport("wigner-bound", defect, equality_band, context=context)
-    return CheckReport("wigner-bound", worst, SLACK, context=context, extra_ok=extra_ok)
+    return CheckReport("wigner-bound", worst, SLACK, context=context, extra_ok=leak_ok)
 
 
-_CANONICAL_OP_QUADS = {
-    "operator": ExponentQuad(1, INFINITY, 2, 2, 2, 2),
-    "trace": ExponentQuad(1, 1, INFINITY, INFINITY, 1, 1),
+_CANONICAL_OP_BOUNDS = {
+    "operator": (ExponentQuad(1, INFINITY, 2, 2, 2, 2), HSOperator.operator_norm),
+    "trace": (ExponentQuad(1, 1, INFINITY, INFINITY, 1, 1), HSOperator.trace_norm),
 }
 
 
@@ -317,41 +323,23 @@ def check_op_bounds(ctx, trials=100, norm="operator", seed=0,
     exponent quad of the statement; the bound is asserted with slack
     1 + 1e-3.  Explicit ``symbols`` override the random draw.
     """
-    if norm not in _CANONICAL_OP_QUADS:
+    if norm not in _CANONICAL_OP_BOUNDS:
         raise ValueError("norm must be 'operator' or 'trace', got %r" % (norm,))
-    quad = _CANONICAL_OP_QUADS[norm]
+    quad, op_norm = _CANONICAL_OP_BOUNDS[norm]
     spec = ctx.spec
-    w1 = _normalized(window1 if window1 is not None else gaussian_state(spec))
-    w2 = _normalized(
-        window2 if window2 is not None else gaussian_state(spec, width=1.25)
-    )
+    w1, w2 = _window_pair(spec, window1, window2)
     rng = np.random.default_rng(seed)
     if symbols is None:
         symbols = [random_symbol(ctx, rng) for _ in range(trials)]
-    worst = 0.0
-    degenerate_leak = 0.0
-    for a in symbols:
-        # the family labels (r, s) enter the symbol norm with the inner
-        # exponent s (over the first lattice variable) and the outer r
-        sym = mod_norm_symbol(ctx, a, w1, w2, quad.s, quad.r)
-        op = quantize(ctx, a)
-        lhs = op.operator_norm() if norm == "operator" else op.trace_norm()
-        if sym == 0.0:
-            degenerate_leak = max(degenerate_leak, lhs)
-            continue
-        worst = max(worst, lhs / sym)
-    name = "%s-bound" % norm
-    context = {
-        "quad": quad,
-        "canonical": True,
-        "symbols": len(symbols),
-        "seed": seed,
-        "grid": _grid_context(spec),
-        "max_ratio": worst,
-        "degenerate_leak": degenerate_leak,
-    }
-    extra_ok = degenerate_leak <= 1e-12
-    return CheckReport(name, worst, SLACK, context=context, extra_ok=extra_ok)
+    # the family labels (r, s) enter the symbol norm with the inner
+    # exponent s (over the first lattice variable) and the outer r
+    context, _, leak_ok = _ratio_sweep(spec, seed, (
+        (op_norm(quantize(ctx, a)), mod_norm_symbol(ctx, a, w1, w2, quad.s, quad.r))
+        for a in symbols
+    ))
+    context.update(quad=quad, canonical=True, symbols=len(symbols))
+    return CheckReport("%s-bound" % norm, context["max_ratio"], SLACK,
+                       context=context, extra_ok=leak_ok)
 
 
 def check_gauge_covariance(ctx_base, chi, trials=3, seed=0):
@@ -375,8 +363,7 @@ def check_gauge_covariance(ctx_base, chi, trials=3, seed=0):
             "gauge covariance check needs nilpotency step <= 2, got step %d"
             % spec.group.step
         )
-    if spec.backend != "grid":
-        raise ValueError("gauge covariance check needs the grid backend")
+    _require_grid(spec, "gauge covariance check")
     ctx_gauged = QuantizerContext(spec, potential=gauge_shift(ctx_base.potential, chi))
     multiplier = np.exp(
         1j * spec.epsilon * eval_poly_grid(spec, chi)
@@ -400,15 +387,9 @@ def check_gauge_covariance(ctx_base, chi, trials=3, seed=0):
             worst_twirl,
             float(np.linalg.norm(op_gauged - conjugated) / np.linalg.norm(op_base)),
         )
-        prod_base = moyal_product(ctx_base, a, b)
-        prod_gauged = moyal_product(ctx_gauged, a, b)
-        worst_product = max(
-            worst_product,
-            float(
-                np.linalg.norm(prod_gauged.values - prod_base.values)
-                / np.linalg.norm(prod_base.values)
-            ),
-        )
+        prod_base = moyal_product(ctx_base, a, b).values
+        prod_gauged = moyal_product(ctx_gauged, a, b).values
+        worst_product = max(worst_product, _relative_error(prod_gauged, prod_base))
     metric = max(worst_twirl, worst_product)
     context = {
         "grid": _grid_context(spec),
@@ -434,6 +415,24 @@ def _grid_context(spec):
     return out
 
 
+def _relative_error(x, ref):
+    """||x - ref|| / ||ref|| in the Frobenius norm."""
+    return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
+
+
+def _orthogonality_defect(spec, lhs, f1, f2, w1, w2):
+    """|lhs - (f1|f2)(w2|w1)| / (||f1|| ||f2|| ||w1|| ||w2||) for lhs the
+    measured overlap of the ambiguity fields of (f1, w1) and (f2, w2)."""
+    rhs = inner_product(spec, f1, f2) * inner_product(spec, w2, w1)
+    scale = f1.norm() * f2.norm() * w1.norm() * w2.norm()
+    return abs(lhs - rhs) / scale
+
+
+def _sub_seeds(seed_seq, k):
+    """k integer seeds in [0, 2^31) from the check's generator."""
+    return [int(s) for s in np.random.default_rng(seed_seq).integers(0, 2 ** 31, k)]
+
+
 # ---------------------------------------------------------------------------
 # registry checks
 # ---------------------------------------------------------------------------
@@ -445,14 +444,9 @@ def _run_orthogonality(seed_seq):
     rng = np.random.default_rng(seed_seq)
     worst = 0.0
     for _ in range(20):
-        f1 = random_gaussian_state(spec, rng)
-        f2 = random_gaussian_state(spec, rng)
-        w1 = random_gaussian_state(spec, rng)
-        w2 = random_gaussian_state(spec, rng)
+        f1, f2, w1, w2 = (random_gaussian_state(spec, rng) for _ in range(4))
         lhs = field_inner(ambiguity(ctx, f1, window=w1), ambiguity(ctx, f2, window=w2))
-        rhs = inner_product(spec, f1, f2) * inner_product(spec, w2, w1)
-        scale = f1.norm() * f2.norm() * w1.norm() * w2.norm()
-        worst = max(worst, abs(lhs - rhs) / scale)
+        worst = max(worst, _orthogonality_defect(spec, lhs, f1, f2, w1, w2))
     context = {
         "grid": _grid_context(spec),
         "seed": list(seed_seq),
@@ -488,10 +482,7 @@ def _run_rank_one(seed_seq):
         w = random_gaussian_state(spec, rng)
         op = quantize(ctx, wigner(ctx, f, w))
         ref = HSOperator.rank_one(f, w)
-        worst = max(
-            worst,
-            float(np.linalg.norm(op.matrix - ref.matrix) / np.linalg.norm(ref.matrix)),
-        )
+        worst = max(worst, _relative_error(op.matrix, ref.matrix))
     context = {"grid": _grid_context(spec), "seed": list(seed_seq), "pairs": 4}
     return [CheckReport("rank-one", worst, 1e-6, context=context)]
 
@@ -503,14 +494,10 @@ def _run_reconstruction(seed_seq):
     f = random_gaussian_state(spec, rng)
     amb = ambiguity(ctx, f)
     same = reconstruct(ctx, amb)
-    err_same = float(
-        np.linalg.norm(same.values - f.values) / np.linalg.norm(f.values)
-    )
+    err_same = _relative_error(same.values, f.values)
     other = gaussian_state(spec, center=[0.7], width=1.3, momentum=[0.4])
     via_other = reconstruct(ctx, amb, synthesis_window=other)
-    err_other = float(
-        np.linalg.norm(via_other.values - f.values) / np.linalg.norm(f.values)
-    )
+    err_other = _relative_error(via_other.values, f.values)
     metric = max(err_same, err_other)
     context = {
         "grid": _grid_context(spec),
@@ -586,11 +573,14 @@ def _run_ambiguity_factorization(seed_seq):
     return [CheckReport("ambiguity-factorization", metric, 1e-6, context=context)]
 
 
+def _bound_context():
+    """The grid of the wigner-, operator- and trace-bound checks."""
+    return QuantizerContext(GridSpec(algebra("abelian:1"), 16, 8.0))
+
+
 def _run_wigner_bound(seed_seq):
-    spec = GridSpec(algebra("abelian:1"), 16, 8.0)
-    ctx = QuantizerContext(spec)
-    rng = np.random.default_rng(seed_seq)
-    sub_seeds = [int(s) for s in rng.integers(0, 2 ** 31, 2)]
+    ctx = _bound_context()
+    sub_seeds = _sub_seeds(seed_seq, 2)
     equal = check_wigner_bound(
         ctx,
         ExponentQuad(2, 2, 2, 2, 2, 2),
@@ -608,16 +598,12 @@ def _run_wigner_bound(seed_seq):
 
 
 def _run_op_bound(norm, seed_seq):
-    spec = GridSpec(algebra("abelian:1"), 16, 8.0)
-    ctx = QuantizerContext(spec)
-    rng = np.random.default_rng(seed_seq)
-    sub_seed = int(rng.integers(0, 2 ** 31))
-    return [check_op_bounds(ctx, trials=100, norm=norm, seed=sub_seed)]
+    (sub_seed,) = _sub_seeds(seed_seq, 1)
+    return [check_op_bounds(_bound_context(), trials=100, norm=norm, seed=sub_seed)]
 
 
 def _run_gauge_field(seed_seq):
-    rng = np.random.default_rng(seed_seq)
-    sub_seeds = [int(s) for s in rng.integers(0, 2 ** 31, 2)]
+    sub_seeds = _sub_seeds(seed_seq, 2)
 
     # plane, constant transverse field: potential x1 dx2, scalar x1 * x2
     plane = algebra("abelian:2")
@@ -753,9 +739,7 @@ def _run_quadrature_orthogonality(seed_seq):
             )
         f1, w1, f2, w2 = states
         lhs = ambiguity_overlap_quadrature(spec, f1, w1, f2, w2)
-        rhs = inner_product(spec, f1, f2) * inner_product(spec, w2, w1)
-        scale = f1.norm() * f2.norm() * w1.norm() * w2.norm()
-        worst = max(worst, abs(lhs - rhs) / scale)
+        worst = max(worst, _orthogonality_defect(spec, lhs, f1, f2, w1, w2))
     span_dim = admissible_space(spec.group, MagneticPotential.zero(3)).dim
     context = {
         "grid": _grid_context(spec),

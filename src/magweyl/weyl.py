@@ -144,7 +144,8 @@ class QuantizerContext:
     def joint_phase(self, route):
         """The route's magnetic phase exponent as one exact polynomial in
         (y_0..y_{d-1}, X_0..X_{d-1}), or None when the potential vanishes;
-        at X = a lattice point it is that step's phase."""
+        at X = a lattice point it is that step's phase.  A phase that eps
+        could carry out of the float range on the grid is a ValueError."""
         if route not in self._joint_phase:
             alg, d = self.spec.group, self.spec.dim
             X = [Polynomial.var(2 * d, d + i) for i in range(d)]
@@ -154,6 +155,8 @@ class QuantizerContext:
                 phase = averaged_phase(alg, self.space, self.potential, X)
             else:
                 phase = magnetic_phase_exponent(alg, self.potential, X)
+            if phase is not None:
+                _check_phase_range(self.spec, self.potential, phase)
             self._joint_phase[route] = phase
         return self._joint_phase[route]
 
@@ -171,6 +174,25 @@ class QuantizerContext:
         return magnetic_phase_exponent(
             self.spec.group, self.potential, self.lattice_point(steps)
         )
+
+
+def _check_phase_range(spec, potential, phase):
+    """Raise a ValueError naming the potential unless eps times its phase
+    stays a finite float wherever the transforms evaluate it, at points
+    |y_i| <= extent/2 and steps |X_i| <= extent (the step sums of
+    _symbol_passes reach N h), where |eps| sum |c| (extent/2)^|k_y|
+    extent^|k_X| bounds it."""
+    d, r_y, r_x = spec.dim, spec.extent / 2.0, float(spec.extent)
+    try:
+        bound = abs(spec.epsilon) * sum(
+            abs(float(c)) * math.prod((r_y if v < d else r_x) ** k for v, k in enumerate(e))
+            for e, c in phase.terms.items()
+        )
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValueError("potential %r: its magnetic phase overflows a float on a grid "
+                         "of extent %r" % (potential, spec.extent))
 
 
 def _require_grid(spec, what):

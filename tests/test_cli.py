@@ -34,6 +34,9 @@ def run_cli(args):
     return main(list(args))
 
 
+LATTICE_COMMANDS = ("ambiguity", "wigner", "quantize", "moyal", "modnorm")
+
+
 class TestParseConfig:
     def test_defaults(self):
         cfg = parse_config()
@@ -502,6 +505,27 @@ class TestOutOfRangeNumbers:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: width 1e-154")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", LATTICE_COMMANDS)
+    def test_overflowing_phase_exits_two(self, command, tmp_path, capsys):
+        # eps times the magnetic phase of 1e307 x^2 dx overflows on a box of 16.
+        path = tmp_path / "phase.cfg"
+        path.write_text("A: [comp=1, exp=(2), coeff=1e307]\n", encoding="utf-8")
+        code = run_cli([command, "--group", "abelian:1", "--n", "16", "--extent", "16",
+                        "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: potential MagneticPotential(")
+        assert "extent 16.0" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", LATTICE_COMMANDS)
+    def test_phase_in_range_runs(self, command, tmp_path):
+        # 1e300 x^2 dx keeps the phase below about 5e303 on the same box.
+        path = tmp_path / "phase.cfg"
+        path.write_text("A: [comp=1, exp=(2), coeff=1e300]\n", encoding="utf-8")
+        assert run_cli([command, "--group", "abelian:1", "--n", "16", "--extent", "16",
+                        "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("command", ["wigner", "quantize"])
     @pytest.mark.parametrize("epsilon", ["1e-200", "1e300"])

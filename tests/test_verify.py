@@ -11,7 +11,13 @@ import pytest
 from magweyl.nilpotent import algebra
 from magweyl.poly import Polynomial
 from magweyl.magnetic import MagneticPotential
-from magweyl.repspace import GridSpec, StateVector, gaussian_state
+from magweyl.repspace import (
+    SIDE_XISTAR,
+    GridSpec,
+    PhaseSpaceField,
+    StateVector,
+    gaussian_state,
+)
 from magweyl.weyl import QuantizerContext, quantize, wigner
 from magweyl.modspace import ExponentQuad, INFINITY, mod_norm_symbol
 from magweyl.verify import (
@@ -150,6 +156,62 @@ class TestOpBounds:
         assert seen["asserted"] is True
         assert seen["context"]["canonical"] is True
         assert seen["context"]["quad"] == ["1", "1", "inf", "inf", "1", "1"]
+
+    @pytest.mark.parametrize("norm", ["operator", "trace"])
+    def test_zero_symbol_short_circuits(self, norm):
+        # Both norms of the zero symbol are 0: no ratio, and no leak.
+        ctx = line_ctx()
+        zero = PhaseSpaceField(ctx.spec, np.zeros(ctx.spec.field_shape, dtype=complex),
+                               SIDE_XISTAR)
+        report = check_op_bounds(ctx, norm=norm, symbols=[zero])
+        assert report.passed
+        assert report.metric == 0.0
+        assert report.context["degenerate_leak"] == 0.0
+        assert report.context["max_ratio"] == 0.0
+
+
+class TestBoundContexts:
+    """The context keys each bound report carries; the two checks share
+    quad, grid, seed, max_ratio and degenerate_leak."""
+
+    SHARED = {"quad", "seed", "grid", "max_ratio", "degenerate_leak"}
+
+    def test_op_bound_keys(self):
+        report = check_op_bounds(line_ctx(), trials=1, norm="operator", seed=1)
+        assert set(report.context) == self.SHARED | {"canonical", "symbols"}
+
+    def test_wigner_bound_keys(self):
+        report = check_wigner_bound(line_ctx(), ExponentQuad(1, INFINITY, 2, 2, 2, 2),
+                                    trials=1, seed=1)
+        assert set(report.context) == self.SHARED | {"pairs", "min_ratio"}
+
+
+@pytest.fixture(scope="module")
+def field_ctx():
+    """abelian:2 with the potential x1 dx2, a constant field B = 1."""
+    potential = MagneticPotential([Polynomial.zero(2), Polynomial.var(2, 0)])
+    return QuantizerContext(GridSpec(algebra("abelian:2"), 8, 8.0), potential=potential)
+
+
+class TestBoundsUnderField:
+    """The bound checks under a genuine magnetic field at d = 2, one draw
+    each, against the thresholds of the registry's d = 1 checks."""
+
+    @pytest.mark.parametrize("norm,seed", [("operator", 1), ("trace", 2)])
+    def test_op_bounds(self, field_ctx, norm, seed):
+        report = check_op_bounds(field_ctx, trials=1, norm=norm, seed=seed)
+        assert report.passed
+        assert report.context["degenerate_leak"] == 0.0
+
+    def test_sharp_wigner_bound(self, field_ctx):
+        report = check_wigner_bound(field_ctx, ExponentQuad(1, INFINITY, 2, 2, 2, 2),
+                                    trials=1, seed=3)
+        assert report.passed
+
+    def test_wigner_equality(self, field_ctx):
+        report = check_wigner_bound(field_ctx, ExponentQuad(2, 2, 2, 2, 2, 2),
+                                    trials=1, seed=4, equality_band=1e-4)
+        assert report.passed
 
 
 class TestGaugeCovariance:

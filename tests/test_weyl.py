@@ -1101,6 +1101,15 @@ class TestJointPhase:
         ctx = grid_ctx(n=8)
         assert ctx.joint_phase("rep") is None and ctx.joint_phase("formula") is None
 
+    @pytest.mark.parametrize("transform", [ambiguity, ambiguity_formula])
+    def test_overflowing_phase_raises(self, transform):
+        # eps times the phase of 1e307 x^2 dx leaves the float range at
+        # extent 16; it would turn the tables into NaN.
+        potential = MagneticPotential([Polynomial(1, {(2,): Fraction("1e307")})])
+        ctx = grid_ctx(n=16, extent=16.0, potential=potential)
+        with pytest.raises(ValueError, match=r"potential MagneticPotential.*extent 16\.0"):
+            transform(ctx, random_state(ctx.spec, 0))
+
     @pytest.mark.parametrize(
         "group,components",
         [
