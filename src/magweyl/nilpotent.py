@@ -10,8 +10,10 @@ coordinates.  Every operation below is therefore polynomial, and — with
 Contents:
 
 - one incremental exact echelon (a row space over Q kept in reduced row
-  echelon form), the only elimination code: it holds translate spans,
-  gives their coordinates and builds lower central series;
+  echelon form, each row sparse: only its nonzero entries), the only
+  elimination code: it holds translate spans, with a column per monomial
+  in degree-lex order, gives their coordinates and builds lower central
+  series;
 - the bracket over a structure table, with the Jacobi and
   lower-central-series checks shared by algebra specs and the semidirect
   algebra;
@@ -33,7 +35,6 @@ Contents:
 
 from fractions import Fraction
 from functools import lru_cache
-import bisect
 import itertools
 import math
 
@@ -45,74 +46,94 @@ from .poly import Polynomial, PolyVector, poly_compose, poly_integrate_param, po
 # ---------------------------------------------------------------------------
 
 
-class _Echelon:
-    """A row space over Q, held as its reduced row echelon form: Fraction
-    rows with pivot columns in increasing order.  The RREF of a space is
-    unique, so it does not depend on the order rows were added in."""
+_ZERO = Fraction(0)
 
-    __slots__ = ("rows", "pivots")
+
+class _Echelon:
+    """A row space over Q, held as its reduced row echelon form.  A row is
+    a dict {column: Fraction} of its nonzero entries; columns are mutually
+    comparable keys, and a row's pivot is its least column.  ``rows`` maps
+    each pivot to its row.  The RREF of a space is unique, so it does not
+    depend on the order rows were added in."""
+
+    __slots__ = ("rows",)
 
     def __init__(self):
-        self.rows = []
-        self.pivots = []
+        self.rows = {}
 
     def reduce(self, row):
-        """row minus its part along the pivots (zero exactly on the span)."""
-        row = list(row)
-        for r, col in zip(self.rows, self.pivots):
-            f = row[col]
-            if f:
-                row = [a - f * b if b else a for a, b in zip(row, r)]
+        """row minus its part along the pivots (empty exactly on the span).
+        A pivot row is zero at every other pivot, so subtracting it leaves
+        the row's other pivot entries as they were."""
+        row = dict(row)
+        for col in [c for c in row if c in self.rows]:
+            _add_multiple(row, -row[col], self.rows[col])
         return row
 
     def add(self, row):
         """Adjoin row to the space; False, changing nothing, when it already
         lies in it."""
         row = self.reduce(row)
-        col = next((c for c, v in enumerate(row) if v), None)
-        if col is None:
+        if not row:
             return False
-        inv = Fraction(1) / row[col]
-        row = [inv * v if v else v for v in row]
-        for i, r in enumerate(self.rows):
-            f = r[col]
+        col = min(row)
+        inv = 1 / row[col]
+        row = {c: inv * v for c, v in row.items()}
+        for r in self.rows.values():
+            f = r.get(col)
             if f:
-                self.rows[i] = [a - f * b if b else a for a, b in zip(r, row)]
-        at = bisect.bisect(self.pivots, col)
-        self.rows.insert(at, row)
-        self.pivots.insert(at, col)
+                _add_multiple(r, -f, row)
+        self.rows[col] = row
         return True
 
 
-def _units(n):
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+def _add_multiple(row, f, other):
+    """row += f * other on sparse rows, in place; f is nonzero, and entries
+    that cancel are dropped."""
+    for c, v in other.items():
+        x = row.get(c, _ZERO) + f * v
+        if x:
+            row[c] = x
+        else:
+            del row[c]
 
 
-def monomials_up_to(nvars, degree):
-    """All exponent tuples of total degree <= degree, in degree-lex order."""
-    out = []
-    for d in range(degree + 1):
-        for bars in itertools.combinations(range(d + nvars - 1), nvars - 1):
-            e = []
-            prev = -1
-            for b in bars:
-                e.append(b - prev - 1)
-                prev = b
-            e.append(d + nvars - 2 - prev)
-            out.append(tuple(e))
+def _sparse(vec):
+    """The nonzero entries of a vector, as a row {index: entry}."""
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+def _apply(images, v):
+    """The linear map with images[j] the (sparse) image of the j-th unit
+    vector, applied to the sparse row v."""
+    out = {}
+    for j, c in v.items():
+        _add_multiple(out, c, images[j])
     return out
 
 
-_ZERO = Fraction(0)
+def _descending_series(action, size, brackets):
+    """The nonzero layers V_1 = Q^size > V_2 > ... with V_(r+1) = sum_i
+    R_i V_r, each as its RREF rows, and whether the series reached zero
+    within ``brackets`` steps.  R_i is action[i], given by the images of
+    the unit vectors (see ``_apply``)."""
+    layers = [[{j: Fraction(1)} for j in range(size)]]
+    for _ in range(brackets):
+        nxt = _Echelon()
+        for images in action:
+            for v in layers[-1]:
+                nxt.add(_apply(images, v))
+        if not nxt.rows:
+            return layers, True
+        layers.append(list(nxt.rows.values()))
+    return layers, False
 
 
 def _bracket(structure, X, Y):
     """[X, Y] under the constants structure[i][j][k], for vectors of
-    Fractions or of Polynomials."""
+    Polynomials over one space."""
     n = len(structure)
-    # each slot starts at its ring's zero (0 * x keeps a Polynomial's
-    # variable count); Fractions skip the costly multiplication
-    out = [_ZERO if isinstance(x, Fraction) else 0 * x for x in X]
+    out = [0 * x for x in X]  # 0 * x keeps a Polynomial's variable count
     for i in range(n):
         xi = X[i]
         if not xi:
@@ -133,19 +154,24 @@ def _bracket(structure, X, Y):
     return out
 
 
+def _adjoint(structure):
+    """ad(e_i) as sparse images: [e_i, e_j] = structure[i][j]."""
+    return [[_sparse(c) for c in plane] for plane in structure]
+
+
 def _jacobi_violation(structure):
     """The first (i, j, k) with i < j < k where the Jacobi identity fails
     on basis vectors, or None.  For antisymmetric constants the cyclic sum
     vanishes on repeated indices and is alternating in (i, j, k), so these
     triples decide every other."""
-    e = _units(len(structure))
+    ad = _adjoint(structure)
     for i, j, k in itertools.combinations(range(len(structure)), 3):
-        terms = (
-            _bracket(structure, structure[i][j], e[k]),
-            _bracket(structure, structure[j][k], e[i]),
-            _bracket(structure, structure[k][i], e[j]),
-        )
-        if any(a + b + c != 0 for a, b, c in zip(*terms)):
+        total = {}
+        for x, y, z in ((i, j, k), (j, k, i), (k, i, j)):
+            # [[e_x, e_y], e_z] = sum_m c_xy^m [e_m, e_z]
+            for m, c in ad[x][y].items():
+                _add_multiple(total, c, ad[m][z])
+        if total:
             return i, j, k
     return None
 
@@ -156,17 +182,7 @@ def _lower_central_series(structure):
     layer of a nilpotent algebra is smaller than the last, so n + 1
     brackets are more than enough in dimension n."""
     n = len(structure)
-    basis = _units(n)
-    layers = [basis]
-    for _ in range(n + 1):
-        nxt = _Echelon()
-        for b in basis:
-            for v in layers[-1]:
-                nxt.add(_bracket(structure, b, v))
-        if not nxt.rows:
-            return layers, True
-        layers.append(nxt.rows)
-    return layers, False
+    return _descending_series(_adjoint(structure), n, n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -467,42 +483,40 @@ def bch_average_inverse(alg, X):
 # ---------------------------------------------------------------------------
 
 
+def _degree_lex(p):
+    """p's terms keyed by column (degree, exponent): the columns sort in
+    degree-lex order, which fixes the pivots of a span's echelon basis."""
+    return {(sum(e), e): c for e, c in p.terms.items()}
+
+
 class FunctionSpaceBasis:
     """A finite-dimensional space of polynomial functions on the group,
-    held exactly as the RREF of its coefficient rows over the monomials of
-    degree <= cap_degree (degree-lex order).  ``basis`` is that unique
-    echelon basis, whatever spanning set built it.  Instances are produced
-    by build_translate_span (the minimal translation-invariant space) or by
-    closing a user-supplied seed set."""
+    held exactly as the RREF of its sparse coefficient rows, one column per
+    monomial of degree <= cap_degree in degree-lex order.  ``basis`` is
+    that unique echelon basis, whatever spanning set built it.  Instances
+    are produced by build_translate_span (the minimal translation-invariant
+    space) or by closing a user-supplied seed set."""
 
     def __init__(self, alg, basis, cap_degree):
         self.alg = alg
         self.cap_degree = int(cap_degree)
-        self._monos = monomials_up_to(alg.dim, self.cap_degree)
-        self._index = {m: i for i, m in enumerate(self._monos)}
         self._echelon = _Echelon()
         for p in basis:
-            if p.nvars != alg.dim or p.degree() > self.cap_degree:
-                raise ValueError("%r is not a polynomial of degree <= %d on the group"
-                                 % (p, self.cap_degree))
             if not self._add(p):
                 raise ValueError("basis polynomials are linearly dependent")
 
     def _add(self, p):
-        """Enlarge the span by p (of degree <= cap); False when p is in it."""
-        return self._echelon.add(self._row(p))
-
-    def _row(self, p):
-        row = [Fraction(0)] * len(self._monos)
-        for e, c in p.terms.items():
-            row[self._index[e]] = c
-        return row
+        """Enlarge the span by p; False when p is in it."""
+        if p.nvars != self.alg.dim or p.degree() > self.cap_degree:
+            raise ValueError("%r is not a polynomial of degree <= %d on the group"
+                             % (p, self.cap_degree))
+        return self._echelon.add(_degree_lex(p))
 
     @property
     def basis(self):
         return tuple(
-            Polynomial(self.alg.dim, {self._monos[c]: v for c, v in enumerate(row) if v})
-            for row in self._echelon.rows
+            Polynomial(self.alg.dim, {e: v for (_, e), v in sorted(row.items())})
+            for _, row in sorted(self._echelon.rows.items())
         )
 
     @property
@@ -514,12 +528,9 @@ class FunctionSpaceBasis:
         echelon basis they are p's coefficients at the pivot monomials."""
         if p.nvars != self.alg.dim:
             raise ValueError("polynomial has %d variables, expected %d" % (p.nvars, self.alg.dim))
-        if p.degree() > self.cap_degree:
+        if p.degree() > self.cap_degree or self._echelon.reduce(_degree_lex(p)):
             return None
-        row = self._row(p)
-        if any(self._echelon.reduce(row)):
-            return None
-        return [row[c] for c in self._echelon.pivots]
+        return [p.terms.get(e, _ZERO) for _, e in sorted(self._echelon.rows)]
 
 
 def close_under_translates(alg, seeds, cap_degree):
@@ -535,9 +546,10 @@ def close_under_translates(alg, seeds, cap_degree):
     queue = []
 
     def try_add(p):
-        if p.degree() > cap_degree:
+        if p.nvars == alg.dim and p.degree() > cap_degree:
             # a generator image escaped the cap: the closure is not
-            # realizable at this degree, which callers must hear about
+            # realizable at this degree, which callers must hear about (a
+            # seed on another space is refused by span._add instead)
             raise ClosureError(
                 "translation closure produced degree %d above the cap %d"
                 % (p.degree(), cap_degree)
@@ -629,8 +641,8 @@ def semidirect_nilpotency_check(alg, F):
     k = F.dim
     n = k + d
     basis = F.basis
-    # generator action on each function-space basis element, in F-coordinates
-    action = []  # action[i][a] = coords of generator_i . phi_a
+    # action[i][a]: generator_i . phi_a, a sparse row of F-coordinates
+    action = []
     for i, field in enumerate(_right_fields(alg)):
         row = []
         for a, phi in enumerate(basis):
@@ -641,39 +653,24 @@ def semidirect_nilpotency_check(alg, F):
                     "function space not closed under translation generator %d: "
                     "image of basis element %d (%r) leaves the span" % (i, a, phi)
                 )
-            row.append(coords)
+            row.append(_sparse(coords))
         action.append(row)
-
-    def act(i, v):  # R_i v, in F-coordinates
-        out = [_ZERO] * k
-        for b, vb in enumerate(v):
-            if vb:
-                for c, x in enumerate(action[i][b]):
-                    if x:
-                        out[c] += vb * x
-        return out
 
     for a in range(k):
         for i, j in itertools.combinations(range(d), 2):
-            lhs = [x - y for x, y in zip(act(i, action[j][a]), act(j, action[i][a]))]
+            lhs = _apply(action[i], action[j][a])
+            _add_multiple(lhs, -1, _apply(action[j], action[i][a]))
             for l, c in enumerate(alg.structure[i][j]):
                 if c:
-                    lhs = [x - c * y for x, y in zip(lhs, action[l][a])]
-            if any(lhs):
+                    _add_multiple(lhs, -c, action[l][a])
+            if lhs:
                 raise ValueError("assembled semidirect algebra violates Jacobi at "
                                  "(%d,%d,%d)" % (a, k + i, k + j))
 
-    layer, nonzero = _units(k), 0
-    while layer and nonzero <= n:
-        nonzero += 1
-        nxt = _Echelon()
-        for v in layer:
-            for i in range(d):
-                nxt.add(act(i, v))
-        layer = nxt.rows
-    if layer:
+    layers, terminated = _descending_series(action, k, n + 1)
+    if not terminated:
         return n + 2, False
-    return max(alg.step, nonzero), True
+    return max(alg.step, len(layers)), True
 
 
 def exp_semidirect(alg, F, phi, X):

@@ -366,14 +366,42 @@ class TestTranslateSpan:
         assert (F.dim, step) == pinned[name] and ok
 
     def test_heisenberg_canonical_basis(self):
+        alg = algebra("heisenberg")
         x = [Polynomial.var(3, i) for i in range(3)]
-        F = build_translate_span(algebra("heisenberg"))
-        assert list(F.basis) == [Polynomial.const(3, 1), x[2], x[1], x[0]]
+        one = Polynomial.const(3, 1)
+        F = build_translate_span(alg)
+        assert list(F.basis) == [one, x[2], x[1], x[0]]
+        # The admissible space of A = (x1^2, 0, x0 x2): each row's pivot is
+        # its first monomial in degree-lex order, so x1 x2 + x0 x1^2 / 2 sits
+        # before x1^2 and the degree-3 monomials come last.
+        A = MagneticPotential([x[1] ** 2, Polynomial.zero(3), x[0] * x[2]])
+        F = admissible_space(alg, A)
+        assert list(F.basis) == [
+            one, x[2], x[1], x[0],
+            x[1] * x[2] + Fraction(1, 2) * x[0] * x[1] ** 2,
+            x[1] ** 2, x[0] * x[2], x[0] * x[1], x[0] ** 2,
+            x[0] * x[1] * x[2], x[0] ** 2 * x[2], x[0] ** 2 * x[1], x[0] ** 3,
+        ]
 
     def test_seed_above_cap_rejected(self):
         alg = algebra("heisenberg")
         with pytest.raises(ClosureError, match="above the cap 2"):
             close_under_translates(alg, [Polynomial.var(3, 0) ** 3], cap_degree=2)
+
+    def test_seed_on_another_space_rejected(self):
+        with pytest.raises(ValueError, match="not a polynomial of degree <= 2 on the group"):
+            close_under_translates(algebra("abelian:2"), [Polynomial.var(3, 0)], 2)
+
+    def test_filiform_step_four(self):
+        # [e0, e_i] = e_(i+1): dimension 5, step 4, not in the registry
+        brackets = {(0, i): {i + 1: 1} for i in (1, 2, 3)}
+        alg = LieAlgebraSpec(5, _structure_from_brackets(5, brackets), 4)
+        F = build_translate_span(alg)
+        assert F.dim == 9
+        assert semidirect_nilpotency_check(alg, F) == (5, True)
+        y = [Polynomial.var(5, i) for i in range(5)]
+        A = MagneticPotential([Fraction(1, 2) * y[(i + 1) % 5] for i in range(5)])
+        assert admissible_space(alg, A).dim == 22
 
     def test_dependent_basis_rejected(self):
         alg = algebra("abelian:1")

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from magweyl.magnetic import MagneticPotential, exterior_derivative, gauge_shift
+from magweyl.magnetic import MagneticPotential, admissible_space, exterior_derivative, gauge_shift
 from magweyl.nilpotent import (
+    FunctionSpaceBasis,
     algebra,
     bch_product,
     build_translate_span,
@@ -181,6 +182,34 @@ def test_in_span_coordinates_recombine(name, data):
     if name in OUTSIDE_SPAN:
         stray = Polynomial(alg.dim, {OUTSIDE_SPAN[name]: data.draw(rational.filter(bool))})
         assert span.in_span(p + stray) is None
+
+
+@lru_cache(maxsize=None)
+def _linear_admissible_space(name):
+    """The admissible space of A_i = x_(i+1 mod d) / 2; on heisenberg and
+    engel some of its echelon rows have several terms."""
+    alg = algebra(name)
+    d = alg.dim
+    A = MagneticPotential([Fraction(1, 2) * Polynomial.var(d, (i + 1) % d) for i in range(d)])
+    return admissible_space(alg, A)
+
+
+@pytest.mark.parametrize("name", registry_names())
+@PROPERTY
+@given(st.data())
+def test_echelon_basis_ignores_spanning_set(name, data):
+    # The RREF of a space is unique: a shuffled basis, each row scaled and
+    # then added to by multiples of the others (an invertible
+    # recombination), builds the same echelon basis.
+    space = _linear_admissible_space(name)
+    k = space.dim
+    rational = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    rows = [data.draw(rational.filter(bool)) * p for p in data.draw(st.permutations(space.basis))]
+    index = st.integers(0, k - 1)
+    for i, j, c in data.draw(st.lists(st.tuples(index, index, rational), max_size=2 * k)):
+        if i != j:
+            rows[i] = rows[i] + c * rows[j]
+    assert FunctionSpaceBasis(space.alg, rows, space.cap_degree).basis == space.basis
 
 
 def _polynomials(dim, max_degree):
