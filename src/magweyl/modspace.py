@@ -173,15 +173,23 @@ def mod_norm_symbol(ctx, a, window1, window2, r, s):
     folds straight into an N^(2d) accumulator over the second point, so no
     N^(4d) array is built; the largest temporary, the table, holds of order
     N^(3d) complex values (ValueError past MAX_OUTPUT_BYTES, before any
-    work)."""
+    work).  Many symbols with one window pair share their window tables
+    through ``_symbol_norms``."""
+    return next(_symbol_norms(ctx, [a], window1, window2, r, s))
+
+
+def _symbol_norms(ctx, symbols, window1, window2, r, s):
+    """mod_norm_symbol of each symbol in turn, with one window part for all
+    of them: a generator that builds it before the first symbol."""
     r = float(as_exponent(r))
     s = float(as_exponent(s))
     if not np.any(window1.values) or not np.any(window2.values):
         raise ValueError("modulation norm needs nonzero windows")
-    passes = _symbol_passes("mod_norm_symbol", ctx, a, window1, window2)
+    _, per_symbol = _symbol_passes("mod_norm_symbol", ctx, symbols, window1, window2)
     n = ctx.spec.n_axis ** ctx.spec.dim
-    acc = np.zeros(n * n)
     mags = np.empty((n, n * n))
-    for block in passes:
-        _fold_inner(np.abs(block, out=mags), r, acc)
-    return _outer(acc, r, s, 2 * _axis_weights(ctx.spec))
+    for passes in per_symbol:
+        acc = np.zeros(n * n)
+        for block in passes:
+            _fold_inner(np.abs(block, out=mags), r, acc)
+        yield _outer(acc, r, s, 2 * _axis_weights(ctx.spec))

@@ -66,8 +66,8 @@ from .weyl import (
 from .modspace import (
     INFINITY,
     ExponentQuad,
+    _symbol_norms,
     exponent_check,
-    mod_norm_symbol,
     mod_norm_vector,
 )
 
@@ -244,11 +244,9 @@ def _normalized(state):
     return state.scaled(1.0 / n)
 
 
-def _window_pair(spec, window1, window2):
-    """The analysis windows, normalized: Gaussians of width 1 and 1.25 unless given."""
-    w1 = window1 if window1 is not None else gaussian_state(spec)
-    w2 = window2 if window2 is not None else gaussian_state(spec, width=1.25)
-    return _normalized(w1), _normalized(w2)
+def _window_pair(spec):
+    """The analysis windows, normalized: Gaussians of width 1 and 1.25."""
+    return _normalized(gaussian_state(spec)), _normalized(gaussian_state(spec, width=1.25))
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +273,10 @@ def _ratio_sweep(spec, seed, pairs):
     return context, None if lo is math.inf else lo, leak <= 1e-12
 
 
-def check_wigner_bound(ctx, quad, trials=50, seed=0, window1=None, window2=None,
-                       pairs=None, equality_band=None):
+def check_wigner_bound(ctx, quad, trials=50, seed=0, pairs=None, equality_band=None):
     """Cross-transform bound: the mixed norm of the Wigner distribution of a
     state pair is controlled by the product of the states' own mixed norms.
+    The windows' tables are built once for all pairs.
 
     For the all-2 exponent quad the two sides agree exactly, so passing
     ``equality_band`` switches the metric to the two-sided defect
@@ -288,18 +286,18 @@ def check_wigner_bound(ctx, quad, trials=50, seed=0, window1=None, window2=None,
     if not ok:
         raise ValueError("exponent quad rejected: %s" % reason)
     spec = ctx.spec
-    w1, w2 = _window_pair(spec, window1, window2)
+    w1, w2 = _window_pair(spec)
     rng = np.random.default_rng(seed)
     if pairs is None:
         pairs = [
             (random_gaussian_state(spec, rng), random_gaussian_state(spec, rng))
             for _ in range(trials)
         ]
+    norms = _symbol_norms(ctx, (wigner(ctx, f1, f2) for f1, f2 in pairs), w1, w2, quad.r, quad.s)
     context, lo, leak_ok = _ratio_sweep(spec, seed, (
-        (mod_norm_symbol(ctx, wigner(ctx, f1, f2), w1, w2, quad.r, quad.s),
-         mod_norm_vector(ctx, f1, w1, quad.r1, quad.s1)
+        (lhs, mod_norm_vector(ctx, f1, w1, quad.r1, quad.s1)
          * mod_norm_vector(ctx, f2, w2, quad.r2, quad.s2))
-        for f1, f2 in pairs
+        for (f1, f2), lhs in zip(pairs, norms)
     ))
     context.update(quad=quad, pairs=len(pairs), min_ratio=lo)
     worst, leak = context["max_ratio"], context["degenerate_leak"]
@@ -315,27 +313,27 @@ _CANONICAL_OP_BOUNDS = {
 }
 
 
-def check_op_bounds(ctx, trials=100, norm="operator", seed=0,
-                    window1=None, window2=None, symbols=None):
+def check_op_bounds(ctx, trials=100, norm="operator", seed=0, symbols=None):
     """Quantization bounds: the operator norm of a quantized symbol is
     controlled by the symbol's (inner sup, outer sum) mixed norm, and the
     trace norm by the (sum, sum) norm.  ``norm`` picks the canonical
     exponent quad of the statement; the bound is asserted with slack
-    1 + 1e-3.  Explicit ``symbols`` override the random draw.
+    1 + 1e-3.  Explicit ``symbols`` override the random draw.  The windows'
+    tables are built once for all symbols.
     """
     if norm not in _CANONICAL_OP_BOUNDS:
         raise ValueError("norm must be 'operator' or 'trace', got %r" % (norm,))
     quad, op_norm = _CANONICAL_OP_BOUNDS[norm]
     spec = ctx.spec
-    w1, w2 = _window_pair(spec, window1, window2)
+    w1, w2 = _window_pair(spec)
     rng = np.random.default_rng(seed)
     if symbols is None:
         symbols = [random_symbol(ctx, rng) for _ in range(trials)]
     # the family labels (r, s) enter the symbol norm with the inner
     # exponent s (over the first lattice variable) and the outer r
+    norms = _symbol_norms(ctx, symbols, w1, w2, quad.s, quad.r)
     context, _, leak_ok = _ratio_sweep(spec, seed, (
-        (op_norm(quantize(ctx, a)), mod_norm_symbol(ctx, a, w1, w2, quad.s, quad.r))
-        for a in symbols
+        (op_norm(quantize(ctx, a)), rhs) for a, rhs in zip(symbols, norms)
     ))
     context.update(quad=quad, canonical=True, symbols=len(symbols))
     return CheckReport("%s-bound" % norm, context["max_ratio"], SLACK,

@@ -45,8 +45,9 @@ verify's rank-one check covers), so each entry is the vector pairing
 every dimension.  Op(a) is applied to the coherent family of w2 once.  The
 factors that see the two steps only through their sum s1 + s2 (conj(w1)
 moved by it, the magnetic phase at it, the k2 half-shift and the DFT over
-the points) form one (t1 + t2, k2, p) table over the (2N - 1)^d sums, built
-once per call.  Then each first step t1 costs one GEMM, (k1, p) times the
+the points) form one (t1 + t2, k2, p) table over the (2N - 1)^d sums,
+built with the family once per window pair for every symbol streamed
+through it.  Then each first step t1 costs one GEMM, (k1, p) times the
 table's rows t1 .. t1 + N - 1 as (p, t2 k2), which lands in the output
 layout.  The k1 half-shift at the sum splits as P[t1, k1] P[t2, k1] with
 the lattice prefactor P: the first factor is folded into Op(a)'s side, and
@@ -131,6 +132,7 @@ class QuantizerContext:
         self.spec = spec
         self.potential = potential
         self.window = window if window is not None else gaussian_state(spec)
+        _require_lattice(spec, self.window, "window")
         self.h_exact = Fraction(spec.extent) / spec.n_axis
         self._joint_phase = {}
 
@@ -198,6 +200,16 @@ def _check_phase_range(spec, potential, phase):
 def _require_grid(spec, what):
     if spec.backend != "grid":
         raise ValueError("%s needs the grid backend" % what)
+
+
+def _require_lattice(spec, state, name):
+    """On the grid backend, raise a ValueError naming ``name`` unless the
+    state was sampled on the lattice of ``spec``: the same points per axis,
+    dimension and extent (a state does not depend on epsilon)."""
+    grids = [(s.n_axis, s.dim, s.extent) for s in (state.spec, spec)]
+    if spec.backend == "grid" and grids[0] != grids[1]:
+        raise ValueError("%s was sampled on the grid N=%d, d=%d, extent %r, but the "
+                         "context's grid is N=%d, d=%d, extent %r" % (name, *grids[0], *grids[1]))
 
 
 # Largest complex output a dense transform may allocate: 1 GiB.
@@ -330,6 +342,8 @@ def ambiguity(ctx, f, window=None):
     _require_grid(spec, "ambiguity")
     _check_output_bytes("ambiguity", spec.field_shape)
     w = window if window is not None else ctx.window
+    _require_lattice(spec, f, "state")
+    _require_lattice(spec, w, "window")
     B = w.values[_tables(spec).moved]
     np.conj(B, out=B)
     B *= f.values * spec.state_weight
@@ -405,6 +419,8 @@ def ambiguity_formula(ctx, f, window=None):
     _require_grid(spec, "ambiguity_formula")
     _check_output_bytes("ambiguity_formula", spec.field_shape)
     w = window if window is not None else ctx.window
+    _require_lattice(spec, f, "state")
+    _require_lattice(spec, w, "window")
     kernels, factors = _formula_tables(spec)
     B = w.values[_tables(spec).moved]
     np.conj(B, out=B)
@@ -492,15 +508,19 @@ def _axis_product(table, d):
     return reduce(np.multiply, [_along(table, (i, d + i), 2 * d) for i in range(d)])
 
 
-def _symbol_passes(what, ctx, a, window1, window2):
-    """The operator-window ambiguity one first step t1 at a time, in C
-    order: an iterator over B of shape (N^d, N^(2d)), axes (k1, t2 k2), one
-    reused buffer, with field[t1, k1, t2, k2] = B[k1, t2, k2] P[t2, k1] for
-    the unimodular lattice prefactor P[j, k] = exp(i eps s_j h/2 xi_k).
-    The tables are built on the call, which raises a ValueError naming
-    ``what`` first when the (t1 + t2) table would pass MAX_OUTPUT_BYTES."""
+def _symbol_passes(what, ctx, symbols, window1, window2):
+    """The operator-window ambiguity of each symbol one first step t1 at a
+    time, in C order: (P, one pass iterator per symbol), each pass a B of
+    shape (N^d, N^(2d)), axes (k1, t2 k2), in one buffer shared by all, with
+    field[t1, k1, t2, k2] = B[k1, t2, k2] P[t2, k1], where P is the product
+    over the axes of the unimodular prefactor exp(i eps s_j h/2 xi_k).
+    The window tables are built on the call, once for all symbols, which
+    raises a ValueError naming ``what`` first when the (t1 + t2) table
+    would pass MAX_OUTPUT_BYTES."""
     spec = ctx.spec
     _require_grid(spec, what)
+    _require_lattice(spec, window1, "window1")
+    _require_lattice(spec, window2, "window2")
     d, N = spec.dim, spec.n_axis
     n = N ** d
     # Rows u of the table hold the step u - N in [-N, N - 2], so that
@@ -509,14 +529,8 @@ def _symbol_passes(what, ctx, a, window1, window2):
     _check_output_bytes(what, sums + (n, n), "table")
     t = _tables(spec)
     dft = reduce(np.kron, [t.dft] * d)
-    # H[p, j, k1] = |eps|^(-d) h^d (Op(a) Pi(Z1) w2)[p] exp(-i eps xi_k1 x_p)
-    # times P[j, k1], at Z1 = (s_j, xi_k1): h^d is the weight of the state
-    # inner product, and P[t1, k1] the first factor of the k1 half-shift
-    # P[t1, k1] P[t2, k1] at s1 + s2.
-    H = (quantize(ctx, a).matrix @ coherent_family(ctx, window2)).reshape(n, n, n)
-    H *= dft.T[:, None, :]
-    H *= _axis_product(t.prefactor, d).reshape(n, n) * (
-        spec.state_weight / abs(spec.epsilon) ** d)
+    family = coherent_family(ctx, window2)
+    prefactor = _axis_product(t.prefactor, d).reshape(n, n)
     # G[u, k2, p] = exp(i eps (s1 + s2) h/2 xi_k2) dft[k2, p]
     # conj(w1)[p - s1 - s2] exp(-i eps phase(x_p, (s1 + s2) h)): every
     # factor that sees the two steps only through their sum.  The row index
@@ -529,14 +543,21 @@ def _symbol_passes(what, ctx, a, window1, window2):
     G *= W.reshape(sums + (1, n))
     block = np.empty((n, n * n), dtype=complex)
 
-    def passes():
+    def passes(a):
+        # H[p, j, k1] = |eps|^(-d) h^d (Op(a) Pi(Z1) w2)[p] exp(-i eps xi_k1 x_p)
+        # times P[j, k1], at Z1 = (s_j, xi_k1): h^d is the weight of the state
+        # inner product, and P[t1, k1] the first factor of the k1 half-shift
+        # P[t1, k1] P[t2, k1] at s1 + s2.
+        H = (quantize(ctx, a).matrix @ family).reshape(n, n, n)
+        H *= dft.T[:, None, :]
+        H *= prefactor * (spec.state_weight / abs(spec.epsilon) ** d)
         for flat, t1 in enumerate(np.ndindex(spec.state_shape)):
             # One GEMM over the points, (k1, p) @ (p, t2 k2).
             rows = tuple(slice(j, j + N) for j in t1)
             np.matmul(H[:, flat, :].T, G[rows].reshape(n * n, n).T, out=block)
             yield block
 
-    return passes()
+    return prefactor, map(passes, symbols)
 
 
 def symbol_ambiguity(ctx, a, window1, window2):
@@ -554,12 +575,11 @@ def symbol_ambiguity(ctx, a, window1, window2):
     d, N = spec.dim, spec.n_axis
     _check_output_bytes("symbol_ambiguity", (N,) * (4 * d))
     n = N ** d
-    # The passes' prefactor P[t2, k1], on axes (k1, t2, k2).
-    prefactor = _axis_product(_tables(spec).prefactor, d).reshape(n, n).T[:, :, None]
     out = np.empty((n, n, n, n), dtype=complex)
-    passes = _symbol_passes("symbol_ambiguity", ctx, a, window1, window2)
+    prefactor, [passes] = _symbol_passes("symbol_ambiguity", ctx, [a], window1, window2)
     for flat, block in enumerate(passes):
-        np.multiply(block.reshape(n, n, n), prefactor, out=out[flat])
+        # The passes' prefactor P[t2, k1], on axes (k1, t2, k2).
+        np.multiply(block.reshape(n, n, n), prefactor.T[:, :, None], out=out[flat])
     return out.reshape((N,) * (4 * d))
 
 
@@ -580,6 +600,7 @@ def reconstruct(ctx, ambig, synthesis_window=None):
     _require_grid(spec, "reconstruct")
     w = ctx.window
     w0 = synthesis_window if synthesis_window is not None else w
+    _require_lattice(spec, w0, "synthesis window")
     d = spec.dim
     D = _synthesize(ctx, ambig.values.copy())
     D *= w0.values[_tables(spec).moved]
@@ -596,6 +617,7 @@ def coherent_family(ctx, window=None):
     spec = ctx.spec
     _require_grid(spec, "coherent_family")
     w = window if window is not None else ctx.window
+    _require_lattice(spec, w, "window")
     d = spec.dim
     n = spec.n_axis ** d
     _check_output_bytes("coherent_family", (n, n * n))

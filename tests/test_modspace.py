@@ -306,3 +306,22 @@ class TestStreamedSymbolNorm:
         ctx, a, w1, w2, full = plane_norms
         streamed = mod_norm_symbol(ctx, a, w1, w2, *quad)
         assert abs(streamed - full[quad]) <= 1e-12 * full[quad]
+
+
+class TestSymbolNormSweep:
+    """verify's bound checks stream their symbols through _symbol_norms,
+    which builds the window tables once; each norm equals mod_norm_symbol's
+    bit for bit."""
+
+    @pytest.mark.parametrize("plane", [False, True], ids=["line", "plane"])
+    def test_sweep_equals_each_call(self, plane):
+        if plane:
+            ctx = grid_ctx(n=8, potential=MagneticPotential(
+                [Polynomial.zero(2), Polynomial.var(2, 0)]), group=ABEL2)
+        else:
+            ctx = grid_ctx(n=16)
+        a, w1, w2 = _streamed_case(ctx, 81)
+        b = _streamed_case(ctx, 84)[0]
+        for quad in [(INFINITY, 1), (1, 1), (2, 2)]:
+            swept = list(modspace._symbol_norms(ctx, [a, b], w1, w2, *quad))
+            assert swept == [mod_norm_symbol(ctx, x, w1, w2, *quad) for x in (a, b)], quad

@@ -142,8 +142,7 @@ class TestOpBounds:
         w1 = unit_gaussian(spec)
         w2 = unit_gaussian(spec, width=1.25)
         assert mod_norm_symbol(ctx, a, w1, w2, INFINITY, 1) >= 1.0 - 1e-3
-        report = check_op_bounds(ctx, norm="operator", symbols=[a],
-                                 window1=w1, window2=w2)
+        report = check_op_bounds(ctx, norm="operator", symbols=[a])
         assert report.passed
 
     def test_bad_norm_name(self):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from magweyl import weyl as weyl_module
 from magweyl.magnetic import MagneticPotential
-from magweyl.modspace import mod_norm_symbol
+from magweyl.modspace import INFINITY, ExponentQuad, mod_norm_symbol, mod_norm_vector
 from magweyl.nilpotent import ClosureError, algebra, bch_symbolic, exp_semidirect
 from magweyl.poly import Polynomial, PolyVector, poly_compose, poly_eval
 from magweyl.repspace import (
@@ -51,6 +51,7 @@ from magweyl.weyl import (
     symbol_ambiguity,
     wigner,
 )
+from magweyl.verify import check_op_bounds, check_wigner_bound
 
 ABEL1 = algebra("abelian:1")
 ABEL2 = algebra("abelian:2")
@@ -1042,6 +1043,50 @@ class TestContextValidation:
             project_field(ctx, kern, bad)
 
 
+# Each entry point that gathers a state on the context's lattice, with the
+# state under test in the argument the error names.
+_GATHERS = {
+    "ambiguity-state": ("state", lambda ctx, s: ambiguity(ctx, s)),
+    "ambiguity-window": ("window", lambda ctx, s: ambiguity(ctx, ctx.window, s)),
+    "formula-state": ("state", lambda ctx, s: ambiguity_formula(ctx, s)),
+    "formula-window": ("window", lambda ctx, s: ambiguity_formula(ctx, ctx.window, s)),
+    "mod_norm_vector": ("window", lambda ctx, s: mod_norm_vector(ctx, ctx.window, s, 2, 2)),
+    "mod_norm_symbol-window1": ("window1", lambda ctx, s: mod_norm_symbol(
+        ctx, constant_symbol(ctx.spec), s, ctx.window, 1, "inf")),
+    "mod_norm_symbol-window2": ("window2", lambda ctx, s: mod_norm_symbol(
+        ctx, constant_symbol(ctx.spec), ctx.window, s, 1, "inf")),
+    "symbol_ambiguity": ("window1", lambda ctx, s: symbol_ambiguity(
+        ctx, constant_symbol(ctx.spec), s, ctx.window)),
+    "coherent_family": ("window", lambda ctx, s: coherent_family(ctx, s)),
+    "reconstruct": ("synthesis window", lambda ctx, s: reconstruct(
+        ctx, ambiguity(ctx, ctx.window), synthesis_window=s)),
+    "context": ("window", lambda ctx, s: QuantizerContext(ctx.spec, window=s)),
+}
+
+
+class TestOtherGridStates:
+    """A grid state must be sampled on the context's lattice: the same
+    points per axis, dimension and extent.  Epsilon is not compared."""
+
+    @pytest.mark.parametrize("entry", sorted(_GATHERS))
+    @pytest.mark.parametrize("n,extent", [(8, 8.0), (16, 12.0)], ids=["n8", "extent12"])
+    def test_refused_naming_the_argument(self, entry, n, extent):
+        name, call = _GATHERS[entry]
+        ctx = grid_ctx()
+        other = gaussian_state(GridSpec(ABEL1, n, extent))
+        with pytest.raises(ValueError, match=r"^%s was sampled on the grid N=%d, d=1, "
+                           r"extent %r, but the context's grid is N=16, d=1, extent 8\.0$"
+                           % (name, n, extent)):
+            call(ctx, other)
+
+    @pytest.mark.parametrize("entry", sorted(_GATHERS))
+    @pytest.mark.parametrize("epsilon", [1.0, -0.5])
+    def test_equal_lattice_accepted(self, entry, epsilon):
+        _, call = _GATHERS[entry]
+        ctx = grid_ctx()
+        call(ctx, gaussian_state(GridSpec(ABEL1, 16, 8.0, epsilon=epsilon)))
+
+
 def _refuse_space(*args, **kwargs):
     raise AssertionError("built the admissible space")
 
@@ -1150,14 +1195,14 @@ class TestJointPhase:
 
 
 def _recording(monkeypatch, name):
-    """Replace weyl's step helper ``name`` by one that records each call's
-    steps and result."""
+    """Replace weyl's helper ``name``, called as name(spec or ctx, steps or
+    window), by one that records each call's second argument and result."""
     calls = []
     helper = getattr(weyl_module, name)
 
-    def record(spec, steps):
-        out = helper(spec, steps)
-        calls.append((np.array(steps), out))
+    def record(first, second=None):
+        out = helper(first, second)
+        calls.append((second, out))
         return out
 
     monkeypatch.setattr(weyl_module, name, record)
@@ -1234,3 +1279,32 @@ class TestStepTables:
         w = plain.window
         mod_norm_symbol(plain, wigner(plain, w), w, w, 1, "inf")
         assert coords == []
+
+
+class TestWindowPart:
+    """The coherent family of w2 and the (t1 + t2) table of w1 depend only
+    on the context and the window pair: a bound check builds them once for
+    all its symbols, mod_norm_symbol once per call."""
+
+    def _builds(self, monkeypatch, ctx, run):
+        weyl_module._tables(ctx.spec)  # the lattice steps' tables are cached apart
+        families = _recording(monkeypatch, "coherent_family")
+        tables = _recording(monkeypatch, "_step_tables")
+        run()
+        return len(families), len(tables)
+
+    @pytest.mark.parametrize("check", ["wigner", "operator", "trace"])
+    def test_bound_check_builds_once(self, monkeypatch, check):
+        ctx = grid_ctx()
+        if check == "wigner":
+            quad = ExponentQuad(1, INFINITY, 2, 2, 2, 2)
+            run = lambda: check_wigner_bound(ctx, quad, trials=3)
+        else:
+            run = lambda: check_op_bounds(ctx, trials=3, norm=check)
+        assert self._builds(monkeypatch, ctx, run) == (1, 1)
+
+    def test_mod_norm_symbol_builds_per_call(self, monkeypatch):
+        ctx = grid_ctx()
+        w, symbol = ctx.window, wigner(ctx, ctx.window)
+        run = lambda: [mod_norm_symbol(ctx, symbol, w, w, 1, "inf") for _ in range(2)]
+        assert self._builds(monkeypatch, ctx, run) == (2, 2)
