@@ -14,10 +14,11 @@ factors are chosen to make the discrete orthogonality relation close.
 
 import math
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
-from .weyl import _symbol_passes, ambiguity
+from .weyl import _symbol_passes, ambiguity, quantize
 
 INFINITY = math.inf
 
@@ -175,17 +176,18 @@ def mod_norm_symbol(ctx, a, window1, window2, r, s):
     N^(3d) complex values (ValueError past MAX_OUTPUT_BYTES, before any
     work).  Many symbols with one window pair share their window tables
     through ``_symbol_norms``."""
-    return next(_symbol_norms(ctx, [a], window1, window2, r, s))
+    return next(_symbol_norms(ctx, map(partial(quantize, ctx), [a]), window1, window2, r, s))
 
 
-def _symbol_norms(ctx, symbols, window1, window2, r, s):
-    """mod_norm_symbol of each symbol in turn, with one window part for all
-    of them: a generator that builds it before the first symbol."""
+def _symbol_norms(ctx, operators, window1, window2, r, s):
+    """mod_norm_symbol of each symbol, given as its operator Op(a), in
+    turn, with one window part for all of them: a generator that builds it
+    before drawing the first operator."""
     r = float(as_exponent(r))
     s = float(as_exponent(s))
     if not np.any(window1.values) or not np.any(window2.values):
         raise ValueError("modulation norm needs nonzero windows")
-    _, per_symbol = _symbol_passes("mod_norm_symbol", ctx, symbols, window1, window2)
+    _, per_symbol = _symbol_passes("mod_norm_symbol", ctx, operators, window1, window2)
     n = ctx.spec.n_axis ** ctx.spec.dim
     mags = np.empty((n, n * n))
     for passes in per_symbol:

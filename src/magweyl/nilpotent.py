@@ -91,7 +91,7 @@ def _add_multiple(row, f, other):
     """row += f * other on sparse rows, in place; f is nonzero, and entries
     that cancel are dropped."""
     for c, v in other.items():
-        x = row.get(c, _ZERO) + f * v
+        x = row[c] + f * v if c in row else f * v
         if x:
             row[c] = x
         else:

@@ -9,9 +9,21 @@ point.
 Storage is a sparse map ``exponent tuple -> coefficient``; zero coefficients
 are dropped on every construction, so two polynomials are equal iff their
 term maps are equal.
+
+Construction: the public constructor ``Polynomial(nvars, terms)`` is the
+boundary, and it validates every term (one integer exponent per variable,
+none negative; any scalar that Fraction takes as coefficient).  The ring operations build
+each result's term map once, already clean (int exponent tuples, Fraction
+coefficients), and wrap it through ``_poly`` without re-validating.  Every
+term map keeps first-occurrence order: a sum accumulates as
+``terms[e] = terms[e] + c if e in terms else c``, so a key keeps the place
+where it first appeared, and the zeros are dropped in place at the end
+(``poly_compose`` alone drops a key as soon as its sum reaches zero; see
+there).
 """
 
 from fractions import Fraction
+from operator import add, index
 
 
 def _as_coeff(c):
@@ -19,6 +31,39 @@ def _as_coeff(c):
     if isinstance(c, Fraction):
         return c
     return Fraction(c)
+
+
+def _as_exponents(expts, nvars):
+    """Validate one exponent tuple for the public constructor: nvars
+    non-negative integers (ints or numpy integers; a float or a string is
+    refused, not truncated)."""
+    try:
+        clean = tuple(index(e) for e in expts)
+    except TypeError:
+        raise ValueError("non-integer exponent in %r" % (expts,)) from None
+    if len(clean) != nvars:
+        raise ValueError(
+            "exponent tuple %r has length %d, expected %d" % (clean, len(clean), nvars)
+        )
+    if any(e < 0 for e in clean):
+        raise ValueError("negative exponent in %r" % (clean,))
+    return clean
+
+
+def _init(p, nvars, terms):
+    """Give p the variable count nvars and the term map terms, which is
+    clean: int exponent tuples of length nvars, Fraction values.  Zero
+    values are dropped in place; the other keys keep their order."""
+    for e in [e for e, c in terms.items() if not c]:
+        del terms[e]
+    object.__setattr__(p, "nvars", nvars)
+    object.__setattr__(p, "terms", terms)
+    return p
+
+
+def _poly(nvars, terms):
+    """The Polynomial of a clean term map (see _init), taken over as is."""
+    return _init(object.__new__(Polynomial), nvars, terms)
 
 
 class Polynomial:
@@ -33,24 +78,14 @@ class Polynomial:
     def __init__(self, nvars, terms=None):
         if nvars < 0:
             raise ValueError("nvars must be >= 0")
-        object.__setattr__(self, "nvars", int(nvars))
+        nvars = int(nvars)
         clean = {}
         if terms:
             for expts, coeff in terms.items():
-                expts = tuple(int(e) for e in expts)
-                if len(expts) != nvars:
-                    raise ValueError(
-                        "exponent tuple %r has length %d, expected %d"
-                        % (expts, len(expts), nvars)
-                    )
-                if any(e < 0 for e in expts):
-                    raise ValueError("negative exponent in %r" % (expts,))
-                coeff = _as_coeff(coeff)
-                if coeff != 0:
-                    clean[expts] = clean.get(expts, Fraction(0)) + coeff
-                    if clean[expts] == 0:
-                        del clean[expts]
-        object.__setattr__(self, "terms", clean)
+                e = _as_exponents(expts, nvars)
+                c = _as_coeff(coeff)
+                clean[e] = clean[e] + c if e in clean else c
+        _init(self, nvars, clean)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -59,11 +94,11 @@ class Polynomial:
 
     @classmethod
     def zero(cls, nvars):
-        return cls(nvars, {})
+        return _poly(nvars, {})
 
     @classmethod
     def const(cls, nvars, c):
-        return cls(nvars, {(0,) * nvars: _as_coeff(c)})
+        return _poly(nvars, {(0,) * nvars: _as_coeff(c)})
 
     @classmethod
     def var(cls, nvars, i):
@@ -72,7 +107,7 @@ class Polynomial:
             raise IndexError("variable index %d out of range for nvars=%d" % (i, nvars))
         e = [0] * nvars
         e[i] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return _poly(nvars, {tuple(e): Fraction(1)})
 
     # -- basic queries -----------------------------------------------------
 
@@ -111,13 +146,13 @@ class Polynomial:
         self._check_same_space(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Polynomial(self.nvars, terms)
+            terms[e] = terms[e] + c if e in terms else c
+        return _poly(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial(self.nvars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -130,14 +165,15 @@ class Polynomial:
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
             c = _as_coeff(other)
-            return Polynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
+            return _poly(self.nvars, {e: c * v for e, v in self.terms.items()})
         self._check_same_space(other)
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Polynomial(self.nvars, terms)
+                e = tuple(map(add, e1, e2))
+                c = c1 * c2
+                terms[e] = terms[e] + c if e in terms else c
+        return _poly(self.nvars, terms)
 
     __rmul__ = __mul__
 
@@ -176,8 +212,10 @@ class Polynomial:
 
     def lift(self, nvars):
         """Re-embed as the leading variables of a space of nvars >= self.nvars."""
+        if nvars < self.nvars:
+            raise ValueError("cannot lift %d variables into %d" % (self.nvars, nvars))
         pad = (0,) * (nvars - self.nvars)
-        return Polynomial(nvars, {e + pad: c for e, c in self.terms.items()})
+        return _poly(nvars, {e + pad: c for e, c in self.terms.items()})
 
 
 class PolyVector:
@@ -234,6 +272,21 @@ class PolyVector:
 # -- the four core operations ---------------------------------------------
 
 
+def _term_values(p, x):
+    """Each term of p evaluated at the point x, in sorted exponent order;
+    each power of a coordinate is computed once and reused."""
+    powers = {}
+    for e in sorted(p.terms):
+        val = p.terms[e]
+        for i, k in enumerate(e):
+            if k:
+                key = (i, k)
+                if key not in powers:
+                    powers[key] = x[i] ** k
+                val = val * powers[key]
+        yield val
+
+
 def poly_eval(p, x):
     """Evaluate p at the point x (exact when x is exact).
 
@@ -245,20 +298,8 @@ def poly_eval(p, x):
     x = tuple(x)
     if len(x) != p.nvars:
         raise ValueError("point has %d coordinates, expected %d" % (len(x), p.nvars))
-    powers = {}
-
-    def pw(i, e):
-        key = (i, e)
-        if key not in powers:
-            powers[key] = x[i] ** e
-        return powers[key]
-
     total = 0
-    for e in sorted(p.terms):
-        val = p.terms[e]
-        for i, k in enumerate(e):
-            if k:
-                val = val * pw(i, k)
+    for val in _term_values(p, x):
         total = total + val
     return total
 
@@ -266,10 +307,14 @@ def poly_eval(p, x):
 def poly_compose(p, subs):
     """Exact composition p(subs_0, ..., subs_{n-1}).
 
-    ``subs`` is a PolyVector (or sequence of Polynomials) with one component
-    per variable of p; the result lives in the subs' variable space.  It is
-    poly_eval at the Polynomial entries, lifted to a Polynomial when p has
-    no non-constant term.
+    ``subs`` is a PolyVector (or sequence of Polynomials over one space)
+    with one component per variable of p; the result lives in the subs'
+    variable space.  Its value and term order are those of poly_eval at
+    the Polynomial entries, the chain 0 + t_1 + t_2 + ... over p's terms in
+    sorted order, but summed into one term map: the first non-constant
+    term's keys come first, then the constant term (sorted first, but a
+    scalar until a Polynomial joins it), then each new key as it appears;
+    a key whose sum reaches zero is dropped at once, so it re-enters last.
     """
     comps = list(subs)
     if len(comps) != p.nvars:
@@ -277,9 +322,31 @@ def poly_compose(p, subs):
             "substitution has %d components, expected %d" % (len(comps), p.nvars)
         )
     if p.nvars == 0:
-        return Polynomial(0, dict(p.terms))
-    total = poly_eval(p, comps)
-    return total if isinstance(total, Polynomial) else Polynomial.const(comps[0].nvars, total)
+        return _poly(0, dict(p.terms))
+    nvars = comps[0].nvars
+    if any(q.nvars != nvars for q in comps):
+        raise ValueError("substitution components disagree on variable count")
+    zero = (0,) * nvars
+    values = _term_values(p, comps)
+    const = p.terms.get((0,) * p.nvars)
+    if const is not None:
+        next(values)
+    terms = {}
+    for val in values:
+        summands = val.terms.items()
+        if const is not None:
+            summands = [*summands, (zero, const)]
+            const = None
+        for e, c in summands:
+            if e in terms:
+                c = terms[e] + c
+                if not c:
+                    del terms[e]
+                    continue
+            terms[e] = c
+    if const is not None:
+        terms[zero] = const
+    return _poly(nvars, terms)
 
 
 def poly_integrate_param(p):
@@ -294,9 +361,9 @@ def poly_integrate_param(p):
     terms = {}
     for e, c in p.terms.items():
         reduced = e[:-1]
-        contrib = c / (e[-1] + 1)
-        terms[reduced] = terms.get(reduced, Fraction(0)) + contrib
-    return Polynomial(p.nvars - 1, terms)
+        c = c / (e[-1] + 1)
+        terms[reduced] = terms[reduced] + c if reduced in terms else c
+    return _poly(p.nvars - 1, terms)
 
 
 def poly_partial(p, i):
@@ -308,5 +375,6 @@ def poly_partial(p, i):
         if e[i] == 0:
             continue
         shifted = e[:i] + (e[i] - 1,) + e[i + 1 :]
-        terms[shifted] = terms.get(shifted, Fraction(0)) + c * e[i]
-    return Polynomial(p.nvars, terms)
+        c = c * e[i]
+        terms[shifted] = terms[shifted] + c if shifted in terms else c
+    return _poly(p.nvars, terms)

@@ -16,6 +16,7 @@ import math
 import time
 from fractions import Fraction
 from functools import partial
+from itertools import tee
 
 import numpy as np
 
@@ -293,7 +294,8 @@ def check_wigner_bound(ctx, quad, trials=50, seed=0, pairs=None, equality_band=N
             (random_gaussian_state(spec, rng), random_gaussian_state(spec, rng))
             for _ in range(trials)
         ]
-    norms = _symbol_norms(ctx, (wigner(ctx, f1, f2) for f1, f2 in pairs), w1, w2, quad.r, quad.s)
+    ops = (quantize(ctx, wigner(ctx, f1, f2)) for f1, f2 in pairs)
+    norms = _symbol_norms(ctx, ops, w1, w2, quad.r, quad.s)
     context, lo, leak_ok = _ratio_sweep(spec, seed, (
         (lhs, mod_norm_vector(ctx, f1, w1, quad.r1, quad.s1)
          * mod_norm_vector(ctx, f2, w2, quad.r2, quad.s2))
@@ -319,7 +321,8 @@ def check_op_bounds(ctx, trials=100, norm="operator", seed=0, symbols=None):
     trace norm by the (sum, sum) norm.  ``norm`` picks the canonical
     exponent quad of the statement; the bound is asserted with slack
     1 + 1e-3.  Explicit ``symbols`` override the random draw.  The windows'
-    tables are built once for all symbols.
+    tables are built once for all symbols, and each symbol is quantized
+    once, for both sides of its ratio.
     """
     if norm not in _CANONICAL_OP_BOUNDS:
         raise ValueError("norm must be 'operator' or 'trace', got %r" % (norm,))
@@ -329,11 +332,14 @@ def check_op_bounds(ctx, trials=100, norm="operator", seed=0, symbols=None):
     rng = np.random.default_rng(seed)
     if symbols is None:
         symbols = [random_symbol(ctx, rng) for _ in range(trials)]
-    # the family labels (r, s) enter the symbol norm with the inner
-    # exponent s (over the first lattice variable) and the outer r
-    norms = _symbol_norms(ctx, symbols, w1, w2, quad.s, quad.r)
+    # Each symbol is quantized once, for both sides: the sweep draws from
+    # the tee copy of the operator the lhs has just taken.  The family
+    # labels (r, s) enter the symbol norm with the inner exponent s (over
+    # the first lattice variable) and the outer r.
+    ops, swept = tee(map(partial(quantize, ctx), symbols))
+    norms = _symbol_norms(ctx, swept, w1, w2, quad.s, quad.r)
     context, _, leak_ok = _ratio_sweep(spec, seed, (
-        (op_norm(quantize(ctx, a)), rhs) for a, rhs in zip(symbols, norms)
+        (op_norm(op), rhs) for op, rhs in zip(ops, norms)
     ))
     context.update(quad=quad, canonical=True, symbols=len(symbols))
     return CheckReport("%s-bound" % norm, context["max_ratio"], SLACK,

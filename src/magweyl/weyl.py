@@ -71,7 +71,7 @@ oracles the tests check both routes against live in ``reference``.
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache, partial, reduce
 
 import numpy as np
 
@@ -508,15 +508,16 @@ def _axis_product(table, d):
     return reduce(np.multiply, [_along(table, (i, d + i), 2 * d) for i in range(d)])
 
 
-def _symbol_passes(what, ctx, symbols, window1, window2):
-    """The operator-window ambiguity of each symbol one first step t1 at a
-    time, in C order: (P, one pass iterator per symbol), each pass a B of
-    shape (N^d, N^(2d)), axes (k1, t2 k2), in one buffer shared by all, with
-    field[t1, k1, t2, k2] = B[k1, t2, k2] P[t2, k1], where P is the product
-    over the axes of the unimodular prefactor exp(i eps s_j h/2 xi_k).
-    The window tables are built on the call, once for all symbols, which
-    raises a ValueError naming ``what`` first when the (t1 + t2) table
-    would pass MAX_OUTPUT_BYTES."""
+def _symbol_passes(what, ctx, operators, window1, window2):
+    """The operator-window ambiguity of each operator Op(a) one first step
+    t1 at a time, in C order: (P, one pass iterator per operator), each pass
+    a B of shape (N^d, N^(2d)), axes (k1, t2 k2), in one buffer shared by
+    all, with field[t1, k1, t2, k2] = B[k1, t2, k2] P[t2, k1], where P is
+    the product over the axes of the unimodular prefactor
+    exp(i eps s_j h/2 xi_k).  The window tables are built on the call, once
+    for all operators, which raises a ValueError naming ``what`` first when
+    the (t1 + t2) table would pass MAX_OUTPUT_BYTES; each operator is drawn
+    from ``operators`` only when its passes begin."""
     spec = ctx.spec
     _require_grid(spec, what)
     _require_lattice(spec, window1, "window1")
@@ -543,12 +544,12 @@ def _symbol_passes(what, ctx, symbols, window1, window2):
     G *= W.reshape(sums + (1, n))
     block = np.empty((n, n * n), dtype=complex)
 
-    def passes(a):
+    def passes(op):
         # H[p, j, k1] = |eps|^(-d) h^d (Op(a) Pi(Z1) w2)[p] exp(-i eps xi_k1 x_p)
         # times P[j, k1], at Z1 = (s_j, xi_k1): h^d is the weight of the state
         # inner product, and P[t1, k1] the first factor of the k1 half-shift
         # P[t1, k1] P[t2, k1] at s1 + s2.
-        H = (quantize(ctx, a).matrix @ family).reshape(n, n, n)
+        H = (op.matrix @ family).reshape(n, n, n)
         H *= dft.T[:, None, :]
         H *= prefactor * (spec.state_weight / abs(spec.epsilon) ** d)
         for flat, t1 in enumerate(np.ndindex(spec.state_shape)):
@@ -557,7 +558,7 @@ def _symbol_passes(what, ctx, symbols, window1, window2):
             np.matmul(H[:, flat, :].T, G[rows].reshape(n * n, n).T, out=block)
             yield block
 
-    return prefactor, map(passes, symbols)
+    return prefactor, map(passes, operators)
 
 
 def symbol_ambiguity(ctx, a, window1, window2):
@@ -576,7 +577,9 @@ def symbol_ambiguity(ctx, a, window1, window2):
     _check_output_bytes("symbol_ambiguity", (N,) * (4 * d))
     n = N ** d
     out = np.empty((n, n, n, n), dtype=complex)
-    prefactor, [passes] = _symbol_passes("symbol_ambiguity", ctx, [a], window1, window2)
+    prefactor, [passes] = _symbol_passes(
+        "symbol_ambiguity", ctx, map(partial(quantize, ctx), [a]), window1, window2
+    )
     for flat, block in enumerate(passes):
         # The passes' prefactor P[t2, k1], on axes (k1, t2, k2).
         np.multiply(block.reshape(n, n, n), prefactor.T[:, :, None], out=out[flat])

@@ -169,6 +169,10 @@ class TestPotentialEntries:
         with pytest.raises(ValueError, match="outside"):
             parse_potential_entry("[comp=3, exp=(0,0), coeff=1]", 2)
 
+    def test_fractional_exponent_rejected(self):
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            parse_potential_entry("[comp=1, exp=(1.5), coeff=1]", 1)
+
     def test_exponent_arity_checked(self):
         with pytest.raises(ValueError, match="slot"):
             parse_potential_entry("[comp=1, exp=(1), coeff=1]", 2)

@@ -27,7 +27,7 @@ from magweyl.repspace import (
     StateVector,
     field_inner,
 )
-from magweyl.weyl import QuantizerContext, symbol_ambiguity, wigner
+from magweyl.weyl import QuantizerContext, quantize, symbol_ambiguity, wigner
 
 ABEL1 = algebra("abelian:1")
 ABEL2 = algebra("abelian:2")
@@ -309,9 +309,9 @@ class TestStreamedSymbolNorm:
 
 
 class TestSymbolNormSweep:
-    """verify's bound checks stream their symbols through _symbol_norms,
-    which builds the window tables once; each norm equals mod_norm_symbol's
-    bit for bit."""
+    """verify's bound checks stream their symbols' operators through
+    _symbol_norms, which builds the window tables once; each norm equals
+    mod_norm_symbol's bit for bit."""
 
     @pytest.mark.parametrize("plane", [False, True], ids=["line", "plane"])
     def test_sweep_equals_each_call(self, plane):
@@ -323,5 +323,6 @@ class TestSymbolNormSweep:
         a, w1, w2 = _streamed_case(ctx, 81)
         b = _streamed_case(ctx, 84)[0]
         for quad in [(INFINITY, 1), (1, 1), (2, 2)]:
-            swept = list(modspace._symbol_norms(ctx, [a, b], w1, w2, *quad))
+            ops = [quantize(ctx, a), quantize(ctx, b)]
+            swept = list(modspace._symbol_norms(ctx, ops, w1, w2, *quad))
             assert swept == [mod_norm_symbol(ctx, x, w1, w2, *quad) for x in (a, b)], quad

@@ -1,7 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from magweyl.poly import (
     Polynomial,
@@ -69,6 +73,11 @@ class TestCompose:
         p = Polynomial.var(2, 0)
         with pytest.raises(ValueError):
             poly_compose(p, PolyVector([Polynomial.var(1, 0)]))
+
+    def test_components_on_different_spaces_refused(self):
+        p = Polynomial.var(2, 0)
+        with pytest.raises(ValueError, match="disagree on variable count"):
+            poly_compose(p, [Polynomial.var(1, 0), Polynomial.var(2, 0)])
 
     def test_eval_commutes_exact(self):
         rng = random.Random(23)
@@ -170,3 +179,164 @@ class TestCanonicalization:
         assert Polynomial.zero(2).degree() == -1
         assert Polynomial.const(2, 5).degree() == 0
         assert (Polynomial.var(2, 0) * Polynomial.var(2, 1) ** 2).degree() == 3
+
+
+class TestExponentValidation:
+    """The public constructor is the boundary: a non-integer exponent is
+    refused, not truncated, and integer types are normalized to int."""
+
+    @pytest.mark.parametrize("expts", [(1.5,), ("2",), (2.0,), (Fraction(2),), (np.float64(1),)])
+    def test_non_integer_exponent_refused(self, expts):
+        with pytest.raises(ValueError, match=re.escape(repr(expts))):
+            Polynomial(1, {expts: 1})
+
+    @pytest.mark.parametrize("k", [2, np.int64(2), np.int32(2), np.uint8(2)])
+    def test_integer_exponent_accepted(self, k):
+        p = Polynomial(2, {(k, 0): 3})
+        assert p == 3 * Polynomial.var(2, 0) ** 2
+        assert [type(e) for e in next(iter(p.terms))] == [int, int]
+
+    def test_shape_and_sign_still_checked(self):
+        with pytest.raises(ValueError, match="length 1, expected 2"):
+            Polynomial(2, {(1,): 1})
+        with pytest.raises(ValueError, match="negative exponent"):
+            Polynomial(1, {(-1,): 1})
+
+
+# -- ring operations against an oracle built only through the validated
+# -- constructor: same values and same term order, cancellations included
+
+RING_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def _items(p):
+    return list(p.terms.items())
+
+
+def _o_const(nvars, c):
+    return Polynomial(nvars, {(0,) * nvars: c})
+
+
+def _o_add(p, q):
+    terms = dict(p.terms)
+    for e, c in q.terms.items():
+        terms[e] = terms.get(e, 0) + c
+    return Polynomial(p.nvars, terms)
+
+
+def _o_scale(p, c):
+    return Polynomial(p.nvars, {e: c * v for e, v in p.terms.items()})
+
+
+def _o_mul(p, q):
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            terms[e] = terms.get(e, 0) + c1 * c2
+    return Polynomial(p.nvars, terms)
+
+
+def _o_pow(p, n):
+    result, base = _o_const(p.nvars, 1), p
+    while n:
+        if n & 1:
+            result = _o_mul(result, base)
+        base = _o_mul(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
+def _o_compose(p, subs):
+    n = subs[0].nvars
+    total, joined = Polynomial(n, {}), False
+    for e in sorted(p.terms):
+        val = _o_const(n, p.terms[e])
+        for i, k in enumerate(e):
+            if k:
+                val = _o_mul(val, _o_pow(subs[i], k))
+        # The chain 0 + t_1 + t_2 + ...: the constant term (sorted first)
+        # stays a scalar until the first non-constant term, which it joins
+        # on the right.
+        total = _o_add(total, val) if joined else _o_add(val, total)
+        joined = joined or any(e)
+    return total
+
+
+def _o_integrate_param(p):
+    terms = {}
+    for e, c in p.terms.items():
+        terms[e[:-1]] = terms.get(e[:-1], 0) + c / (e[-1] + 1)
+    return Polynomial(p.nvars - 1, terms)
+
+
+def _o_partial(p, i):
+    terms = {}
+    for e, c in p.terms.items():
+        if e[i]:
+            shifted = e[:i] + (e[i] - 1,) + e[i + 1:]
+            terms[shifted] = terms.get(shifted, 0) + c * e[i]
+    return Polynomial(p.nvars, terms)
+
+
+_COEFFS = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+
+
+def _sparse_polys(nvars, max_terms=5):
+    """Few terms of degree <= 2 per variable with small coefficients, so
+    sums and products collide and cancel often."""
+    keys = st.tuples(*[st.integers(0, 2)] * nvars)
+    return st.dictionaries(keys, _COEFFS, max_size=max_terms).map(
+        lambda terms: Polynomial(nvars, terms)
+    )
+
+
+@st.composite
+def _cancelling_pair(draw, nvars):
+    """(p, q) where q carries -c on some keys of p, in a drawn order, so
+    p + q cancels there."""
+    p = draw(_sparse_polys(nvars))
+    q = draw(_sparse_polys(nvars))
+    negated = [(e, -c) for e, c in p.terms.items() if draw(st.booleans())]
+    items = draw(st.permutations(list(q.terms.items()) + negated))
+    return p, Polynomial(nvars, dict(items))
+
+
+class TestRingOperationsMatchOracle:
+    @RING_PROPERTY
+    @given(data=st.data())
+    def test_arithmetic(self, data):
+        nvars = data.draw(st.integers(1, 3))
+        p, q = data.draw(_cancelling_pair(nvars))
+        c = data.draw(_COEFFS)
+        assert _items(p + q) == _items(_o_add(p, q))
+        assert _items(p - q) == _items(_o_add(p, _o_scale(q, -1)))
+        assert _items(-p) == _items(_o_scale(p, -1))
+        assert _items(p * q) == _items(_o_mul(p, q))
+        assert _items(p * c) == _items(c * p) == _items(_o_scale(p, c))
+        assert _items(p + c) == _items(_o_add(p, _o_const(nvars, c)))
+        k = data.draw(st.integers(0, 3))
+        assert _items((p + q) ** k) == _items(_o_pow(_o_add(p, q), k))
+
+    @RING_PROPERTY
+    @given(data=st.data())
+    def test_calculus_and_lift(self, data):
+        nvars = data.draw(st.integers(1, 3))
+        p, q = data.draw(_cancelling_pair(nvars))
+        s = p + q
+        i = data.draw(st.integers(0, nvars - 1))
+        assert _items(poly_partial(s, i)) == _items(_o_partial(s, i))
+        assert _items(poly_integrate_param(s)) == _items(_o_integrate_param(s))
+        m = nvars + data.draw(st.integers(0, 2))
+        pad = (0,) * (m - nvars)
+        assert _items(s.lift(m)) == _items(Polynomial(m, {e + pad: c for e, c in s.terms.items()}))
+
+    @RING_PROPERTY
+    @given(data=st.data())
+    def test_compose(self, data):
+        nvars = data.draw(st.integers(1, 3))
+        m = data.draw(st.integers(1, 3))
+        p = data.draw(_sparse_polys(nvars)) + data.draw(_COEFFS)
+        subs = [data.draw(_sparse_polys(m, max_terms=3)) for _ in range(nvars)]
+        assert _items(poly_compose(p, subs)) == _items(_o_compose(p, subs))
+        assert _items(poly_compose(p, PolyVector(subs))) == _items(_o_compose(p, subs))

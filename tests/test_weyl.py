@@ -7,6 +7,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from magweyl import modspace as modspace_module
+from magweyl import verify as verify_module
 from magweyl import weyl as weyl_module
 from magweyl.magnetic import MagneticPotential
 from magweyl.modspace import INFINITY, ExponentQuad, mod_norm_symbol, mod_norm_vector
@@ -1308,3 +1310,17 @@ class TestWindowPart:
         w, symbol = ctx.window, wigner(ctx, ctx.window)
         run = lambda: [mod_norm_symbol(ctx, symbol, w, w, 1, "inf") for _ in range(2)]
         assert self._builds(monkeypatch, ctx, run) == (2, 2)
+
+    @pytest.mark.parametrize("norm", ["operator", "trace"])
+    def test_op_bound_check_quantizes_each_symbol_once(self, monkeypatch, norm):
+        # The lhs operator norm and the symbol norm's sweep share one Op(a).
+        calls = []
+
+        def counting(ctx, a):
+            calls.append(a)
+            return quantize(ctx, a)
+
+        for module in (weyl_module, modspace_module, verify_module):
+            monkeypatch.setattr(module, "quantize", counting)
+        check_op_bounds(grid_ctx(), trials=100, norm=norm)
+        assert len(calls) == 100
