@@ -18,8 +18,9 @@ coefficients), and wrap it through ``_poly`` without re-validating.  Every
 term map keeps first-occurrence order: a sum accumulates as
 ``terms[e] = terms[e] + c if e in terms else c``, so a key keeps the place
 where it first appeared, and the zeros are dropped in place at the end
-(``poly_compose`` alone drops a key as soon as its sum reaches zero; see
-there).
+(a sum of term values at Polynomial entries, in ``poly_eval`` and
+``poly_compose``, drops a key as soon as its sum reaches zero; see
+``_sum_at_polynomials``).
 """
 
 from fractions import Fraction
@@ -287,17 +288,55 @@ def _term_values(p, x):
         yield val
 
 
+def _sum_at_polynomials(p, comps):
+    """The sum 0 + t_1 + t_2 + ... of p's term values at the Polynomial
+    entries comps (sorted term order), summed into one term map with the
+    value and term order of that chain of additions: the first
+    non-constant term's keys come first, then the constant term (sorted
+    first, but a scalar until a Polynomial joins it), then each new key as
+    it appears; a key whose sum reaches zero is dropped at once, so it
+    re-enters last.  The scalar sum (p's constant term, or 0) when p has
+    no non-constant term."""
+    nvars = comps[0].nvars
+    if any(q.nvars != nvars for q in comps):
+        raise ValueError("substitution components disagree on variable count")
+    values = _term_values(p, comps)
+    const = p.terms.get((0,) * p.nvars)
+    if const is not None:
+        next(values)
+    terms = None
+    for val in values:
+        summands = val.terms.items()
+        if terms is None:
+            terms = {}
+            if const is not None:
+                summands = [*summands, ((0,) * nvars, const)]
+        for e, c in summands:
+            if e in terms:
+                c = terms[e] + c
+                if not c:
+                    del terms[e]
+                    continue
+            terms[e] = c
+    if terms is None:
+        return 0 if const is None else const
+    return _poly(nvars, terms)
+
+
 def poly_eval(p, x):
     """Evaluate p at the point x (exact when x is exact).
 
     Accepts Fractions, ints, floats or complex entries, or Polynomials over
-    one shared space (which composes p with them); powers of each
-    coordinate are computed once and reused (Horner-flavoured caching), and
-    terms are visited in sorted order so float results are deterministic.
+    one shared space (which composes p with them, summed in one term map);
+    powers of each coordinate are computed once and reused
+    (Horner-flavoured caching), and terms are visited in sorted order so
+    float results are deterministic.
     """
     x = tuple(x)
     if len(x) != p.nvars:
         raise ValueError("point has %d coordinates, expected %d" % (len(x), p.nvars))
+    if x and all(isinstance(v, Polynomial) for v in x):
+        return _sum_at_polynomials(p, x)
     total = 0
     for val in _term_values(p, x):
         total = total + val
@@ -309,12 +348,8 @@ def poly_compose(p, subs):
 
     ``subs`` is a PolyVector (or sequence of Polynomials over one space)
     with one component per variable of p; the result lives in the subs'
-    variable space.  Its value and term order are those of poly_eval at
-    the Polynomial entries, the chain 0 + t_1 + t_2 + ... over p's terms in
-    sorted order, but summed into one term map: the first non-constant
-    term's keys come first, then the constant term (sorted first, but a
-    scalar until a Polynomial joins it), then each new key as it appears;
-    a key whose sum reaches zero is dropped at once, so it re-enters last.
+    variable space.  It is poly_eval at the Polynomial entries, lifted to a
+    Polynomial when p has no non-constant term.
     """
     comps = list(subs)
     if len(comps) != p.nvars:
@@ -323,30 +358,8 @@ def poly_compose(p, subs):
         )
     if p.nvars == 0:
         return _poly(0, dict(p.terms))
-    nvars = comps[0].nvars
-    if any(q.nvars != nvars for q in comps):
-        raise ValueError("substitution components disagree on variable count")
-    zero = (0,) * nvars
-    values = _term_values(p, comps)
-    const = p.terms.get((0,) * p.nvars)
-    if const is not None:
-        next(values)
-    terms = {}
-    for val in values:
-        summands = val.terms.items()
-        if const is not None:
-            summands = [*summands, (zero, const)]
-            const = None
-        for e, c in summands:
-            if e in terms:
-                c = terms[e] + c
-                if not c:
-                    del terms[e]
-                    continue
-            terms[e] = c
-    if const is not None:
-        terms[zero] = const
-    return _poly(nvars, terms)
+    total = poly_eval(p, comps)
+    return total if isinstance(total, Polynomial) else Polynomial.const(comps[0].nvars, total)
 
 
 def poly_integrate_param(p):

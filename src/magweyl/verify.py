@@ -332,14 +332,15 @@ def check_op_bounds(ctx, trials=100, norm="operator", seed=0, symbols=None):
     rng = np.random.default_rng(seed)
     if symbols is None:
         symbols = [random_symbol(ctx, rng) for _ in range(trials)]
-    # Each symbol is quantized once, for both sides: the sweep draws from
-    # the tee copy of the operator the lhs has just taken.  The family
+    # Each symbol is quantized once, for both sides: the sweep draws each
+    # operator first (so its window tables and their size guard come
+    # before any quantize), and the lhs takes the tee copy.  The family
     # labels (r, s) enter the symbol norm with the inner exponent s (over
     # the first lattice variable) and the outer r.
-    ops, swept = tee(map(partial(quantize, ctx), symbols))
+    swept, ops = tee(map(partial(quantize, ctx), symbols))
     norms = _symbol_norms(ctx, swept, w1, w2, quad.s, quad.r)
     context, _, leak_ok = _ratio_sweep(spec, seed, (
-        (op_norm(op), rhs) for op, rhs in zip(ops, norms)
+        (op_norm(op), rhs) for rhs, op in zip(norms, ops)
     ))
     context.update(quad=quad, canonical=True, symbols=len(symbols))
     return CheckReport("%s-bound" % norm, context["max_ratio"], SLACK,

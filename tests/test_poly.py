@@ -280,13 +280,14 @@ def _o_partial(p, i):
 
 
 _COEFFS = st.builds(Fraction, st.integers(-2, 2), st.sampled_from([1, 2, 3]))
+_UNITS = st.sampled_from([Fraction(-1), Fraction(1)])
 
 
-def _sparse_polys(nvars, max_terms=5):
-    """Few terms of degree <= 2 per variable with small coefficients, so
-    sums and products collide and cancel often."""
-    keys = st.tuples(*[st.integers(0, 2)] * nvars)
-    return st.dictionaries(keys, _COEFFS, max_size=max_terms).map(
+def _sparse_polys(nvars, max_terms=5, coeffs=_COEFFS, max_exp=2, min_terms=0):
+    """Few terms of degree <= max_exp per variable with small coefficients,
+    so sums and products collide and cancel often."""
+    keys = st.tuples(*[st.integers(0, max_exp)] * nvars)
+    return st.dictionaries(keys, coeffs, min_size=min_terms, max_size=max_terms).map(
         lambda terms: Polynomial(nvars, terms)
     )
 
@@ -336,7 +337,28 @@ class TestRingOperationsMatchOracle:
     def test_compose(self, data):
         nvars = data.draw(st.integers(1, 3))
         m = data.draw(st.integers(1, 3))
-        p = data.draw(_sparse_polys(nvars)) + data.draw(_COEFFS)
-        subs = [data.draw(_sparse_polys(m, max_terms=3)) for _ in range(nvars)]
+        # Half the draws take unit coefficients on multilinear terms, at
+        # least two in p and in each entry, so that a key often cancels and
+        # comes back within one sum.
+        dense = data.draw(st.booleans())
+        coeffs, max_exp = (_UNITS, 1) if dense else (_COEFFS, 2)
+        p = data.draw(_sparse_polys(nvars, 5, coeffs, max_exp, min_terms=2 * dense))
+        p = p + data.draw(_COEFFS)
+        subs = [
+            data.draw(_sparse_polys(m, 3, coeffs, max_exp, min_terms=2 * dense))
+            for _ in range(nvars)
+        ]
+        for i in range(1, nvars):
+            # An entry that negates an earlier one, so terms cancel mid-sum.
+            if data.draw(st.booleans()):
+                subs[i] = -subs[data.draw(st.integers(0, i - 1))]
         assert _items(poly_compose(p, subs)) == _items(_o_compose(p, subs))
         assert _items(poly_compose(p, PolyVector(subs))) == _items(_o_compose(p, subs))
+        # poly_eval at the Polynomial entries sums the same way, but keeps
+        # the scalar (p's constant term, or 0) when no Polynomial joins it.
+        value = poly_eval(p, subs)
+        if any(any(e) for e in p.terms):
+            assert _items(value) == _items(_o_compose(p, subs))
+        else:
+            assert not isinstance(value, Polynomial)
+            assert value == p.terms.get((0,) * nvars, 0)

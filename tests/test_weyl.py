@@ -578,13 +578,28 @@ class TestMemoryGuard:
         # (2N - 1)^d N^(2d) values, is what the guard measures.
         ctx = grid_ctx(n=32, group=ABEL2)
         w = gaussian_state(ctx.spec)
-        monkeypatch.setattr(weyl_module, "quantize", _no_quantize)
+        for module in (weyl_module, modspace_module):
+            monkeypatch.setattr(module, "quantize", _no_quantize)
         with pytest.raises(
             ValueError,
             match=r"mod_norm_symbol: table of shape \(63, 63, 1024, 1024\) "
             r"needs 66588770304 bytes",
         ):
             mod_norm_symbol(ctx, _unallocated_symbol(ctx.spec), w, w, 1, "inf")
+
+    @pytest.mark.parametrize("norm", ["operator", "trace"])
+    def test_op_bound_check_refuses_large_table(self, monkeypatch, norm):
+        # Its symbol-norm sweep's guard runs before the first symbol, on
+        # either side of the ratio, is quantized.
+        ctx = grid_ctx(n=32, group=ABEL2)
+        for module in (weyl_module, modspace_module, verify_module):
+            monkeypatch.setattr(module, "quantize", _no_quantize)
+        with pytest.raises(
+            ValueError,
+            match=r"mod_norm_symbol: table of shape \(63, 63, 1024, 1024\) "
+            r"needs 66588770304 bytes",
+        ):
+            check_op_bounds(ctx, norm=norm, symbols=[_unallocated_symbol(ctx.spec)])
 
     def test_coherent_family_refuses_large_family(self, monkeypatch):
         ctx = grid_ctx(n=32, group=ABEL2)
