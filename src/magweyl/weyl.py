@@ -26,7 +26,11 @@ shift index I[j, p] = (p - s_j) mod N (I[I[q, p], p] = q), the prefactor
 exp(i eps s_j h/2 xi_k) and the symmetric DFT exp(-i eps xi_k x_p), with
 the step coordinates s_j h.  ``_step_tables`` builds the first two for any
 range of steps and ``_step_coords`` the last.  A state moves by the gather
-``values[I_0, I_1]``; operator entries move through the same index.  The
+``values[I_0, I_1]``.  Operator entries move through flat positions: the
+entry (p, I[j, p]) of step j sits at the sum over the axes of the N x N
+offsets p N^(2d-1-i) + I_i[j, p] N^(d-1-i), built per call from the shift
+and taken or put in one block at d = 1, one per leading step at d = 2
+(``_entry_blocks``).  The
 magnetic phase depends on the step X only through the segment of X, so
 each route's phase is one exact polynomial in (y_0..y_{d-1}, X_0..X_{d-1}),
 built once per context on first use (only the polynomials are cached: a
@@ -202,14 +206,19 @@ def _require_grid(spec, what):
         raise ValueError("%s needs the grid backend" % what)
 
 
-def _require_lattice(spec, state, name):
+def _require_lattice(spec, value, name):
     """On the grid backend, raise a ValueError naming ``name`` unless the
-    state was sampled on the lattice of ``spec``: the same points per axis,
-    dimension and extent (a state does not depend on epsilon)."""
-    grids = [(s.n_axis, s.dim, s.extent) for s in (state.spec, spec)]
+    state, operator or phase-space field was sampled on the lattice of
+    ``spec``: the same points per axis, dimension and extent, and for a
+    field the same epsilon, on which its frequency lattice depends (a state
+    or an operator does not depend on epsilon)."""
+    field = isinstance(value, PhaseSpaceField)
+    grids = [(s.n_axis, s.dim, s.extent) + ((s.epsilon,) if field else ())
+             for s in (value.spec, spec)]
     if spec.backend == "grid" and grids[0] != grids[1]:
-        raise ValueError("%s was sampled on the grid N=%d, d=%d, extent %r, but the "
-                         "context's grid is N=%d, d=%d, extent %r" % (name, *grids[0], *grids[1]))
+        grid = "N=%d, d=%d, extent %r" + (", epsilon %r" if field else "")
+        raise ValueError(("%s was sampled on the grid " + grid + ", but the context's grid is "
+                          + grid) % (name, *grids[0], *grids[1]))
 
 
 # Largest complex output a dense transform may allocate: 1 GiB.
@@ -240,7 +249,7 @@ def _along(table, axes, ndim):
     return table.reshape(shape)
 
 
-_Tables = namedtuple("_Tables", "shift prefactor coords dft moved entries")
+_Tables = namedtuple("_Tables", "shift prefactor coords dft moved")
 
 
 def _step_tables(spec, steps):
@@ -263,24 +272,52 @@ def _step_coords(spec, steps):
 def _tables(spec):
     """The per-axis tables of the lattice steps s_j = j - N/2, cached on the
     grid, and the shift index I as gather indices over the (step, point)
-    layout: values[moved][j, p] is the state moved by s_j at p; operator
-    entry (p, I[j, p]) is step j's alone."""
+    layout: values[moved][j, p] is the state moved by s_j at p."""
     if "weyl" not in spec._cache:
         n, d = spec.n_axis, spec.dim
         s = np.arange(n) - n // 2
         shift, moved, prefactor = _step_tables(spec, s)
         E = spec.harmonic_matrix()
         dft = E if spec.epsilon > 0 else np.conj(E)
-        rows = tuple(_along(np.arange(n), (d + i,), 2 * d) for i in range(d))
-        spec._cache["weyl"] = _Tables(shift, prefactor, _step_coords(spec, s), dft,
-                                      moved, rows + moved)
+        spec._cache["weyl"] = _Tables(shift, prefactor, _step_coords(spec, s), dft, moved)
     return spec._cache["weyl"]
 
 
+def _entry_blocks(spec):
+    """(lead, index) pairs: index holds the flat positions in the (p, q)
+    matrix of the (step, point) entries D[lead], entry (p, I[j, p]) for
+    D[j, p].  A position is the sum over the axes of the N x N offsets
+    p N^(2d-1-i) + I_i[j, p] N^(d-1-i), built per call from the cached
+    shift: one block at d = 1, one per leading step j_0 at d = 2."""
+    n, d = spec.n_axis, spec.dim
+    shift, points = _tables(spec).shift, np.arange(n)
+    offsets = [points * n ** (2 * d - 1 - i) + shift * n ** (d - 1 - i) for i in range(d)]
+    if d == 1:
+        yield Ellipsis, offsets[0]
+        return
+    # Axes (j_1, p_0, p_1) of the block of step j_0.
+    tail = offsets[1][:, None, :]
+    for j, lead in enumerate(offsets[0]):
+        yield j, tail + lead[:, None]
+
+
+# The positions are always in range: mode "wrap" leaves them as they are and
+# skips the buffered bounds check of numpy's default mode.
 def _steps_to_operator(spec, D):
-    mat = np.empty(spec.field_shape, dtype=complex)
-    mat[_tables(spec).entries] = D
+    """The operator matrix whose entry (p, I[j, p]) is D[j, p]."""
+    mat = np.empty(D.size, dtype=complex)
+    for lead, index in _entry_blocks(spec):
+        np.put(mat, index, D[lead], mode="wrap")
     return mat.reshape(2 * (spec.n_axis ** spec.dim,))
+
+
+def _operator_to_steps(spec, matrix):
+    """_steps_to_operator's inverse: D[j, p] = matrix entry (p, I[j, p])."""
+    flat = matrix.reshape(-1)
+    D = np.empty(spec.field_shape, dtype=complex)
+    for lead, index in _entry_blocks(spec):
+        np.take(flat, index, out=D[lead], mode="wrap")
+    return D
 
 
 def _mul_axes(arr, table, first, second):
@@ -445,6 +482,7 @@ def quantize(ctx, symbol):
     _check_output_bytes("quantize", (spec.n_axis ** spec.dim,) * 2)
     if symbol.side != SIDE_XISTAR:
         raise ValueError("quantize expects a symbol on side %s" % SIDE_XISTAR)
+    _require_lattice(spec, symbol, "symbol")
     D = _synthesize(ctx, ift_symbol(spec, symbol).values)
     D *= spec.xi_weight
     return HSOperator(spec, _steps_to_operator(spec, D))
@@ -455,15 +493,26 @@ def dequantize(ctx, op):
     then transform to side XiStar.  Exact inverse of quantize."""
     spec = ctx.spec
     _require_grid(spec, "dequantize")
-    vals = _analyze(ctx, op.matrix.reshape(spec.field_shape)[_tables(spec).entries])
+    _require_lattice(spec, op, "operator")
+    vals = _analyze(ctx, _operator_to_steps(spec, op.matrix))
     vals *= abs(spec.epsilon) ** spec.dim
     return ft_symbol(spec, PhaseSpaceField(spec, vals, SIDE_XI))
 
 
 def moyal_product(ctx, a, b):
-    """Symbol of the operator product: dequantize(quantize(a) quantize(b))."""
-    _check_output_bytes("moyal_product", (ctx.spec.n_axis ** ctx.spec.dim,) * 2)
-    return dequantize(ctx, quantize(ctx, a).compose(quantize(ctx, b)))
+    """Symbol of the operator product: dequantize(quantize(a) quantize(b)).
+    A square (b is a) quantizes once, with the same bits.  The operators
+    are dropped before the dequantize, so at most three fields beyond the
+    symbols are held."""
+    spec = ctx.spec
+    _check_output_bytes("moyal_product", (spec.n_axis ** spec.dim,) * 2)
+    _require_lattice(spec, a, "a")
+    _require_lattice(spec, b, "b")
+    left = quantize(ctx, a)
+    right = left if b is a else quantize(ctx, b)
+    product = left.compose(right)
+    del left, right
+    return dequantize(ctx, product)
 
 
 def materialize_quantizer(ctx):
@@ -603,6 +652,7 @@ def reconstruct(ctx, ambig, synthesis_window=None):
     _require_grid(spec, "reconstruct")
     w = ctx.window
     w0 = synthesis_window if synthesis_window is not None else w
+    _require_lattice(spec, ambig, "field")
     _require_lattice(spec, w0, "synthesis window")
     d = spec.dim
     D = _synthesize(ctx, ambig.values.copy())

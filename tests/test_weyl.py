@@ -420,6 +420,35 @@ class TestMoyal:
         assert max_abs(comm) > 1e-3
 
 
+class TestMoyalSquare:
+    """A square quantizes its symbol once, and its bits are those of the
+    same product of two equal symbols, which quantizes each."""
+
+    @pytest.mark.parametrize("epsilon", [1.0, -0.5])
+    @pytest.mark.parametrize("group,potential", [
+        (ABEL1, None), (ABEL1, linear_potential()), (ABEL2, None), (ABEL2, crossed_potential()),
+    ], ids=["line", "line-potential", "plane", "plane-x1dx2"])
+    def test_square_quantizes_once(self, group, potential, epsilon, monkeypatch):
+        ctx = lattice_ctx(group, potential, epsilon)
+        a = random_symbol(ctx.spec, 79)
+        b = random_symbol(ctx.spec, 80)
+        calls = []
+        plain = weyl_module.quantize
+
+        def record(ctx, symbol):
+            calls.append(symbol)
+            return plain(ctx, symbol)
+
+        monkeypatch.setattr(weyl_module, "quantize", record)
+        square = moyal_product(ctx, a, a)
+        assert len(calls) == 1 and calls[0] is a
+        copy = PhaseSpaceField(ctx.spec, a.values.copy(), SIDE_XISTAR)
+        assert np.array_equal(square.values, moyal_product(ctx, a, copy).values)
+        del calls[:]
+        moyal_product(ctx, a, b)
+        assert calls == [a, b]
+
+
 class TestMaterialize:
     @pytest.mark.parametrize("epsilon", [1.0, 2.0])
     def test_scaled_isometry(self, epsilon):
@@ -688,14 +717,17 @@ class TestWorkingSet:
         field = PhaseSpaceField(ctx.spec, symbol.values, SIDE_XI)
         op = quantize(ctx, symbol)
         wigner(ctx, f)  # builds the per-grid tables outside the traced calls
-        return ctx, f, symbol, field, op
+        return ctx, f, symbol, field, op, random_symbol(ctx.spec, 94)
 
     @pytest.mark.parametrize("name, bound", [
         ("ft_symbol", 1.1), ("ift_symbol", 1.1), ("ambiguity", 2.1), ("wigner", 2.1),
         ("quantize", 2.1), ("dequantize", 2.1), ("moyal_product", 3.1),
+        ("moyal_product_pair", 3.1),
     ])
     def test_fields_beyond_inputs(self, data, name, bound):
-        ctx, f, symbol, field, op = data
+        # moyal_product squares its symbol (one quantize); the pair case
+        # takes the general path, two quantizes.
+        ctx, f, symbol, field, op, other = data
         calls = {
             "ft_symbol": (ft_symbol, ctx.spec, field),
             "ift_symbol": (ift_symbol, ctx.spec, symbol),
@@ -704,6 +736,7 @@ class TestWorkingSet:
             "quantize": (quantize, ctx, symbol),
             "dequantize": (dequantize, ctx, op),
             "moyal_product": (moyal_product, ctx, symbol, symbol),
+            "moyal_product_pair": (moyal_product, ctx, symbol, other),
         }
         fn, *args = calls[name]
         field_bytes = symbol.values.nbytes
@@ -1081,6 +1114,38 @@ _GATHERS = {
 }
 
 
+def _broadcast_entries(spec):
+    """The operator layout as one broadcast fancy index (the oracle of the
+    flat positions): matrix.reshape(field_shape)[entries][j, p] is the
+    entry (p, I[j, p])."""
+    d, n = spec.dim, spec.n_axis
+    rows = tuple(np.arange(n).reshape((n,) + (1,) * (d - 1 - i)) for i in range(d))
+    return rows + weyl_module._tables(spec).moved
+
+
+class TestOperatorEntries:
+    """The flat scatter and gather between the (step, point) and (p, q)
+    layouts match the broadcast fancy index and invert each other."""
+
+    @pytest.mark.parametrize("group,n", [
+        (ABEL1, 8), (ABEL1, 16), (ABEL1, 256), (ABEL2, 8), (ABEL2, 10), (ABEL2, 24),
+    ], ids=["line-8", "line-16", "line-256", "plane-8", "plane-10", "plane-24"])
+    def test_flat_positions_match_the_broadcast_index(self, group, n):
+        spec = GridSpec(group, n, 8.0)
+        entries = _broadcast_entries(spec)
+        D = random_symbol(spec, 81).values
+        M = random_symbol(spec, 82).values
+        expected = np.empty(spec.field_shape, dtype=complex)
+        expected[entries] = D
+        mat = weyl_module._steps_to_operator(spec, D)
+        assert mat.shape == (n ** spec.dim,) * 2
+        assert np.array_equal(mat, expected.reshape(mat.shape))
+        steps = weyl_module._operator_to_steps(spec, M.reshape(mat.shape))
+        assert np.array_equal(steps, M[entries])
+        assert np.array_equal(weyl_module._operator_to_steps(spec, mat), D)
+        assert np.array_equal(weyl_module._steps_to_operator(spec, steps), M.reshape(mat.shape))
+
+
 class TestOtherGridStates:
     """A grid state must be sampled on the context's lattice: the same
     points per axis, dimension and extent.  Epsilon is not compared."""
@@ -1102,6 +1167,65 @@ class TestOtherGridStates:
         _, call = _GATHERS[entry]
         ctx = grid_ctx()
         call(ctx, gaussian_state(GridSpec(ABEL1, 16, 8.0, epsilon=epsilon)))
+
+
+# Each entry point that takes a phase-space field or an operator, with the
+# argument the error names.  A field's frequency lattice depends on epsilon,
+# so fields compare it; operators do not.
+_FIELDS = {
+    "quantize": ("symbol", lambda ctx, u: quantize(ctx, u)),
+    "moyal_product-a": ("a", lambda ctx, u: moyal_product(ctx, u, constant_symbol(ctx.spec))),
+    "moyal_product-b": ("b", lambda ctx, u: moyal_product(ctx, constant_symbol(ctx.spec), u)),
+    "reconstruct": ("field", lambda ctx, u: reconstruct(ctx, u)),
+}
+
+
+def _other_field(entry, spec):
+    side = SIDE_XI if entry == "reconstruct" else SIDE_XISTAR
+    return PhaseSpaceField(spec, np.ones(spec.field_shape, dtype=complex), side)
+
+
+def _other_operator(spec):
+    return HSOperator(spec, np.eye(spec.n_axis ** spec.dim))
+
+
+class TestOtherGridFields:
+    """Phase-space fields and operators must live on the context's lattice:
+    the same points per axis, dimension and extent, and for a field the
+    same epsilon."""
+
+    GRIDS = [(8, 8.0, 1.0), (16, 12.0, 1.0), (16, 8.0, -0.5)]
+    IDS = ["n8", "extent12", "epsilon-0.5"]
+
+    @pytest.mark.parametrize("entry", sorted(_FIELDS))
+    @pytest.mark.parametrize("n,extent,epsilon", GRIDS, ids=IDS)
+    def test_field_refused_naming_the_argument(self, entry, n, extent, epsilon):
+        name, call = _FIELDS[entry]
+        other = _other_field(entry, GridSpec(ABEL1, n, extent, epsilon=epsilon))
+        with pytest.raises(ValueError, match=r"^%s was sampled on the grid N=%d, d=1, "
+                           r"extent %r, epsilon %r, but the context's grid is N=16, d=1, "
+                           r"extent 8\.0, epsilon 1\.0$" % (name, n, extent, epsilon)):
+            call(grid_ctx(), other)
+
+    @pytest.mark.parametrize("entry", sorted(_FIELDS))
+    def test_field_on_the_lattice_accepted(self, entry):
+        ctx = grid_ctx(epsilon=-0.5)
+        _, call = _FIELDS[entry]
+        call(ctx, _other_field(entry, GridSpec(ABEL1, 16, 8.0, epsilon=-0.5)))
+
+    @pytest.mark.parametrize("n,extent", [(8, 8.0), (16, 12.0)], ids=IDS[:2])
+    def test_operator_refused(self, n, extent):
+        other = _other_operator(GridSpec(ABEL1, n, extent))
+        with pytest.raises(ValueError, match=r"^operator was sampled on the grid N=%d, d=1, "
+                           r"extent %r, but the context's grid is N=16, d=1, extent 8\.0$"
+                           % (n, extent)):
+            dequantize(grid_ctx(), other)
+
+    def test_operator_of_another_epsilon_accepted(self):
+        other = _other_operator(GridSpec(ABEL1, 16, 8.0, epsilon=-0.5))
+        symbol = dequantize(grid_ctx(), other)
+        assert np.array_equal(symbol.values, dequantize(grid_ctx(), _other_operator(
+            GridSpec(ABEL1, 16, 8.0))).values)
 
 
 def _refuse_space(*args, **kwargs):
