@@ -14,7 +14,6 @@ factors are chosen to make the discrete orthogonality relation close.
 
 import math
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
@@ -174,24 +173,27 @@ def mod_norm_symbol(ctx, a, window1, window2, r, s):
     folds straight into an N^(2d) accumulator over the second point, so no
     N^(4d) array is built; the largest temporary, the table, holds of order
     N^(3d) complex values (ValueError past MAX_OUTPUT_BYTES, before any
-    work).  Many symbols with one window pair share their window tables
-    through ``_symbol_norms``."""
-    return next(_symbol_norms(ctx, map(partial(quantize, ctx), [a]), window1, window2, r, s))
+    work).  The window tables come from ``_symbol_norm``, which callers
+    with many symbols and one window pair hold and apply to each operator."""
+    return _symbol_norm(ctx, window1, window2, r, s)(quantize(ctx, a))
 
 
-def _symbol_norms(ctx, operators, window1, window2, r, s):
-    """mod_norm_symbol of each symbol, given as its operator Op(a), in
-    turn, with one window part for all of them: a generator that builds it
-    before drawing the first operator."""
+def _symbol_norm(ctx, window1, window2, r, s):
+    """The window part of mod_norm_symbol: builds the window tables once,
+    then returns ``norm(op)``, the (r, s) norm of the symbol a whose
+    operator is op = Op(a)."""
     r = float(as_exponent(r))
     s = float(as_exponent(s))
     if not np.any(window1.values) or not np.any(window2.values):
         raise ValueError("modulation norm needs nonzero windows")
-    _, per_symbol = _symbol_passes("mod_norm_symbol", ctx, operators, window1, window2)
+    _, passes = _symbol_passes("mod_norm_symbol", ctx, window1, window2)
     n = ctx.spec.n_axis ** ctx.spec.dim
     mags = np.empty((n, n * n))
-    for passes in per_symbol:
+
+    def norm(op):
         acc = np.zeros(n * n)
-        for block in passes:
+        for block in passes(op):
             _fold_inner(np.abs(block, out=mags), r, acc)
-        yield _outer(acc, r, s, 2 * _axis_weights(ctx.spec))
+        return _outer(acc, r, s, 2 * _axis_weights(ctx.spec))
+
+    return norm

@@ -16,7 +16,6 @@ import math
 import time
 from fractions import Fraction
 from functools import partial
-from itertools import tee
 
 import numpy as np
 
@@ -67,7 +66,7 @@ from .weyl import (
 from .modspace import (
     INFINITY,
     ExponentQuad,
-    _symbol_norms,
+    _symbol_norm,
     exponent_check,
     mod_norm_vector,
 )
@@ -294,12 +293,12 @@ def check_wigner_bound(ctx, quad, trials=50, seed=0, pairs=None, equality_band=N
             (random_gaussian_state(spec, rng), random_gaussian_state(spec, rng))
             for _ in range(trials)
         ]
-    ops = (quantize(ctx, wigner(ctx, f1, f2)) for f1, f2 in pairs)
-    norms = _symbol_norms(ctx, ops, w1, w2, quad.r, quad.s)
+    symbol_norm = _symbol_norm(ctx, w1, w2, quad.r, quad.s)
     context, lo, leak_ok = _ratio_sweep(spec, seed, (
-        (lhs, mod_norm_vector(ctx, f1, w1, quad.r1, quad.s1)
+        (symbol_norm(quantize(ctx, wigner(ctx, f1, f2))),
+         mod_norm_vector(ctx, f1, w1, quad.r1, quad.s1)
          * mod_norm_vector(ctx, f2, w2, quad.r2, quad.s2))
-        for (f1, f2), lhs in zip(pairs, norms)
+        for f1, f2 in pairs
     ))
     context.update(quad=quad, pairs=len(pairs), min_ratio=lo)
     worst, leak = context["max_ratio"], context["degenerate_leak"]
@@ -332,15 +331,11 @@ def check_op_bounds(ctx, trials=100, norm="operator", seed=0, symbols=None):
     rng = np.random.default_rng(seed)
     if symbols is None:
         symbols = [random_symbol(ctx, rng) for _ in range(trials)]
-    # Each symbol is quantized once, for both sides: the sweep draws each
-    # operator first (so its window tables and their size guard come
-    # before any quantize), and the lhs takes the tee copy.  The family
-    # labels (r, s) enter the symbol norm with the inner exponent s (over
-    # the first lattice variable) and the outer r.
-    swept, ops = tee(map(partial(quantize, ctx), symbols))
-    norms = _symbol_norms(ctx, swept, w1, w2, quad.s, quad.r)
+    # The family labels (r, s) enter the symbol norm with the inner
+    # exponent s (over the first lattice variable) and the outer r.
+    symbol_norm = _symbol_norm(ctx, w1, w2, quad.s, quad.r)
     context, _, leak_ok = _ratio_sweep(spec, seed, (
-        (op_norm(op), rhs) for rhs, op in zip(norms, ops)
+        (op_norm(op), symbol_norm(op)) for op in map(partial(quantize, ctx), symbols)
     ))
     context.update(quad=quad, canonical=True, symbols=len(symbols))
     return CheckReport("%s-bound" % norm, context["max_ratio"], SLACK,

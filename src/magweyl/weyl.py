@@ -33,8 +33,9 @@ and taken or put in one block at d = 1, one per leading step at d = 2
 (``_entry_blocks``).  The
 magnetic phase depends on the step X only through the segment of X, so
 each route's phase is one exact polynomial in (y_0..y_{d-1}, X_0..X_{d-1}),
-built once per context on first use (only the polynomials are cached: a
-fresh context gains nothing from a float cache of their values).
+built once per context on first use.  Only the polynomial is cached: each
+transform evaluates its own table of values, so ``wigner`` then
+``quantize`` in one context evaluate the same table twice.
 ``_apply_phase`` evaluates it on the whole (step, point) lattice in one
 broadcast pass over per-axis power tables and multiplies it in.  The formula
 route's segment-average map at -y is a joint polynomial too, one per
@@ -50,15 +51,16 @@ every dimension.  Op(a) is applied to the coherent family of w2 once.  The
 factors that see the two steps only through their sum s1 + s2 (conj(w1)
 moved by it, the magnetic phase at it, the k2 half-shift and the DFT over
 the points) form one (t1 + t2, k2, p) table over the (2N - 1)^d sums,
-built with the family once per window pair for every symbol streamed
-through it.  Then each first step t1 costs one GEMM, (k1, p) times the
-table's rows t1 .. t1 + N - 1 as (p, t2 k2), which lands in the output
-layout.  The k1 half-shift at the sum splits as P[t1, k1] P[t2, k1] with
-the lattice prefactor P: the first factor is folded into Op(a)'s side, and
-``symbol_ambiguity`` multiplies the second in as it stores each pass in
-its N^(4d) output.  ``mod_norm_symbol`` drops it, since it is unimodular,
-and folds each pass into an N^(2d) accumulator, so its temporaries stay
-of order N^(3d).
+built with the family once per window pair: a window part that the
+caller holds and applies to each operator.  Then each first step t1
+costs one GEMM, (k1, p) times the table's rows t1 .. t1 + N - 1 as
+(p, t2 k2), which lands in the output layout.  The k1 half-shift at the
+sum splits as P[t1, k1] P[t2, k1] with the lattice prefactor P: the
+first factor is folded into Op(a)'s side, and ``symbol_ambiguity``
+multiplies the second in as it stores each pass in its N^(4d) output.
+``mod_norm_symbol`` drops it, since it is unimodular, and folds each
+pass into an N^(2d) accumulator, so its temporaries stay of order
+N^(3d).
 
 Two independent computational routes exist for the ambiguity transform and
 are kept apart deliberately: the representation route (translation-averaged
@@ -75,7 +77,7 @@ oracles the tests check both routes against live in ``reference``.
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -557,16 +559,16 @@ def _axis_product(table, d):
     return reduce(np.multiply, [_along(table, (i, d + i), 2 * d) for i in range(d)])
 
 
-def _symbol_passes(what, ctx, operators, window1, window2):
-    """The operator-window ambiguity of each operator Op(a) one first step
-    t1 at a time, in C order: (P, one pass iterator per operator), each pass
-    a B of shape (N^d, N^(2d)), axes (k1, t2 k2), in one buffer shared by
-    all, with field[t1, k1, t2, k2] = B[k1, t2, k2] P[t2, k1], where P is
-    the product over the axes of the unimodular prefactor
-    exp(i eps s_j h/2 xi_k).  The window tables are built on the call, once
-    for all operators, which raises a ValueError naming ``what`` first when
-    the (t1 + t2) table would pass MAX_OUTPUT_BYTES; each operator is drawn
-    from ``operators`` only when its passes begin."""
+def _symbol_passes(what, ctx, window1, window2):
+    """The window part of the operator-window ambiguity: (P, passes), where
+    ``passes(op)`` iterates over the field of one operator Op(a) one first
+    step t1 at a time, in C order, each pass a B of shape (N^d, N^(2d)),
+    axes (k1, t2 k2), in one buffer shared by all passes and operators, with
+    field[t1, k1, t2, k2] = B[k1, t2, k2] P[t2, k1], where P is the product
+    over the axes of the unimodular prefactor exp(i eps s_j h/2 xi_k).  The
+    window tables are built on the call, once for every operator the caller
+    applies ``passes`` to; a ValueError naming ``what`` comes first when the
+    (t1 + t2) table would pass MAX_OUTPUT_BYTES."""
     spec = ctx.spec
     _require_grid(spec, what)
     _require_lattice(spec, window1, "window1")
@@ -607,7 +609,7 @@ def _symbol_passes(what, ctx, operators, window1, window2):
             np.matmul(H[:, flat, :].T, G[rows].reshape(n * n, n).T, out=block)
             yield block
 
-    return prefactor, map(passes, operators)
+    return prefactor, passes
 
 
 def symbol_ambiguity(ctx, a, window1, window2):
@@ -626,10 +628,8 @@ def symbol_ambiguity(ctx, a, window1, window2):
     _check_output_bytes("symbol_ambiguity", (N,) * (4 * d))
     n = N ** d
     out = np.empty((n, n, n, n), dtype=complex)
-    prefactor, [passes] = _symbol_passes(
-        "symbol_ambiguity", ctx, map(partial(quantize, ctx), [a]), window1, window2
-    )
-    for flat, block in enumerate(passes):
+    prefactor, passes = _symbol_passes("symbol_ambiguity", ctx, window1, window2)
+    for flat, block in enumerate(passes(quantize(ctx, a))):
         # The passes' prefactor P[t2, k1], on axes (k1, t2, k2).
         np.multiply(block.reshape(n, n, n), prefactor.T[:, :, None], out=out[flat])
     return out.reshape((N,) * (4 * d))
@@ -703,6 +703,7 @@ def project_field(ctx, kernel, field):
     spec = ctx.spec
     if field.side != SIDE_XI:
         raise ValueError("projection acts on side %s fields" % SIDE_XI)
+    _require_lattice(spec, field, "field")
     vec = kernel @ field.values.reshape(-1) * spec.xi_weight
     return PhaseSpaceField(spec, vec.reshape(spec.field_shape), SIDE_XI)
 

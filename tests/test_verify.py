@@ -149,6 +149,12 @@ class TestOpBounds:
         with pytest.raises(ValueError):
             check_op_bounds(line_ctx(), norm="nuclear")
 
+    @pytest.mark.parametrize("norm", ["operator", "trace"])
+    def test_report_named_after_norm(self, norm):
+        # The report name is the registry's check name that --only selects.
+        report = check_op_bounds(line_ctx(), trials=2, norm=norm, seed=9)
+        assert report.name == "%s-bound" % norm
+
     def test_context_records_canonical_quad(self):
         report = check_op_bounds(line_ctx(), trials=2, norm="trace", seed=9)
         seen = report.to_json_dict()

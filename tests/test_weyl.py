@@ -1177,11 +1177,12 @@ _FIELDS = {
     "moyal_product-a": ("a", lambda ctx, u: moyal_product(ctx, u, constant_symbol(ctx.spec))),
     "moyal_product-b": ("b", lambda ctx, u: moyal_product(ctx, constant_symbol(ctx.spec), u)),
     "reconstruct": ("field", lambda ctx, u: reconstruct(ctx, u)),
+    "project_field": ("field", lambda ctx, u: project_field(ctx, reproducing_kernel(ctx), u)),
 }
 
 
 def _other_field(entry, spec):
-    side = SIDE_XI if entry == "reconstruct" else SIDE_XISTAR
+    side = SIDE_XI if entry in ("reconstruct", "project_field") else SIDE_XISTAR
     return PhaseSpaceField(spec, np.ones(spec.field_shape, dtype=complex), side)
 
 
@@ -1450,9 +1451,10 @@ class TestWindowPart:
         run = lambda: [mod_norm_symbol(ctx, symbol, w, w, 1, "inf") for _ in range(2)]
         assert self._builds(monkeypatch, ctx, run) == (2, 2)
 
-    @pytest.mark.parametrize("norm", ["operator", "trace"])
+    @pytest.mark.parametrize("norm", ["operator", "trace", "wigner"])
     def test_op_bound_check_quantizes_each_symbol_once(self, monkeypatch, norm):
-        # The lhs operator norm and the symbol norm's sweep share one Op(a).
+        # The lhs operator norm and the symbol norm share one Op(a); a
+        # Wigner pair's symbol is quantized once for its norm.
         calls = []
 
         def counting(ctx, a):
@@ -1461,5 +1463,8 @@ class TestWindowPart:
 
         for module in (weyl_module, modspace_module, verify_module):
             monkeypatch.setattr(module, "quantize", counting)
-        check_op_bounds(grid_ctx(), trials=100, norm=norm)
+        if norm == "wigner":
+            check_wigner_bound(grid_ctx(), ExponentQuad(1, INFINITY, 2, 2, 2, 2), trials=100)
+        else:
+            check_op_bounds(grid_ctx(), trials=100, norm=norm)
         assert len(calls) == 100
